@@ -11,6 +11,7 @@ set of reference attack parameter rows with known detection probabilities.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -23,15 +24,10 @@ from .qutrit import BASIS_LABELS, OMEGA, NumericalError
 # are enforced at this scale; reference data is only six digits deep.
 CONSTRAINT_TOL = 1e-9
 
-_COMPLETION_ITERATION_BUDGET = 200
-_COMPLETION_PER_START = 20
-
-# f[l, m] = OMEGA**(l*m): inverse-Fourier synthesis of a circulant's first
-# column from its eigenvalues, c_l = (1/3) sum_m e_m * f[l, m].
-_FOURIER = np.array(
-    [[OMEGA ** ((l * m) % 3) for m in range(3)] for l in range(3)],
-    dtype=np.complex128,
-)
+# A circulant completion is accepted when its chain links miss closing into
+# a triangle by at most this much; that miss is the completion's unitarity
+# residual, so the result stays well inside CONSTRAINT_TOL.
+_COMPLETION_TOL = 1e-10
 
 
 def _finite_complex(name: str, value) -> complex:
@@ -149,96 +145,59 @@ class AttackOperator:
         return AttackColumn(complex(c[0]), complex(c[1]), complex(c[2]))
 
 
-def _unit_phase(theta: float) -> complex:
-    return complex(math.cos(theta), math.sin(theta))
-
-
-def _circulant_first_column(theta1: float, theta2: float) -> np.ndarray:
-    e = np.array([1.0, _unit_phase(theta1), _unit_phase(theta2)], dtype=np.complex128)
-    return _FOURIER @ e / 3.0
-
-
-def _completion_starts(target: np.ndarray) -> list[tuple[float, float]]:
-    starts: list[tuple[float, float]] = []
-    # Equal-moduli tail (symmetric columns) has a closed-form family with
-    # both free eigenphases equal: cos(phi) = (4 - 9 d)/4 where d = 1 - r0^2.
-    cos_phi = (4.0 - 9.0 * (1.0 - target[0])) / 4.0
-    if -1.0 <= cos_phi <= 1.0:
-        phi = math.acos(cos_phi)
-        starts.extend([(phi, phi), (-phi, -phi), (phi, -phi)])
-    starts.append((0.0, 0.0))
-    for a in range(3):
-        for b in range(3):
-            starts.append((2.0 * math.pi * (a + 0.5) / 3.0, 2.0 * math.pi * (b + 0.5) / 3.0))
-    return starts
+def circulant(first_column) -> np.ndarray:
+    """3x3 circulant matrix whose entry [j, k] is first_column[(j - k) % 3]."""
+    c = np.asarray(first_column, dtype=np.complex128)
+    return c[(np.arange(3)[:, None] - np.arange(3)[None, :]) % 3]
 
 
 def complete_circulant(col: AttackColumn, representation: str = "z") -> AttackOperator:
     """Extend an attack column to a circulant unitary with the same moduli.
 
-    Works in eigenvalue space: a circulant is unitary exactly when its three
-    Fourier eigenvalues are unimodular, so with the first eigenvalue pinned
-    to 1 a Newton search over the remaining two phases matches the
-    inverse-Fourier column's squared moduli to the target. The cyclic-shift
-    structure makes the broken-diagonal moduli pattern hold exactly. Entry
-    phases of the result generally differ from the input column's. Raises
-    NumericalError when the iteration budget (200 Newton steps overall) is
-    exhausted, which signals that no circulant realization exists.
+    A circulant with first column c is unitary exactly when the three terms
+    c0 conj(c2), c1 conj(c0) and c2 conj(c1) sum to zero. Their lengths are
+    the chain links sqrt(t0 t2), sqrt(t0 t1) and sqrt(t1 t2) of the squared
+    moduli t, so a completion exists exactly when the links close into a
+    triangle (Bengtsson et al., quant-ph/0402325), and the entry phases
+    follow from the triangle's angles in closed form. Of the six solutions
+    the one returned has c0 real and positive, and c1 = c2 whenever
+    t1 = t2. Entry phases of the result generally differ from the input
+    column's; the cyclic-shift structure makes the broken-diagonal moduli
+    pattern hold exactly. Raises NumericalError, naming the violated
+    triangle inequality, when the links miss closing by more than 1e-10.
     """
     if representation not in BASIS_LABELS:
         raise ValueError(f"unknown representation {representation!r}")
-    target = np.array(col.moduli_squared())
-    budget = _COMPLETION_ITERATION_BUDGET
-
-    def residual(c: np.ndarray) -> np.ndarray:
-        # Two moduli suffice; the third follows from the unit column norm.
-        return np.array([abs(c[0]) ** 2 - target[0], abs(c[1]) ** 2 - target[1]])
-
-    for t1, t2 in _completion_starts(target):
-        theta = np.array([t1, t2], dtype=float)
-        c = _circulant_first_column(theta[0], theta[1])
-        f = residual(c)
-        for _ in range(_COMPLETION_PER_START):
-            if budget == 0:
-                break
-            budget -= 1
-            if np.abs(f).max() < 1e-12:
-                break
-            dc1 = _FOURIER[:, 1] * 1j * _unit_phase(theta[0]) / 3.0
-            dc2 = _FOURIER[:, 2] * 1j * _unit_phase(theta[1]) / 3.0
-            jac = np.array(
-                [
-                    [2.0 * (c[0].conjugate() * dc1[0]).real, 2.0 * (c[0].conjugate() * dc2[0]).real],
-                    [2.0 * (c[1].conjugate() * dc1[1]).real, 2.0 * (c[1].conjugate() * dc2[1]).real],
-                ]
-            )
-            det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-            if abs(det) < 1e-14:
-                break
-            step = np.linalg.solve(jac, -f)
-            scale = 1.0
-            for _halve in range(6):
-                cand = theta + scale * step
-                c_new = _circulant_first_column(cand[0], cand[1])
-                f_new = residual(c_new)
-                if np.abs(f_new).max() < np.abs(f).max():
-                    theta, c, f = cand, c_new, f_new
-                    break
-                scale *= 0.5
-            else:
-                break
-        if np.abs(f).max() < 1e-12:
-            m = np.empty((3, 3), dtype=np.complex128)
-            for j in range(3):
-                for k in range(3):
-                    m[j, k] = c[(j - k) % 3]
-            return AttackOperator(m, representation)
-        if budget == 0:
-            break
-    raise NumericalError(
-        f"no circulant completion found for squared moduli {target.tolist()}; "
-        f"Newton budget of {_COMPLETION_ITERATION_BUDGET} iterations exhausted"
-    )
+    t0, t1, t2 = col.moduli_squared()
+    links = {
+        "sqrt(t0*t2)": math.sqrt(t0 * t2),
+        "sqrt(t0*t1)": math.sqrt(t0 * t1),
+        "sqrt(t1*t2)": math.sqrt(t1 * t2),
+    }
+    longest = max(links, key=links.get)
+    rest = [name for name in links if name != longest]
+    gap = links[longest] - links[rest[0]] - links[rest[1]]
+    if gap > _COMPLETION_TOL:
+        listed = ", ".join(f"{name} = {value:.6g}" for name, value in links.items())
+        raise NumericalError(
+            f"no circulant completion for squared moduli {[t0, t1, t2]}: chain links {listed} "
+            f"violate {longest} <= {rest[0]} + {rest[1]} by {gap:.3e}"
+        )
+    # Four times the triangle's area, by Heron's formula written in t. A flat
+    # triangle accepted within the tolerance may give a slightly negative square.
+    square = 2.0 * t0 * t1 * t2 * (t0 + t1 + t2) - ((t0 * t1) ** 2 + (t1 * t2) ** 2 + (t2 * t0) ** 2)
+    area4 = math.sqrt(max(square, 0.0))
+    # Interior angles opposite the links sqrt(t0*t2) and sqrt(t0*t1). Taken
+    # from the shared area by atan2 they stay exact for flat triangles, where
+    # acos of the cosine rule loses half the digits.
+    opp02 = math.atan2(area4, t0 * t1 + t1 * t2 - t0 * t2)
+    opp01 = math.atan2(area4, t0 * t2 + t1 * t2 - t0 * t1)
+    # The three terms' phases sum to zero, and each turns from the next by pi
+    # less an interior angle; these phases of c1 and c2 satisfy both.
+    phase1 = math.pi - (2.0 * opp02 + opp01) / 3.0
+    phase2 = math.pi - (opp02 + 2.0 * opp01) / 3.0
+    c = (math.sqrt(t0), math.sqrt(t1) * cmath.exp(1j * phase1), math.sqrt(t2) * cmath.exp(1j * phase2))
+    return AttackOperator(circulant(c), representation)
 
 
 def column_z_from_x(col_x: AttackColumn) -> tuple[float, float, float]:

@@ -26,6 +26,7 @@ from .attack import (
     SymmetricAttack,
     attack_from_dict,
     attack_to_dict,
+    circulant,
     complete_circulant,
 )
 from .information import FrequencyTable, FREQUENCY_PRESETS
@@ -288,14 +289,6 @@ def load_protocol_config(path) -> ProtocolConfig:
     return ProtocolConfig.from_dict(data)
 
 
-def _shift_matrix(column: np.ndarray) -> np.ndarray:
-    e = np.empty((3, 3), dtype=np.complex128)
-    for n in range(3):
-        for m in range(3):
-            e[m, n] = column[(m - n) % 3]
-    return e
-
-
 def attack_state(config: ProtocolConfig) -> JointState:
     """Joint state after the eavesdropper touches the travelling qutrit once."""
     state = initial_state()
@@ -311,7 +304,7 @@ def attack_state(config: ProtocolConfig) -> JointState:
         m = mub(basis).matrix
         u = m @ op.m @ m.conj().T
         return apply_travel_unitary(state, Unitary3(u))
-    e = _shift_matrix(column.as_array())
+    e = circulant(column.as_array())
     m = mub(basis).matrix
     rotated = JointState(np.einsum("tn,htk->hnk", m.conj(), state.amps))
     branched = apply_branch_attack(rotated, e)

@@ -18,6 +18,7 @@ from qutrit_pingpong.attack import (
     attack_from_dict,
     attack_to_dict,
     blended_detection,
+    circulant,
     column_z_from_x,
     complete_circulant,
     detection_from_column,
@@ -151,9 +152,66 @@ def test_completion_recovers_random_feasible_columns():
         assert np.abs(got - np.array(col.moduli_squared())).max() < 1e-10
 
 
+def _symmetric_shape(d: float) -> AttackColumn:
+    # the symmetric pattern past d = 2/3; its links flatten into a segment at d = 8/9
+    return AttackColumn(math.sqrt(1.0 - d), math.sqrt(d / 2.0), math.sqrt(d / 2.0))
+
+
+def _unitarity_residual(m: np.ndarray) -> float:
+    return float(np.abs(m.conj().T @ m - np.eye(3)).max())
+
+
 def test_completion_rejects_infeasible_column():
-    with pytest.raises(NumericalError):
-        complete_circulant(AttackColumn(0.0, 1.0 / math.sqrt(2), 1.0 / math.sqrt(2)))
+    infeasible = [
+        (AttackColumn(0.0, 1.0 / math.sqrt(2), 1.0 / math.sqrt(2)), "sqrt(t1*t2) <= sqrt(t0*t2) + sqrt(t0*t1)"),
+        (AttackColumn(math.sqrt(1.0 - 3e-8), math.sqrt(3e-8), 0.0), "sqrt(t0*t1) <= sqrt(t0*t2) + sqrt(t1*t2)"),
+        (_symmetric_shape(8.0 / 9.0 + 1e-6), "sqrt(t1*t2) <= sqrt(t0*t2) + sqrt(t0*t1)"),
+    ]
+    for col, inequality in infeasible:
+        with pytest.raises(NumericalError) as err:
+            complete_circulant(col)
+        assert "chain links sqrt(t0*t2) = " in str(err.value)
+        assert inequality in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "col, residual",
+    [
+        # pure shifts: every link is zero and the completion is a cyclic shift
+        (AttackColumn(0.0, 1.0, 0.0), 1e-15),
+        (AttackColumn(0.0, 0.0, 1.0), 1e-15),
+        (AttackColumn(0.0, 1j, 0.0), 1e-15),
+        # flat triangle: sqrt(t1*t2) = sqrt(t0*t2) + sqrt(t0*t1)
+        (_symmetric_shape(8.0 / 9.0), 1e-12),
+        # links (0, 1e-10, 0) miss closing by 1e-10, inside the completion tolerance
+        (AttackColumn(math.sqrt(1.0 - 1e-20), 1e-10, 0.0), 1e-10),
+    ],
+)
+def test_completion_accepts_edge_columns(col, residual):
+    op = complete_circulant(col)
+    assert np.abs(np.abs(op.m) - circulant(np.abs(col.as_array()))).max() < 1e-15
+    assert _unitarity_residual(op.m) <= residual
+
+
+def test_completion_verdict_is_the_chain_link_triangle():
+    # 16 (area)^2 of the links' triangle, by Heron's formula for moduli summing to 1
+    rng = np.random.default_rng(97)
+    accepted = 0
+    for _ in range(500):
+        t = rng.dirichlet([1.0, 1.0, 1.0])
+        col = AttackColumn(*(complex(x) for x in np.sqrt(t) * np.exp(1j * rng.uniform(-math.pi, math.pi, 3))))
+        t0, t1, t2 = col.moduli_squared()
+        heron = 2.0 * t0 * t1 * t2 - ((t0 * t1) ** 2 + (t1 * t2) ** 2 + (t2 * t0) ** 2)
+        try:
+            op = complete_circulant(col)
+        except NumericalError:
+            assert heron < 0.0
+            continue
+        accepted += 1
+        assert heron >= 0.0
+        assert np.abs(np.abs(op.m[:, 0]) ** 2 - np.array([t0, t1, t2])).max() < 1e-12
+        assert _unitarity_residual(op.m) < 1e-12
+    assert 200 < accepted < 300
 
 
 def test_completion_rejects_unknown_representation():
