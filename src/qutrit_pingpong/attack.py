@@ -168,7 +168,10 @@ def complete_circulant(col: AttackColumn, representation: str = "z") -> AttackOp
     """
     if representation not in BASIS_LABELS:
         raise ValueError(f"unknown representation {representation!r}")
-    t0, t1, t2 = col.moduli_squared()
+    # Rescaled to unit sum, so that the column's norm error (up to
+    # CONSTRAINT_TOL) cannot add to the result's unitarity residual.
+    norm = sum(col.moduli_squared())
+    t0, t1, t2 = (t / norm for t in col.moduli_squared())
     links = {
         "sqrt(t0*t2)": math.sqrt(t0 * t2),
         "sqrt(t0*t1)": math.sqrt(t0 * t1),
@@ -183,9 +186,10 @@ def complete_circulant(col: AttackColumn, representation: str = "z") -> AttackOp
             f"no circulant completion for squared moduli {[t0, t1, t2]}: chain links {listed} "
             f"violate {longest} <= {rest[0]} + {rest[1]} by {gap:.3e}"
         )
-    # Four times the triangle's area, by Heron's formula written in t. A flat
-    # triangle accepted within the tolerance may give a slightly negative square.
-    square = 2.0 * t0 * t1 * t2 * (t0 + t1 + t2) - ((t0 * t1) ** 2 + (t1 * t2) ** 2 + (t2 * t0) ** 2)
+    # Four times the triangle's area, by Heron's formula written in t using
+    # t0 + t1 + t2 = 1. A flat triangle accepted within the tolerance may
+    # give a slightly negative square.
+    square = 2.0 * t0 * t1 * t2 - ((t0 * t1) ** 2 + (t1 * t2) ** 2 + (t2 * t0) ** 2)
     area4 = math.sqrt(max(square, 0.0))
     # Interior angles opposite the links sqrt(t0*t2) and sqrt(t0*t1). Taken
     # from the shared area by atan2 they stay exact for flat triangles, where
