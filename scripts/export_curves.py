@@ -13,8 +13,13 @@ from pathlib import Path
 
 import numpy as np
 
-from qutrit_pingpong.comparison import comparison_curve_data, format_protocol_table, protocol_table
-from qutrit_pingpong.information import FREQUENCY_PRESETS, TRIT_TO_BIT, info_curve, source_entropy
+from qutrit_pingpong.comparison import (
+    comparison_curve_csv,
+    comparison_curve_data,
+    format_protocol_table,
+    protocol_table_json,
+)
+from qutrit_pingpong.information import FREQUENCY_PRESETS, curve_csv, info_curve, source_entropy
 
 
 def main(argv=None) -> int:
@@ -30,12 +35,8 @@ def main(argv=None) -> int:
     grid = np.linspace(0.0, 2.0 / 3.0, args.points)
 
     for name, freq in FREQUENCY_PRESETS.items():
-        rows = info_curve(freq, grid)
         curve_path = out / f"curve_{name}.csv"
-        with curve_path.open("w", encoding="utf-8") as fh:
-            fh.write("d_z,I0_trits,I0_bits\n")
-            for d, v in rows:
-                fh.write(f"{d:.17g},{v:.17g},{v * TRIT_TO_BIT:.17g}\n")
+        curve_path.write_text(curve_csv(info_curve(freq, grid)), encoding="utf-8")
         freq_path = out / f"freq_{name}.json"
         freq_path.write_text(
             json.dumps({"p": [[float(x) for x in row] for row in freq.p]}, indent=2) + "\n"
@@ -43,31 +44,10 @@ def main(argv=None) -> int:
         h = source_entropy(freq).value
         print(f"{name:11s} H = {h:.5f} trit  ->  {curve_path}")
 
-    cmp_rows = comparison_curve_data()
     cmp_path = out / "comparison_curve.csv"
-    with cmp_path.open("w", encoding="utf-8") as fh:
-        fh.write("# qubit-variant curves are published reference values, not recomputed here\n")
-        fh.write("d,qutrit_bits\n")
-        for d, bits in cmp_rows:
-            fh.write(f"{d:.17g},{bits:.17g}\n")
+    cmp_path.write_text(comparison_curve_csv(comparison_curve_data()), encoding="utf-8")
     table_path = out / "protocol_table.json"
-    table_path.write_text(
-        json.dumps(
-            [
-                {
-                    "name": r.name,
-                    "carrier_dim": r.carrier_dim,
-                    "group_size": r.group_size,
-                    "capacity_bits": r.capacity_bits,
-                    "d_max": [r.d_max.numerator, r.d_max.denominator],
-                    "d_min": [r.d_min.numerator, r.d_min.denominator],
-                }
-                for r in protocol_table()
-            ],
-            indent=2,
-        )
-        + "\n"
-    )
+    table_path.write_text(protocol_table_json() + "\n", encoding="utf-8")
     print(f"comparison  ->  {cmp_path}, {table_path}")
     print()
     print(format_protocol_table())

@@ -8,23 +8,27 @@ Exit codes: 0 success, 2 bad input or usage, 3 numerical failure
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import sys
 
 import numpy as np
 
 from .attack import verify_reference_attacks
-from .comparison import comparison_curve_data, format_protocol_table, protocol_table
+from .comparison import (
+    comparison_curve_csv,
+    comparison_curve_data,
+    format_protocol_table,
+    protocol_table_json,
+)
 from .information import (
     FREQUENCY_PRESETS,
-    TRIT_TO_BIT,
     FrequencyTable,
+    curve_csv,
     info_curve,
     load_frequency_table,
     source_entropy,
 )
 from .protocol import (
-    ProtocolConfig,
     load_protocol_config,
     rounds_for_confidence,
     run,
@@ -97,20 +101,16 @@ def _cmd_entropy(args) -> int:
     return 0
 
 
-def _curve_rows(freq: FrequencyTable, points: int) -> list[tuple[float, float]]:
+def _grid(points: int) -> np.ndarray:
     if points < 2:
         raise ValueError(f"curve needs at least 2 points, got {points}")
-    grid = np.linspace(0.0, 2.0 / 3.0, points)
-    return info_curve(freq, grid)
+    return np.linspace(0.0, 2.0 / 3.0, points)
 
 
 def _cmd_curve(args) -> int:
     freq = _resolve_freq(args)
-    rows = _curve_rows(freq, args.points)
-    lines = ["d_z,I0_trits,I0_bits"]
-    for d, v in rows:
-        lines.append(f"{d:.17g},{v:.17g},{v * TRIT_TO_BIT:.17g}")
-    text = "\n".join(lines) + "\n"
+    rows = info_curve(freq, _grid(args.points))
+    text = curve_csv(rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -149,17 +149,7 @@ def _cmd_attack_verify(args) -> int:
 def _cmd_simulate(args) -> int:
     config = load_protocol_config(args.config)
     if args.seed is not None:
-        if args.seed < 0:
-            raise ValueError("seed must be non-negative")
-        config = ProtocolConfig(
-            cycles=config.cycles,
-            seed=args.seed,
-            freq=config.freq,
-            attack=config.attack,
-            q=config.q,
-            basis_weights=config.basis_weights,
-            ancilla=config.ancilla,
-        )
+        config = dataclasses.replace(config, seed=args.seed)
     if args.transcript:
         report, transcript = run(config, keep_transcript=True)
         write_transcript(transcript, args.transcript)
@@ -181,32 +171,11 @@ def _cmd_rounds(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    if args.json:
-        rows = [
-            {
-                "name": r.name,
-                "carrier_dim": r.carrier_dim,
-                "group_size": r.group_size,
-                "capacity_bits": r.capacity_bits,
-                "d_max": [r.d_max.numerator, r.d_max.denominator],
-                "d_min": [r.d_min.numerator, r.d_min.denominator],
-            }
-            for r in protocol_table()
-        ]
-        print(json.dumps(rows, indent=2))
-    else:
-        print(format_protocol_table())
+    print(protocol_table_json() if args.json else format_protocol_table())
     if args.curve_out:
-        freq = _resolve_freq(args)
-        if args.points < 2:
-            raise ValueError(f"curve needs at least 2 points, got {args.points}")
-        grid = np.linspace(0.0, 2.0 / 3.0, args.points)
-        rows = comparison_curve_data(freq, grid)
+        rows = comparison_curve_data(_resolve_freq(args), _grid(args.points))
         with open(args.curve_out, "w", encoding="utf-8") as fh:
-            fh.write("# qubit-variant curves are published reference values, not recomputed here\n")
-            fh.write("d,qutrit_bits\n")
-            for d, bits in rows:
-                fh.write(f"{d:.17g},{bits:.17g}\n")
+            fh.write(comparison_curve_csv(rows))
         print(f"wrote {len(rows)} curve points to {args.curve_out}")
     return 0
 

@@ -11,6 +11,7 @@ variants, not recomputed here.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,6 +64,32 @@ def comparison_curve_data(freq: FrequencyTable | None = None, d_values=None) -> 
     if freq is None:
         freq = FrequencyTable.uniform()
     return [(d, v * TRIT_TO_BIT) for d, v in info_curve(freq, d_values)]
+
+
+def comparison_curve_csv(points) -> str:
+    """CSV text of comparison_curve_data points at 17 significant digits."""
+    lines = [
+        "# qubit-variant curves are published reference values, not recomputed here",
+        "d,qutrit_bits",
+    ]
+    lines.extend(f"{d:.17g},{bits:.17g}" for d, bits in points)
+    return "\n".join(lines) + "\n"
+
+
+def protocol_table_json() -> str:
+    """The compared variants as a JSON array; rationals become [numerator, denominator]."""
+    rows = [
+        {
+            "name": r.name,
+            "carrier_dim": r.carrier_dim,
+            "group_size": r.group_size,
+            "capacity_bits": r.capacity_bits,
+            "d_max": [r.d_max.numerator, r.d_max.denominator],
+            "d_min": [r.d_min.numerator, r.d_min.denominator],
+        }
+        for r in protocol_table()
+    ]
+    return json.dumps(rows, indent=2)
 
 
 def format_protocol_table() -> str:

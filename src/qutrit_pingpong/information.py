@@ -71,12 +71,29 @@ class FrequencyTable:
         return self.p.reshape(9).copy()
 
 
-def load_frequency_table(path) -> FrequencyTable:
-    """Read a frequency table from JSON: {"p": [[...], [...], [...]]}.
+def frequency_table_from_rows(rows, where: str) -> FrequencyTable:
+    """Validate a 3x3 frequency array read from JSON and renormalize it.
 
-    Small rounding in the file is forgiven by renormalizing, but sums more
-    than 1e-9 away from one are rejected as genuinely malformed.
+    Small rounding in the input is forgiven by renormalizing, but sums more
+    than 1e-9 away from one are rejected as genuinely malformed. Error
+    messages start with where, the caller's name for the array.
     """
+    try:
+        arr = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where} must be a 3x3 array of numbers") from None
+    if arr.shape != (3, 3):
+        raise ValueError(f"{where} must be a 3x3 array of numbers")
+    if not np.isfinite(arr).all() or (arr < 0.0).any():
+        raise ValueError(f"{where} entries must be finite and non-negative")
+    total = float(arr.sum())
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"{where} entries sum to {total!r}, not 1")
+    return FrequencyTable(arr / total)
+
+
+def load_frequency_table(path) -> FrequencyTable:
+    """Read a frequency table from JSON: {"p": [[...], [...], [...]]}."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -84,15 +101,7 @@ def load_frequency_table(path) -> FrequencyTable:
             raise ValueError(f"frequency file {path}: invalid JSON ({exc})") from exc
     if not (isinstance(data, dict) and "p" in data):
         raise ValueError(f"frequency file {path}: expected an object with a 'p' field")
-    arr = np.asarray(data["p"], dtype=float)
-    if arr.shape != (3, 3):
-        raise ValueError(f"frequency file {path}: 'p' must be a 3x3 array")
-    if not np.isfinite(arr).all() or (arr < 0.0).any():
-        raise ValueError(f"frequency file {path}: entries must be finite and non-negative")
-    total = float(arr.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"frequency file {path}: entries sum to {total!r}, not 1")
-    return FrequencyTable(arr / total)
+    return frequency_table_from_rows(data["p"], f"frequency file {path}: 'p'")
 
 
 def _preset(rows) -> FrequencyTable:
@@ -276,3 +285,10 @@ def info_curve(
         info = holevo_information(symmetric_column(d), freq)
         points.append((float(d), info.value))
     return points
+
+
+def curve_csv(points) -> str:
+    """CSV text of info_curve points: d_z,I0_trits,I0_bits at 17 significant digits."""
+    lines = ["d_z,I0_trits,I0_bits"]
+    lines.extend(f"{d:.17g},{v:.17g},{v * TRIT_TO_BIT:.17g}" for d, v in points)
+    return "\n".join(lines) + "\n"

@@ -29,7 +29,7 @@ from .attack import (
     circulant,
     complete_circulant,
 )
-from .information import FrequencyTable, FREQUENCY_PRESETS
+from .information import FREQUENCY_PRESETS, FrequencyTable, frequency_table_from_rows
 from .qutrit import (
     BASIS_LABELS,
     PARTNER_BASIS,
@@ -255,13 +255,7 @@ class ProtocolConfig:
                     )
                 freq = FREQUENCY_PRESETS[name]
             elif isinstance(spec, dict) and set(spec) == {"p"}:
-                arr = np.asarray(spec["p"], dtype=float)
-                if arr.shape != (3, 3) or not np.isfinite(arr).all() or (arr < 0).any():
-                    raise ValueError("freq.p must be a non-negative 3x3 array")
-                total = float(arr.sum())
-                if abs(total - 1.0) > 1e-9:
-                    raise ValueError(f"freq.p sums to {total!r}, not 1")
-                freq = FrequencyTable(arr / total)
+                freq = frequency_table_from_rows(spec["p"], "freq.p")
             else:
                 raise ValueError("freq must be {'preset': name} or {'p': 3x3 array}")
         attack: AttackSpec = NoAttack()

@@ -167,6 +167,8 @@ def test_simulate_seed_override_changes_report(tmp_path, capsys):
     second = capsys.readouterr().out
     assert first != second
     assert json.loads(second)["config"]["seed"] == 2
+    assert main(["simulate", "--config", str(cfg_path), "--seed", "-1"]) == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
 
 
 def test_simulate_bad_config(tmp_path, capsys):

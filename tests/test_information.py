@@ -122,6 +122,7 @@ def test_load_frequency_table_renormalizes_rounding(tmp_path):
         {"p": [[1.0, 0.0], [0.0, 0.0]]},
         {"q": []},
         [1, 2, 3],
+        {"p": {"row": [1.0, 0.0, 0.0]}},
     ],
 )
 def test_load_frequency_table_rejects_malformed(tmp_path, payload):

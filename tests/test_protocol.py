@@ -199,6 +199,7 @@ def test_config_from_dict_defaults_and_presets():
         {"cycles": 10, "seed": 1, "freq": {"preset": "nope"}},
         {"cycles": 10, "seed": 1, "freq": {"p": [[1, 0], [0, 0]]}},
         {"cycles": 10, "seed": 1, "basis_weights": [1.0]},
+        {"cycles": 10, "seed": 1, "freq": {"p": [[0.5, 0.5, 0.5]] * 3}},
     ],
 )
 def test_config_from_dict_rejects_malformed(payload):
