@@ -170,8 +170,8 @@ def complete_circulant(col: AttackColumn, representation: str = "z") -> AttackOp
         raise ValueError(f"unknown representation {representation!r}")
     # Rescaled to unit sum, so that the column's norm error (up to
     # CONSTRAINT_TOL) cannot add to the result's unitarity residual.
-    norm = sum(col.moduli_squared())
-    t0, t1, t2 = (t / norm for t in col.moduli_squared())
+    moduli = col.moduli_squared()
+    t0, t1, t2 = (t / sum(moduli) for t in moduli)
     links = {
         "sqrt(t0*t2)": math.sqrt(t0 * t2),
         "sqrt(t0*t1)": math.sqrt(t0 * t1),

@@ -193,14 +193,24 @@ def test_completion_accepts_edge_columns(col, residual):
     assert _unitarity_residual(op.m) <= residual
 
 
+def test_completion_of_column_at_the_norm_limit_is_unitary():
+    # squared norm 1 - 9.999999e-10, just inside AttackColumn's 1e-9 limit
+    col = AttackColumn(
+        -0.25555008368730636 + 0.3641931503165765j,
+        -0.018508355876153158 - 0.7026266724200085j,
+        0.39704834147430657 + 0.3877928796266745j,
+    )
+    assert _unitarity_residual(complete_circulant(col).m) < 1e-12
+
+
 def test_completion_verdict_is_the_chain_link_triangle():
-    # 16 (area)^2 of the links' triangle, by Heron's formula for moduli summing to 1
     rng = np.random.default_rng(97)
     accepted = 0
     for _ in range(500):
         t = rng.dirichlet([1.0, 1.0, 1.0])
         col = AttackColumn(*(complex(x) for x in np.sqrt(t) * np.exp(1j * rng.uniform(-math.pi, math.pi, 3))))
         t0, t1, t2 = col.moduli_squared()
+        # 16 (area)^2 of the links' triangle, by Heron's formula for moduli summing to 1
         heron = 2.0 * t0 * t1 * t2 - ((t0 * t1) ** 2 + (t1 * t2) ** 2 + (t2 * t0) ** 2)
         try:
             op = complete_circulant(col)
