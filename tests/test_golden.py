@@ -30,7 +30,7 @@ def simulate(case: str, workdir: Path) -> tuple[bytes, bytes]:
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_simulator_reproduces_golden_outputs(case, tmp_path, capsys):
+def test_simulator_reproduces_golden_outputs(case, tmp_path):
     report, head = simulate(case, tmp_path)
     assert report == (GOLDEN / case / "report.json").read_bytes()
     assert head == (GOLDEN / case / "transcript_head.csv").read_bytes()
