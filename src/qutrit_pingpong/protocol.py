@@ -183,6 +183,11 @@ def decode_distribution(state: JointState, bigram: tuple[int, int]) -> np.ndarra
     return probs
 
 
+def _is_real(value) -> bool:
+    # JSON true/false load as bool, which Python counts as an int.
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Run parameters for the simulator.
@@ -210,12 +215,13 @@ class ProtocolConfig:
             raise ValueError("freq must be a FrequencyTable")
         if not isinstance(self.attack, (NoAttack, SymmetricAttack, ColumnAttack)):
             raise ValueError(f"not an attack specification: {self.attack!r}")
-        if not (isinstance(self.q, (int, float)) and math.isfinite(self.q) and 0.0 <= self.q <= 1.0):
-            raise ValueError(f"q must lie in [0, 1], got {self.q!r}")
+        if not (_is_real(self.q) and math.isfinite(self.q) and 0.0 <= self.q <= 1.0):
+            raise ValueError(f"q must be a number in [0, 1], got {self.q!r}")
         object.__setattr__(self, "q", float(self.q))
-        bw = tuple(float(w) for w in self.basis_weights)
-        if len(bw) != 2 or any(not math.isfinite(w) or w < 0.0 for w in bw):
+        bw = tuple(self.basis_weights)
+        if len(bw) != 2 or any(not _is_real(w) or not math.isfinite(w) or w < 0.0 for w in bw):
             raise ValueError(f"basis_weights must be two non-negative numbers, got {self.basis_weights!r}")
+        bw = tuple(float(w) for w in bw)
         if abs(bw[0] + bw[1] - 1.0) > 1e-12:
             raise ValueError(f"basis_weights must sum to 1, got {bw!r}")
         object.__setattr__(self, "basis_weights", bw)

@@ -1,9 +1,9 @@
 """Qutrit-pair algebra and the small dense numerics it rests on.
 
 Bell states of two qutrits, the dense coding unitaries, the four mutually
-unbiased qutrit bases, plus a complex Jacobi eigensolver and a trigonometric
-real-cubic root solver. Everything is plain numpy at dimension 3 or 9;
-values are immutable after construction and all functions are pure.
+unbiased qutrit bases, plus a trigonometric real-cubic root solver.
+Everything is closed form in plain numpy at dimension 3 or 9; values are
+immutable after construction and all functions are pure.
 """
 
 from __future__ import annotations
@@ -17,10 +17,8 @@ import numpy as np
 # Primitive cube root of unity. Phases are kept as principal exponents.
 OMEGA = cmath.exp(2j * math.pi / 3)
 
-# Tolerances, stated once and reused everywhere:
-# exact algebraic identities on one side, iterative numerics on the other.
+# Tolerance of the exact algebraic identities, stated once and reused everywhere.
 ALGEBRAIC_TOL = 1e-12
-ITERATIVE_TOL = 1e-10
 
 BASIS_LABELS = ("z", "x", "v", "t")
 
@@ -28,13 +26,15 @@ BASIS_LABELS = ("z", "x", "v", "t")
 # correlated with Alice's result.
 PARTNER_BASIS = {"z": "z", "x": "x", "v": "t", "t": "v"}
 
-_JACOBI_MAX_SWEEPS = 100
-_JACOBI_OFFDIAG_TARGET = 1e-13
 _DISCRIMINANT_GUARD = 1e-12
 
 
 class NumericalError(ArithmeticError):
-    """An iterative routine failed to reach its accuracy target."""
+    """A closed-form routine got input outside its domain.
+
+    Raised for a cubic with complex roots, chain links that do not close into
+    a triangle, or a spectrum that fails its floor or sum check.
+    """
 
 
 def _complex_array(name: str, values, shape: tuple) -> np.ndarray:
@@ -231,11 +231,6 @@ def control_correlations(alice_basis: str) -> BasisPairDecomposition:
     return BasisPairDecomposition(lbl, partner, tuple(terms))
 
 
-def apply_to_travel(u: Unitary3, ket: TwoQutritKet) -> TwoQutritKet:
-    """Apply a single-qutrit unitary to the travel factor of a pair state."""
-    return TwoQutritKet(np.einsum("ts,hs->ht", u.m, ket.amp))
-
-
 def partial_trace_home(ket: TwoQutritKet) -> np.ndarray:
     """Reduced density matrix of the travel qutrit."""
     return np.einsum("ht,hu->tu", ket.amp, ket.amp.conj())
@@ -246,61 +241,13 @@ def partial_trace_travel(ket: TwoQutritKet) -> np.ndarray:
     return np.einsum("ht,gt->hg", ket.amp, ket.amp.conj())
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a - np.diag(np.diag(a))))
-
-
-def hermitian_eigenvalues(h: Hermitian9 | np.ndarray) -> np.ndarray:
-    """All nine eigenvalues of a Hermitian 9x9 matrix, sorted descending.
-
-    Cyclic complex Jacobi rotations, swept until the off-diagonal Frobenius
-    norm drops below 1e-13 (at most 100 sweeps). Intended for unit-scale
-    matrices such as density operators; the eigenvalue sum reproduces the
-    trace to within ITERATIVE_TOL.
-    """
-    if not isinstance(h, Hermitian9):
-        h = Hermitian9(h)
-    a = np.array(h.m)
-    n = a.shape[0]
-    converged = False
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        if _offdiag_norm(a) < _JACOBI_OFFDIAG_TARGET:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                c = a[p, q]
-                if abs(c) < 1e-18:
-                    continue
-                phi = math.atan2(c.imag, c.real)
-                theta = 0.5 * math.atan2(2.0 * abs(c), float((a[p, p] - a[q, q]).real))
-                ep = cmath.exp(1j * phi)
-                u = np.array(
-                    [
-                        [ep * math.cos(theta), -ep * math.sin(theta)],
-                        [math.sin(theta), math.cos(theta)],
-                    ],
-                    dtype=np.complex128,
-                )
-                idx = [p, q]
-                a[:, idx] = a[:, idx] @ u
-                a[idx, :] = u.conj().T @ a[idx, :]
-    if not converged and _offdiag_norm(a) >= _JACOBI_OFFDIAG_TARGET:
-        raise NumericalError(
-            f"Jacobi sweep limit ({_JACOBI_MAX_SWEEPS}) reached with off-diagonal "
-            f"norm {_offdiag_norm(a):.3e}"
-        )
-    return np.sort(np.diag(a).real)[::-1]
-
-
 def solve_cubic(c2: float, c1: float, c0: float) -> tuple[float, float, float]:
     """Real roots of x^3 + c2 x^2 + c1 x + c0 = 0, sorted descending.
 
     Trigonometric method for the three-real-root regime. A discriminant more
     negative than the 1e-12 guard means a complex-root regime, which for the
     spectra handled here signals invalid physical parameters; that raises
-    NumericalError. Residuals stay below ITERATIVE_TOL for unit-scale
-    coefficients.
+    NumericalError. Residuals stay below 1e-10 for unit-scale coefficients.
     """
     for name, val in (("c2", c2), ("c1", c1), ("c0", c0)):
         if not math.isfinite(val):

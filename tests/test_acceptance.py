@@ -35,7 +35,6 @@ from qutrit_pingpong.qutrit import (
     bell_state,
     coding_unitary,
     control_correlations,
-    hermitian_eigenvalues,
     mub,
 )
 
@@ -104,7 +103,7 @@ def test_criterion_4_information_curves():
 
 
 def test_criterion_5_factorized_spectrum_cross_check():
-    with criterion("factorized spectra match dense Jacobi on 120 seeded draws (1e-10)"):
+    with criterion("factorized spectra match dense eigvalsh on 120 seeded draws (1e-10)"):
         rng = np.random.default_rng(271828)
         worst = 0.0
         for _ in range(120):
@@ -114,7 +113,7 @@ def test_criterion_5_factorized_spectrum_cross_check():
             p = rng.random((3, 3))
             freq = FrequencyTable(p / p.sum())
             lam_f = factorized_eigenvalues(col, freq)
-            lam_d = hermitian_eigenvalues(assemble_rho(col, freq))
+            lam_d = np.sort(np.linalg.eigvalsh(assemble_rho(col, freq).m))[::-1]
             worst = max(worst, float(np.abs(lam_f - lam_d).max()))
         assert worst < 1e-10, worst
 

@@ -1,11 +1,14 @@
 """Command-line interface, driven in process plus one subprocess check."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import qutrit_pingpong
 from qutrit_pingpong.cli import main
 
 
@@ -205,10 +208,14 @@ def test_unknown_command_exits_with_usage_error():
 
 
 def test_module_entry_point_runs():
+    # The child must import the same package, installed or not.
+    src = str(Path(qutrit_pingpong.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "qutrit_pingpong", "rounds", "0.5"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "7"

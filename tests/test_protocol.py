@@ -200,6 +200,8 @@ def test_config_from_dict_defaults_and_presets():
         {"cycles": 10, "seed": 1, "freq": {"p": [[1, 0], [0, 0]]}},
         {"cycles": 10, "seed": 1, "basis_weights": [1.0]},
         {"cycles": 10, "seed": 1, "freq": {"p": [[0.5, 0.5, 0.5]] * 3}},
+        {"cycles": 10, "seed": 1, "q": True},
+        {"cycles": 10, "seed": 1, "basis_weights": [True, False]},
     ],
 )
 def test_config_from_dict_rejects_malformed(payload):

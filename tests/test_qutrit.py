@@ -1,4 +1,4 @@
-"""Core algebra: entangled pairs, coding operations, bases, eigen solvers."""
+"""Core algebra: entangled pairs, coding operations, bases, the cubic solver."""
 
 import math
 
@@ -18,7 +18,6 @@ from qutrit_pingpong.qutrit import (
     bell_state,
     coding_unitary,
     control_correlations,
-    hermitian_eigenvalues,
     mub,
     partial_trace_home,
     partial_trace_travel,
@@ -141,26 +140,6 @@ def test_hermitian_validation_rejects_asymmetric():
     m[0, 1] = 1.0
     with pytest.raises(ValueError):
         Hermitian9(m)
-
-
-def _random_hermitian(rng) -> np.ndarray:
-    a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-    return (a + a.conj().T) / 2.0
-
-
-def test_jacobi_matches_library_solver_on_random_matrices():
-    rng = np.random.default_rng(2024)
-    for _ in range(25):
-        h = _random_hermitian(rng)
-        ours = hermitian_eigenvalues(Hermitian9(h))
-        ref = np.sort(np.linalg.eigvalsh(h))[::-1]
-        assert np.abs(ours - ref).max() < 1e-10
-
-
-def test_jacobi_on_diagonal_matrix_is_exact():
-    d = np.diag(np.arange(9, dtype=float))
-    vals = hermitian_eigenvalues(Hermitian9(d.astype(complex)))
-    assert np.abs(vals - np.arange(8, -1, -1, dtype=float)).max() == 0.0
 
 
 @given(
