@@ -150,11 +150,9 @@ def _cmd_simulate(args) -> int:
     config = load_protocol_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
+    report = run(config)
     if args.transcript:
-        report, transcript = run(config, keep_transcript=True)
-        write_transcript(transcript, args.transcript)
-    else:
-        report = run(config)
+        write_transcript(report.outcomes, args.transcript)
     text = report.to_json() + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -171,9 +169,9 @@ def _cmd_rounds(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    rows = comparison_curve_data(_resolve_freq(args), _grid(args.points)) if args.curve_out else None
     print(protocol_table_json() if args.json else format_protocol_table())
-    if args.curve_out:
-        rows = comparison_curve_data(_resolve_freq(args), _grid(args.points))
+    if rows is not None:
         with open(args.curve_out, "w", encoding="utf-8") as fh:
             fh.write(comparison_curve_csv(rows))
         print(f"wrote {len(rows)} curve points to {args.curve_out}")

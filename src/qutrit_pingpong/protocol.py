@@ -7,15 +7,18 @@ the entangled pair basis; control cycles measure both qutrits in paired
 bases and flag any disallowed outcome pair. Attacks enter either as a
 circulant unitary on the travelling qutrit alone or as an
 entangling-probe branching map. All outcome distributions are exact Born
-probabilities; sampling inverts their cumulative sums.
+probabilities; sampling inverts their cumulative sums. A run keeps one
+outcome byte per cycle; the report's counts and the CSV transcript are
+both derived from those bytes after the sampling loop.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -154,19 +157,11 @@ def detection_probability(state: JointState, alice_basis: str) -> float:
     return control_distribution(state, alice_basis).detection_probability()
 
 
-_BELLS = None
-
-
+@functools.cache
 def _bell_stack() -> np.ndarray:
-    global _BELLS
-    if _BELLS is None:
-        stack = np.empty((9, 3, 3), dtype=np.complex128)
-        for i in range(3):
-            for j in range(3):
-                stack[3 * i + j] = bell_state(i, j).amp
-        stack.setflags(write=False)
-        _BELLS = stack
-    return _BELLS
+    stack = np.array([bell_state(i, j).amp for i in range(3) for j in range(3)], dtype=np.complex128)
+    stack.setflags(write=False)
+    return stack
 
 
 def decode_distribution(state: JointState, bigram: tuple[int, int]) -> np.ndarray:
@@ -311,54 +306,56 @@ def attack_state(config: ProtocolConfig) -> JointState:
     return JointState(np.einsum("tm,hmk->htk", m, branched.amps))
 
 
-@dataclass(frozen=True)
-class CycleRecord:
-    """One transcript line; unused fields are None."""
+CONTROL_BASES = ("z", "x")
+_MESSAGE_CODE = 18
+_N_CODES = 99
 
-    cycle: int
-    mode: str
-    basis: str | None = None
-    alice: int | None = None
-    bob: int | None = None
-    detected: bool | None = None
-    sent: tuple[int, int] | None = None
-    decoded: tuple[int, int] | None = None
+
+def _forbidden_codes(allowed: dict) -> np.ndarray:
+    """Mask over the outcome codes: True for a control pair outside its basis's allowed set."""
+    forbidden = np.zeros(_N_CODES, dtype=bool)
+    for code in range(_MESSAGE_CODE):
+        forbidden[code] = divmod(code % 9, 3) not in allowed[CONTROL_BASES[code // 9]]
+    return forbidden
 
 
 TRANSCRIPT_HEADER = "cycle,mode,basis,alice,bob,detected,sent,decoded"
 
 
-def write_transcript(records, path) -> None:
-    """Write cycle records as CSV; bigrams appear as two-digit strings."""
+def write_transcript(outcomes, path) -> None:
+    """Write a run's outcome codes (RunReport.outcomes) as a CSV transcript.
+
+    One row per cycle, numbered from 1; bigrams appear as two-digit strings,
+    and a control row is detected when an honest channel never gives its
+    outcome pair. The 99 possible row tails are built once per call.
+    """
+    forbidden = _forbidden_codes({b: control_correlations(b).allowed_pairs() for b in CONTROL_BASES})
+    tails = [
+        f"control,{basis},{a},{b},{int(forbidden[9 * s + 3 * a + b])},,"
+        for s, basis in enumerate(CONTROL_BASES) for a in range(3) for b in range(3)
+    ]
+    bigrams = [f"{i}{j}" for i in range(3) for j in range(3)]
+    tails += [f"message,,,,,{sent},{decoded}" for sent in bigrams for decoded in bigrams]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(TRANSCRIPT_HEADER + "\n")
-        for r in records:
-            if r.mode == "control":
-                row = (
-                    f"{r.cycle},control,{r.basis},{r.alice},{r.bob},"
-                    f"{1 if r.detected else 0},,"
-                )
-            else:
-                row = (
-                    f"{r.cycle},message,,,,,"
-                    f"{r.sent[0]}{r.sent[1]},{r.decoded[0]}{r.decoded[1]}"
-                )
-            fh.write(row + "\n")
+        fh.writelines(f"{cycle},{tails[code]}\n" for cycle, code in enumerate(outcomes, start=1))
 
 
 def rounds_for_confidence(d: float, target: float = 0.99) -> int:
     """Fewest control rounds that reach the target detection confidence.
 
     Solves for the smallest r with 1 - (1 - d)^r >= target. A non-positive
-    d means an undetectable attack, which is an error here.
+    d means an undetectable attack, which is an error here, as is a d above 1.
     """
-    if not (isinstance(d, (int, float)) and math.isfinite(d)):
+    if not (_is_real(d) and math.isfinite(d)):
         raise ValueError(f"detection probability must be a finite number, got {d!r}")
-    if not (isinstance(target, (int, float)) and 0.0 < target < 1.0):
+    if not (_is_real(target) and 0.0 < target < 1.0):
         raise ValueError(f"confidence target must lie in (0, 1), got {target!r}")
     if d <= 0.0:
         raise ValueError("undetectable attack: detection probability must be positive")
-    if d >= 1.0:
+    if d > 1.0:
+        raise ValueError(f"detection probability must not exceed 1, got {d!r}")
+    if d == 1.0:
         return 1
     r = max(1, math.ceil(math.log1p(-target) / math.log1p(-d)))
     while 1.0 - (1.0 - d) ** r < target:
@@ -382,7 +379,14 @@ class BasisStats:
 
 @dataclass(frozen=True, eq=False)
 class RunReport:
-    """Everything a simulation run produces apart from the raw transcript."""
+    """Everything a simulation run produces.
+
+    outcomes holds one code per cycle: 9s + 3a + b for a control round in
+    basis CONTROL_BASES[s] with results a and b, 18 + 9k + out for a message
+    round that sent bigram k and decoded out. Every count here derives from
+    it, write_transcript turns it into the CSV transcript, and as_dict and
+    to_json leave it out.
+    """
 
     config: dict
     cycles: int
@@ -394,18 +398,10 @@ class RunReport:
     confusion: np.ndarray
     correct_messages: int
     rounds_to_detection: int | None
+    outcomes: bytes
 
     def as_dict(self) -> dict:
-        stats = {}
-        for basis, s in self.basis_stats.items():
-            stats[basis] = {
-                "rounds": s.rounds,
-                "detections": s.detections,
-                "predicted": s.predicted,
-                "empirical": s.empirical,
-                "three_sigma": s.three_sigma,
-                "within_band": s.within_band,
-            }
+        stats = {basis: asdict(s) for basis, s in self.basis_stats.items()}
         return {
             "config": self.config,
             "cycles": self.cycles,
@@ -424,110 +420,78 @@ class RunReport:
 
 
 def _cumulative(probs: np.ndarray) -> list[float]:
-    total = float(probs.sum())
-    cum, acc = [], 0.0
-    for p in probs:
-        acc += float(p)
-        cum.append(acc / total if total > 0 else 0.0)
-    cum[-1] = 1.0
-    return cum
+    return (np.cumsum(probs) / probs.sum()).tolist()
 
 
 def _draw(cum: list[float], u: float) -> int:
     return min(bisect_right(cum, u), len(cum) - 1)
 
 
-def run(config: ProtocolConfig, keep_transcript: bool = False):
-    """Simulate the protocol; returns a RunReport (and the transcript if kept).
+def run(config: ProtocolConfig) -> RunReport:
+    """Simulate the protocol and report its statistics.
 
     The post-attack state is the same every cycle, so all outcome
     distributions are computed once up front and each cycle only draws
-    from them. Identical configs reproduce identical reports.
+    from them and appends one outcome code. The counts, the confusion
+    matrix and the first detection all come from those codes after the
+    loop. Identical configs reproduce identical reports.
     """
     rng = np.random.Generator(np.random.PCG64(config.seed))
     state = attack_state(config)
 
-    control_tables = {basis: control_distribution(state, basis) for basis in ("z", "x")}
-    alice_cum = {}
-    bob_cond_cum = {}
-    for basis, table in control_tables.items():
-        marg = table.joint.sum(axis=1)
-        alice_cum[basis] = _cumulative(marg)
-        conds = []
-        for a in range(3):
-            row = table.joint[a]
-            conds.append(_cumulative(row) if row.sum() > 0 else _cumulative(np.ones(3)))
-        bob_cond_cum[basis] = conds
-
-    decode_cum = []
-    for i in range(3):
-        for j in range(3):
-            decode_cum.append(_cumulative(decode_distribution(state, (i, j))))
+    control_tables = [control_distribution(state, basis) for basis in CONTROL_BASES]
+    alice_cum = [_cumulative(t.joint.sum(axis=1)) for t in control_tables]
+    bob_cond_cum = [
+        [_cumulative(row if row.sum() > 0 else np.ones(3)) for row in t.joint] for t in control_tables
+    ]
+    decode_cum = [_cumulative(decode_distribution(state, divmod(k, 3))) for k in range(9)]
     bigram_cum = _cumulative(config.freq.flat())
 
     q_z, _ = config.basis_weights
-    detections = 0
-    first_detection = None
-    control_counts = {"z": 0, "x": 0}
-    detect_counts = {"z": 0, "x": 0}
-    message_rounds = 0
-    correct = 0
-    confusion = np.zeros((9, 9), dtype=np.int64)
-    transcript: list[CycleRecord] = []
-
-    for cycle in range(1, config.cycles + 1):
+    codes = bytearray()
+    for _ in range(config.cycles):
         if rng.random() < config.q:
-            basis = "z" if rng.random() < q_z else "x"
-            a = _draw(alice_cum[basis], rng.random())
-            b = _draw(bob_cond_cum[basis][a], rng.random())
-            hit = (a, b) not in control_tables[basis].allowed
-            control_counts[basis] += 1
-            if hit:
-                detect_counts[basis] += 1
-                detections += 1
-                if first_detection is None:
-                    first_detection = cycle
-            if keep_transcript:
-                transcript.append(CycleRecord(cycle, "control", basis=basis, alice=a, bob=b, detected=hit))
+            s = 0 if rng.random() < q_z else 1
+            a = _draw(alice_cum[s], rng.random())
+            codes.append(9 * s + 3 * a + _draw(bob_cond_cum[s][a], rng.random()))
         else:
             k = _draw(bigram_cum, rng.random())
-            sent = (k // 3, k % 3)
-            out = _draw(decode_cum[k], rng.random())
-            decoded = (out // 3, out % 3)
-            confusion[k, out] += 1
-            message_rounds += 1
-            if decoded == sent:
-                correct += 1
-            if keep_transcript:
-                transcript.append(CycleRecord(cycle, "message", sent=sent, decoded=decoded))
+            codes.append(_MESSAGE_CODE + 9 * k + _draw(decode_cum[k], rng.random()))
+
+    outcomes = bytes(codes)
+    series = np.frombuffer(outcomes, dtype=np.uint8)
+    counts = np.bincount(series, minlength=_N_CODES)
+    forbidden = _forbidden_codes({b: t.allowed for b, t in zip(CONTROL_BASES, control_tables)})
+    control = counts[:_MESSAGE_CODE].reshape(2, 9)
+    rounds = control.sum(axis=1).tolist()
+    caught = (control * forbidden[:_MESSAGE_CODE].reshape(2, 9)).sum(axis=1).tolist()
+    confusion = counts[_MESSAGE_CODE:].reshape(9, 9)
+    flagged = forbidden[series]
+    first_detection = int(flagged.argmax()) + 1 if flagged.any() else None
 
     basis_stats = {}
-    for basis in ("z", "x"):
-        n = control_counts[basis]
-        p = control_tables[basis].detection_probability()
+    for basis, table, n, hits in zip(CONTROL_BASES, control_tables, rounds, caught):
+        p = table.detection_probability()
         if n > 0:
-            emp = detect_counts[basis] / n
+            emp = hits / n
             band = 3.0 * math.sqrt(p * (1.0 - p) / n)
-            basis_stats[basis] = BasisStats(n, detect_counts[basis], p, emp, band, abs(emp - p) <= band)
+            basis_stats[basis] = BasisStats(n, hits, p, emp, band, abs(emp - p) <= band)
         else:
             basis_stats[basis] = BasisStats(0, 0, p, None, None, None)
 
-    total_control = sum(control_counts.values())
-    blended_emp = detections / total_control if total_control else 0.0
-    rtd = rounds_for_confidence(blended_emp) if blended_emp > 0.0 else None
+    total_control, detections = sum(rounds), sum(caught)
+    rtd = rounds_for_confidence(detections / total_control) if detections else None
 
-    report = RunReport(
+    return RunReport(
         config=config.to_dict(),
         cycles=config.cycles,
         control_rounds=total_control,
-        message_rounds=message_rounds,
+        message_rounds=config.cycles - total_control,
         detections=detections,
         first_detection_cycle=first_detection,
         basis_stats=basis_stats,
         confusion=confusion,
-        correct_messages=correct,
+        correct_messages=int(np.trace(confusion)),
         rounds_to_detection=rtd,
+        outcomes=outcomes,
     )
-    if keep_transcript:
-        return report, transcript
-    return report

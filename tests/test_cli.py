@@ -105,6 +105,11 @@ def test_rounds_rejects_zero(capsys):
     assert "undetectable" in capsys.readouterr().err
 
 
+def test_rounds_rejects_probability_above_one(capsys):
+    assert main(["rounds", "1.5"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_simulate_round_trip(tmp_path, capsys):
     cfg = {
         "cycles": 400,
@@ -201,6 +206,15 @@ def test_compare_curve_out(tmp_path, capsys):
     assert lines[0].startswith("#")
     assert lines[1] == "d,qutrit_bits"
     assert len(lines) == 7
+
+
+def test_compare_rejects_short_curve_before_printing(tmp_path, capsys):
+    path = tmp_path / "cmp.csv"
+    assert main(["compare", "--curve-out", str(path), "--points", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at least 2 points" in captured.err
+    assert not path.exists()
 
 
 def test_unknown_command_exits_with_usage_error():

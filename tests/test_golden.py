@@ -8,12 +8,15 @@ and must be deliberate. After such a change, rewrite the fixtures with
     PYTHONPATH=src python tests/test_golden.py NAME [NAME ...]
 """
 
+import csv
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
 from qutrit_pingpong.cli import main
+from qutrit_pingpong.qutrit import control_correlations
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = ("honest", "symmetric_branch", "column_x_branch", "column_x_none")
@@ -34,6 +37,49 @@ def test_simulator_reproduces_golden_outputs(case, tmp_path):
     report, head = simulate(case, tmp_path)
     assert report == (GOLDEN / case / "report.json").read_bytes()
     assert head == (GOLDEN / case / "transcript_head.csv").read_bytes()
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_full_transcript_adds_up_to_the_report(case, tmp_path):
+    """Every transcript row, not only the pinned head, agrees with the report."""
+    report_path, transcript_path = tmp_path / "report.json", tmp_path / "transcript.csv"
+    argv = ["simulate", "--config", str(GOLDEN / case / "config.json")]
+    assert main(argv + ["--out", str(report_path), "--transcript", str(transcript_path)]) == 0
+    report = json.loads(report_path.read_text())
+    with open(transcript_path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(row["cycle"]) for row in rows] == list(range(1, report["cycles"] + 1))
+
+    allowed = {basis: control_correlations(basis).allowed_pairs() for basis in ("z", "x")}
+    rounds = {"z": 0, "x": 0}
+    detections = {"z": 0, "x": 0}
+    confusion = [[0] * 9 for _ in range(9)]
+    first_detection = None
+    for row in rows:
+        if row["mode"] == "control":
+            basis, pair = row["basis"], (int(row["alice"]), int(row["bob"]))
+            assert row["detected"] in ("0", "1")
+            assert (row["detected"] == "1") == (pair not in allowed[basis])
+            assert row["sent"] == row["decoded"] == ""
+            rounds[basis] += 1
+            if row["detected"] == "1":
+                detections[basis] += 1
+                first_detection = first_detection or int(row["cycle"])
+        else:
+            assert row["mode"] == "message"
+            assert row["basis"] == row["alice"] == row["bob"] == row["detected"] == ""
+            sent, decoded = (3 * int(row[f][0]) + int(row[f][1]) for f in ("sent", "decoded"))
+            confusion[sent][decoded] += 1
+
+    assert report["control_rounds"] == sum(rounds.values())
+    assert report["message_rounds"] == len(rows) - sum(rounds.values())
+    assert report["detections"] == sum(detections.values())
+    for basis in ("z", "x"):
+        assert report["basis_stats"][basis]["rounds"] == rounds[basis]
+        assert report["basis_stats"][basis]["detections"] == detections[basis]
+    assert report["confusion"] == confusion
+    assert report["correct_messages"] == sum(confusion[k][k] for k in range(9))
+    assert report["first_detection_cycle"] == first_detection
 
 
 if __name__ == "__main__":

@@ -228,6 +228,10 @@ def test_rounds_for_confidence_rejects_undetectable():
         rounds_for_confidence(0.0, 0.99)
     with pytest.raises(ValueError):
         rounds_for_confidence(-0.2, 0.99)
+    with pytest.raises(ValueError):
+        rounds_for_confidence(1.5, 0.99)
+    with pytest.raises(ValueError):
+        rounds_for_confidence(True, 0.99)
 
 
 def test_rounds_for_confidence_rejects_bad_target():
@@ -340,10 +344,10 @@ def test_seed_changes_outcomes():
 
 def test_transcript_rows(tmp_path):
     cfg = ProtocolConfig(cycles=200, seed=8, attack=SymmetricAttack(0.5), q=0.5)
-    report, transcript = run(cfg, keep_transcript=True)
-    assert len(transcript) == cfg.cycles
+    report = run(cfg)
+    assert len(report.outcomes) == cfg.cycles
     path = tmp_path / "transcript.csv"
-    write_transcript(transcript, path)
+    write_transcript(report.outcomes, path)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "cycle,mode,basis,alice,bob,detected,sent,decoded"
     assert len(lines) == cfg.cycles + 1
