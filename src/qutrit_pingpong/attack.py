@@ -30,11 +30,14 @@ CONSTRAINT_TOL = 1e-9
 _COMPLETION_TOL = 1e-10
 
 
-def _finite_complex(name: str, value) -> complex:
-    c = complex(value)
-    if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-        raise ValueError(f"{name} must be finite")
-    return c
+def is_finite_real(value) -> bool:
+    """True for a finite int or float; False for a bool (JSON true/false)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 @dataclass(frozen=True)
@@ -51,7 +54,12 @@ class AttackColumn:
 
     def __post_init__(self):
         for name in ("c0", "c1", "c2"):
-            object.__setattr__(self, name, _finite_complex(name, getattr(self, name)))
+            c = complex(getattr(self, name))
+            # No entry of a unit column exceeds modulus one; rejecting larger
+            # ones also keeps the squared moduli below from overflowing.
+            if not abs(c) <= 1.0 + CONSTRAINT_TOL:
+                raise ValueError(f"{name} must be finite with modulus at most 1, got {c!r}")
+            object.__setattr__(self, name, c)
         norm = abs(self.c0) ** 2 + abs(self.c1) ** 2 + abs(self.c2) ** 2
         if abs(norm - 1.0) > CONSTRAINT_TOL:
             raise ValueError(f"attack column must have unit norm, squared norm {norm!r}")
@@ -377,8 +385,8 @@ def attack_from_dict(data: dict) -> AttackSpec:
         if "d_z" not in data:
             raise ValueError("symmetric attack needs a d_z field")
         d_z = data["d_z"]
-        if not isinstance(d_z, (int, float)) or isinstance(d_z, bool):
-            raise ValueError("d_z must be a number")
+        if not is_finite_real(d_z):
+            raise ValueError("d_z must be a finite number")
         return SymmetricAttack(float(d_z))
     if kind == "column":
         _reject_extra_keys(data, {"type", "basis", "values"})
@@ -393,9 +401,8 @@ def attack_from_dict(data: dict) -> AttackSpec:
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise ValueError("each column value must be a [re, im] pair")
             re, im = pair
-            for part in (re, im):
-                if not isinstance(part, (int, float)) or isinstance(part, bool):
-                    raise ValueError("column values must be numbers")
+            if not (is_finite_real(re) and is_finite_real(im)):
+                raise ValueError("column values must be finite numbers")
             entries.append(complex(float(re), float(im)))
         return ColumnAttack(basis.lower(), AttackColumn(*entries))
     raise ValueError(f"unknown attack type {kind!r}")

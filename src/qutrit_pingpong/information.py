@@ -80,7 +80,7 @@ def frequency_table_from_rows(rows, where: str) -> FrequencyTable:
     """
     try:
         arr = np.asarray(rows, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{where} must be a 3x3 array of numbers") from None
     if arr.shape != (3, 3):
         raise ValueError(f"{where} must be a 3x3 array of numbers")

@@ -14,7 +14,6 @@ both derived from those bytes after the sampling loop.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from bisect import bisect_right
@@ -31,11 +30,12 @@ from .attack import (
     attack_to_dict,
     circulant,
     complete_circulant,
+    is_finite_real,
 )
 from .information import FREQUENCY_PRESETS, FrequencyTable, frequency_table_from_rows
 from .qutrit import (
     BASIS_LABELS,
-    PARTNER_BASIS,
+    BELL_STATES,
     Unitary3,
     bell_state,
     coding_unitary,
@@ -71,7 +71,7 @@ class JointState:
 def initial_state() -> JointState:
     """Shared entangled pair with the probe ancilla parked in its ready slot."""
     amps = np.zeros((3, 3, ANCILLA_DIM), dtype=np.complex128)
-    amps[:, :, 0] = bell_state(0, 0).amp
+    amps[:, :, 0] = bell_state(0, 0)
     return JointState(amps)
 
 
@@ -143,25 +143,15 @@ def control_distribution(state: JointState, alice_basis: str) -> ControlTable:
     """
     if alice_basis not in BASIS_LABELS:
         raise ValueError(f"unknown basis {alice_basis!r}")
-    bob_basis = PARTNER_BASIS[alice_basis]
-    a_mat = mub(alice_basis).matrix
-    b_mat = mub(bob_basis).matrix
-    overlaps = np.einsum("hb,ta,htn->abn", b_mat.conj(), a_mat.conj(), state.amps)
+    pairs = control_correlations(alice_basis)
+    overlaps = np.einsum("hb,ta,htn->abn", mub(pairs.bob_basis).conj(), mub(alice_basis).conj(), state.amps)
     joint = (np.abs(overlaps) ** 2).sum(axis=2)
-    allowed = control_correlations(alice_basis).allowed_pairs()
-    return ControlTable(alice_basis, bob_basis, joint, frozenset(allowed))
+    return ControlTable(alice_basis, pairs.bob_basis, joint, pairs.allowed_pairs())
 
 
 def detection_probability(state: JointState, alice_basis: str) -> float:
     """Exact probability that one control round in this basis flags the channel."""
     return control_distribution(state, alice_basis).detection_probability()
-
-
-@functools.cache
-def _bell_stack() -> np.ndarray:
-    stack = np.array([bell_state(i, j).amp for i in range(3) for j in range(3)], dtype=np.complex128)
-    stack.setflags(write=False)
-    return stack
 
 
 def decode_distribution(state: JointState, bigram: tuple[int, int]) -> np.ndarray:
@@ -173,14 +163,9 @@ def decode_distribution(state: JointState, bigram: tuple[int, int]) -> np.ndarra
     """
     i, j = bigram
     encoded = apply_travel_unitary(state, coding_unitary(i, j))
-    overlaps = np.einsum("kht,htn->kn", _bell_stack().conj(), encoded.amps)
+    overlaps = np.einsum("kht,htn->kn", BELL_STATES.conj(), encoded.amps)
     probs = (np.abs(overlaps) ** 2).sum(axis=1)
     return probs
-
-
-def _is_real(value) -> bool:
-    # JSON true/false load as bool, which Python counts as an int.
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -210,11 +195,11 @@ class ProtocolConfig:
             raise ValueError("freq must be a FrequencyTable")
         if not isinstance(self.attack, (NoAttack, SymmetricAttack, ColumnAttack)):
             raise ValueError(f"not an attack specification: {self.attack!r}")
-        if not (_is_real(self.q) and math.isfinite(self.q) and 0.0 <= self.q <= 1.0):
+        if not (is_finite_real(self.q) and 0.0 <= self.q <= 1.0):
             raise ValueError(f"q must be a number in [0, 1], got {self.q!r}")
         object.__setattr__(self, "q", float(self.q))
         bw = tuple(self.basis_weights)
-        if len(bw) != 2 or any(not _is_real(w) or not math.isfinite(w) or w < 0.0 for w in bw):
+        if len(bw) != 2 or any(not is_finite_real(w) or w < 0.0 for w in bw):
             raise ValueError(f"basis_weights must be two non-negative numbers, got {self.basis_weights!r}")
         bw = tuple(float(w) for w in bw)
         if abs(bw[0] + bw[1] - 1.0) > 1e-12:
@@ -250,7 +235,7 @@ class ProtocolConfig:
             spec = data["freq"]
             if isinstance(spec, dict) and set(spec) == {"preset"}:
                 name = spec["preset"]
-                if name not in FREQUENCY_PRESETS:
+                if not isinstance(name, str) or name not in FREQUENCY_PRESETS:
                     raise ValueError(
                         f"unknown frequency preset {name!r}; choose from {sorted(FREQUENCY_PRESETS)}"
                     )
@@ -296,11 +281,11 @@ def attack_state(config: ProtocolConfig) -> JointState:
         column, basis = attack.column, attack.basis
     if config.ancilla == "none":
         op = complete_circulant(column, representation=basis)
-        m = mub(basis).matrix
+        m = mub(basis)
         u = m @ op.m @ m.conj().T
         return apply_travel_unitary(state, Unitary3(u))
     e = circulant(column.as_array())
-    m = mub(basis).matrix
+    m = mub(basis)
     rotated = JointState(np.einsum("tn,htk->hnk", m.conj(), state.amps))
     branched = apply_branch_attack(rotated, e)
     return JointState(np.einsum("tm,hmk->htk", m, branched.amps))
@@ -311,12 +296,17 @@ _MESSAGE_CODE = 18
 _N_CODES = 99
 
 
-def _forbidden_codes(allowed: dict) -> np.ndarray:
-    """Mask over the outcome codes: True for a control pair outside its basis's allowed set."""
+def _forbidden_codes() -> np.ndarray:
+    """Mask over the outcome codes: True for a control pair an honest channel never gives."""
     forbidden = np.zeros(_N_CODES, dtype=bool)
     for code in range(_MESSAGE_CODE):
-        forbidden[code] = divmod(code % 9, 3) not in allowed[CONTROL_BASES[code // 9]]
+        allowed = control_correlations(CONTROL_BASES[code // 9]).allowed_pairs()
+        forbidden[code] = divmod(code % 9, 3) not in allowed
+    forbidden.setflags(write=False)
     return forbidden
+
+
+_FORBIDDEN = _forbidden_codes()
 
 
 TRANSCRIPT_HEADER = "cycle,mode,basis,alice,bob,detected,sent,decoded"
@@ -329,9 +319,8 @@ def write_transcript(outcomes, path) -> None:
     and a control row is detected when an honest channel never gives its
     outcome pair. The 99 possible row tails are built once per call.
     """
-    forbidden = _forbidden_codes({b: control_correlations(b).allowed_pairs() for b in CONTROL_BASES})
     tails = [
-        f"control,{basis},{a},{b},{int(forbidden[9 * s + 3 * a + b])},,"
+        f"control,{basis},{a},{b},{int(_FORBIDDEN[9 * s + 3 * a + b])},,"
         for s, basis in enumerate(CONTROL_BASES) for a in range(3) for b in range(3)
     ]
     bigrams = [f"{i}{j}" for i in range(3) for j in range(3)]
@@ -344,12 +333,15 @@ def write_transcript(outcomes, path) -> None:
 def rounds_for_confidence(d: float, target: float = 0.99) -> int:
     """Fewest control rounds that reach the target detection confidence.
 
-    Solves for the smallest r with 1 - (1 - d)^r >= target. A non-positive
-    d means an undetectable attack, which is an error here, as is a d above 1.
+    Solves for the smallest r with 1 - (1 - d)^r >= target, evaluated as
+    -expm1(r * log1p(-d)) so that a tiny d is not lost in 1 - d. A
+    non-positive d means an undetectable attack, which is an error here, as
+    is a d above 1 or one needing more than 2**53 rounds, beyond which a
+    float no longer tells r from r + 1.
     """
-    if not (_is_real(d) and math.isfinite(d)):
+    if not is_finite_real(d):
         raise ValueError(f"detection probability must be a finite number, got {d!r}")
-    if not (_is_real(target) and 0.0 < target < 1.0):
+    if not (is_finite_real(target) and 0.0 < target < 1.0):
         raise ValueError(f"confidence target must lie in (0, 1), got {target!r}")
     if d <= 0.0:
         raise ValueError("undetectable attack: detection probability must be positive")
@@ -357,10 +349,14 @@ def rounds_for_confidence(d: float, target: float = 0.99) -> int:
         raise ValueError(f"detection probability must not exceed 1, got {d!r}")
     if d == 1.0:
         return 1
-    r = max(1, math.ceil(math.log1p(-target) / math.log1p(-d)))
-    while 1.0 - (1.0 - d) ** r < target:
+    step = math.log1p(-d)
+    estimate = math.log1p(-target) / step
+    if not estimate <= 2.0**53:
+        raise ValueError(f"detection probability {d!r} is too small: the round count exceeds 2**53")
+    r = max(1, math.ceil(estimate))
+    while -math.expm1(r * step) < target:
         r += 1
-    while r > 1 and 1.0 - (1.0 - d) ** (r - 1) >= target:
+    while r > 1 and -math.expm1((r - 1) * step) >= target:
         r -= 1
     return r
 
@@ -461,12 +457,11 @@ def run(config: ProtocolConfig) -> RunReport:
     outcomes = bytes(codes)
     series = np.frombuffer(outcomes, dtype=np.uint8)
     counts = np.bincount(series, minlength=_N_CODES)
-    forbidden = _forbidden_codes({b: t.allowed for b, t in zip(CONTROL_BASES, control_tables)})
     control = counts[:_MESSAGE_CODE].reshape(2, 9)
     rounds = control.sum(axis=1).tolist()
-    caught = (control * forbidden[:_MESSAGE_CODE].reshape(2, 9)).sum(axis=1).tolist()
+    caught = (control * _FORBIDDEN[:_MESSAGE_CODE].reshape(2, 9)).sum(axis=1).tolist()
     confusion = counts[_MESSAGE_CODE:].reshape(9, 9)
-    flagged = forbidden[series]
+    flagged = _FORBIDDEN[series]
     first_detection = int(flagged.argmax()) + 1 if flagged.any() else None
 
     basis_stats = {}

@@ -2,8 +2,10 @@
 
 Bell states of two qutrits, the dense coding unitaries, the four mutually
 unbiased qutrit bases, plus a trigonometric real-cubic root solver.
-Everything is closed form in plain numpy at dimension 3 or 9; values are
-immutable after construction and all functions are pure.
+Everything is closed form in plain numpy at dimension 3 or 9. The Bell
+states, coding unitaries, bases and control-pair decompositions are built
+and checked once, when the module is imported; the accessor functions
+return those stored read-only values, and all functions are pure.
 """
 
 from __future__ import annotations
@@ -48,40 +50,17 @@ def _complex_array(name: str, values, shape: tuple) -> np.ndarray:
     return arr
 
 
-def _check_unit_norm(name: str, arr: np.ndarray, tol: float) -> None:
-    sq = float(np.vdot(arr, arr).real)
-    if abs(sq - 1.0) > tol:
-        raise ValueError(f"{name} must be normalized, squared norm is {sq!r}")
+def _check_unitary(name: str, m: np.ndarray) -> None:
+    residual = np.abs(m.conj().T @ m - np.eye(len(m))).max()
+    if residual > ALGEBRAIC_TOL:
+        raise ValueError(f"{name} is not unitary, residual {residual:.3e}")
 
 
-def _check_trit(name: str, value: int) -> int:
-    if value not in (0, 1, 2):
-        raise ValueError(f"{name} must be 0, 1 or 2, got {value!r}")
-    return value
-
-
-@dataclass(frozen=True)
-class Ket3:
-    """Pure state of one qutrit: three complex amplitudes, unit norm."""
-
-    amp: np.ndarray
-
-    def __post_init__(self):
-        arr = _complex_array("Ket3.amp", self.amp, (3,))
-        _check_unit_norm("Ket3.amp", arr, ALGEBRAIC_TOL)
-        object.__setattr__(self, "amp", arr)
-
-
-@dataclass(frozen=True)
-class TwoQutritKet:
-    """Pure state of the home/travel qutrit pair, indexed (home, travel)."""
-
-    amp: np.ndarray
-
-    def __post_init__(self):
-        arr = _complex_array("TwoQutritKet.amp", self.amp, (3, 3))
-        _check_unit_norm("TwoQutritKet.amp", arr, ALGEBRAIC_TOL)
-        object.__setattr__(self, "amp", arr)
+def _pair_index(i: int, j: int) -> int:
+    for name, value in (("i", i), ("j", j)):
+        if value not in (0, 1, 2):
+            raise ValueError(f"{name} must be 0, 1 or 2, got {value!r}")
+    return 3 * int(i) + int(j)
 
 
 @dataclass(frozen=True)
@@ -92,33 +71,8 @@ class Unitary3:
 
     def __post_init__(self):
         arr = _complex_array("Unitary3.m", self.m, (3, 3))
-        residual = np.abs(arr.conj().T @ arr - np.eye(3)).max()
-        if residual > ALGEBRAIC_TOL:
-            raise ValueError(f"Unitary3.m is not unitary, residual {residual:.3e}")
+        _check_unitary("Unitary3.m", arr)
         object.__setattr__(self, "m", arr)
-
-
-@dataclass(frozen=True)
-class MubBasis:
-    """One of the four pairwise unbiased qutrit bases, labelled z, x, v or t."""
-
-    label: str
-    vectors: tuple[Ket3, Ket3, Ket3]
-
-    def __post_init__(self):
-        if self.label not in BASIS_LABELS:
-            raise ValueError(f"basis label must be one of {BASIS_LABELS}, got {self.label!r}")
-        if len(self.vectors) != 3:
-            raise ValueError("MubBasis needs exactly three vectors")
-        m = self.matrix
-        residual = np.abs(m.conj().T @ m - np.eye(3)).max()
-        if residual > ALGEBRAIC_TOL:
-            raise ValueError(f"basis {self.label!r} is not orthonormal, residual {residual:.3e}")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Columns are the basis vectors."""
-        return np.column_stack([k.amp for k in self.vectors])
 
 
 @dataclass(frozen=True)
@@ -135,18 +89,39 @@ class Hermitian9:
         object.__setattr__(self, "m", arr)
 
 
-def bell_state(i: int, j: int) -> TwoQutritKet:
+def _build_bell_states() -> np.ndarray:
+    states = np.zeros((9, 3, 3), dtype=np.complex128)
+    for i in range(3):
+        for j in range(3):
+            for k in range(3):
+                states[3 * i + j, k, (k + j) % 3] = OMEGA ** ((i * k) % 3) / math.sqrt(3.0)
+    _check_unitary("the Bell-state basis", states.reshape(9, 9))
+    states.setflags(write=False)
+    return states
+
+
+# The nine entangled pair states, index 3i + j, each a (home, travel) array.
+BELL_STATES = _build_bell_states()
+
+
+def bell_state(i: int, j: int) -> np.ndarray:
     """Maximally entangled two-qutrit state with phase index i and shift index j.
 
     Component |k, k+j mod 3> carries phase omega^(i*k), weight 1/sqrt(3).
-    The nine states form an orthonormal basis of the pair space.
+    Returns the read-only (home, travel) amplitude array BELL_STATES[3i + j];
+    the nine states form an orthonormal basis of the pair space.
     """
-    _check_trit("i", i)
-    _check_trit("j", j)
-    amp = np.zeros((3, 3), dtype=np.complex128)
+    return BELL_STATES[_pair_index(i, j)]
+
+
+def _build_coding_unitary(i: int, j: int) -> Unitary3:
+    m = np.zeros((3, 3), dtype=np.complex128)
     for k in range(3):
-        amp[k, (k + j) % 3] = OMEGA ** ((i * k) % 3) / math.sqrt(3.0)
-    return TwoQutritKet(amp)
+        m[(k + j) % 3, k] = OMEGA ** ((i * k) % 3)
+    return Unitary3(m)
+
+
+_CODING_UNITARIES = tuple(_build_coding_unitary(i, j) for i in range(3) for j in range(3))
 
 
 def coding_unitary(i: int, j: int) -> Unitary3:
@@ -154,40 +129,39 @@ def coding_unitary(i: int, j: int) -> Unitary3:
 
     Applying it to the travel qutrit of bell_state(0, 0) yields bell_state(i, j).
     """
-    _check_trit("i", i)
-    _check_trit("j", j)
-    m = np.zeros((3, 3), dtype=np.complex128)
-    for k in range(3):
-        m[(k + j) % 3, k] = OMEGA ** ((i * k) % 3)
-    return Unitary3(m)
+    return _CODING_UNITARIES[_pair_index(i, j)]
 
 
-def mub(label: str) -> MubBasis:
-    """One of the four mutually unbiased qutrit bases.
+def _build_mub(label: str) -> np.ndarray:
+    s = 1.0 / math.sqrt(3.0)
+    if label == "z":
+        m = np.eye(3, dtype=np.complex128)
+    elif label == "x":
+        m = np.array([[OMEGA ** ((a * k) % 3) * s for a in range(3)] for k in range(3)])
+    else:
+        m = np.full((3, 3), s, dtype=np.complex128)
+        np.fill_diagonal(m, (OMEGA if label == "v" else OMEGA.conjugate()) * s)
+    _check_unitary(f"basis {label!r}", m)
+    m.setflags(write=False)
+    return m
 
-    z is the computational basis. x is its Fourier conjugate,
-    x_a = (|0> + w^a |1> + w^(2a) |2>)/sqrt(3) with w = OMEGA. v and t single
-    out one component with a phase: v_b has omega on entry b and ones
-    elsewhere, t_b the complex conjugate pattern. Every cross-basis overlap
-    has squared modulus 1/3.
+
+_MUBS = {label: _build_mub(label) for label in BASIS_LABELS}
+
+
+def mub(label: str) -> np.ndarray:
+    """One of the four mutually unbiased qutrit bases, as a read-only 3x3 matrix.
+
+    Column a is basis vector a. z is the computational basis. x is its
+    Fourier conjugate, x_a = (|0> + w^a |1> + w^(2a) |2>)/sqrt(3) with
+    w = OMEGA. v and t single out one component with a phase: v_b has omega
+    on entry b and ones elsewhere, t_b the complex conjugate pattern. Every
+    cross-basis overlap has squared modulus 1/3. The label is case-insensitive.
     """
     lbl = str(label).lower()
-    if lbl not in BASIS_LABELS:
+    if lbl not in _MUBS:
         raise ValueError(f"unknown basis label {label!r}, expected one of {BASIS_LABELS}")
-    s = 1.0 / math.sqrt(3.0)
-    cols: list[np.ndarray] = []
-    if lbl == "z":
-        cols = [np.eye(3, dtype=np.complex128)[:, k] for k in range(3)]
-    elif lbl == "x":
-        for a in range(3):
-            cols.append(np.array([OMEGA ** ((a * k) % 3) * s for k in range(3)]))
-    else:
-        phase = OMEGA if lbl == "v" else OMEGA.conjugate()
-        for b in range(3):
-            vec = np.full(3, s, dtype=np.complex128)
-            vec[b] = phase * s
-            cols.append(vec)
-    return MubBasis(lbl, tuple(Ket3(c) for c in cols))
+    return _MUBS[lbl]
 
 
 @dataclass(frozen=True)
@@ -207,21 +181,9 @@ class BasisPairDecomposition:
         return frozenset((a, b) for a, b, _ in self.terms)
 
 
-def control_correlations(alice_basis: str) -> BasisPairDecomposition:
-    """How honest control-round outcomes correlate, per Alice measuring basis.
-
-    Alice reads the travel qutrit in alice_basis; Bob reads home in the
-    partner basis (z with z, x with x, v with t and t with v). The shared
-    state bell_state(0, 0) then splits into three product terms of amplitude
-    1/sqrt(3); the pairs are computed here, not hardcoded.
-    """
-    lbl = str(alice_basis).lower()
-    if lbl not in BASIS_LABELS:
-        raise ValueError(f"unknown basis label {alice_basis!r}")
+def _decompose(lbl: str) -> BasisPairDecomposition:
     partner = PARTNER_BASIS[lbl]
-    alice = mub(lbl).matrix
-    bob = mub(partner).matrix
-    psi = bell_state(0, 0).amp
+    alice, bob, psi = _MUBS[lbl], _MUBS[partner], BELL_STATES[0]
     terms = []
     for a in range(3):
         for b in range(3):
@@ -231,14 +193,21 @@ def control_correlations(alice_basis: str) -> BasisPairDecomposition:
     return BasisPairDecomposition(lbl, partner, tuple(terms))
 
 
-def partial_trace_home(ket: TwoQutritKet) -> np.ndarray:
-    """Reduced density matrix of the travel qutrit."""
-    return np.einsum("ht,hu->tu", ket.amp, ket.amp.conj())
+_CONTROL_CORRELATIONS = {label: _decompose(label) for label in BASIS_LABELS}
 
 
-def partial_trace_travel(ket: TwoQutritKet) -> np.ndarray:
-    """Reduced density matrix of the home qutrit."""
-    return np.einsum("ht,gt->hg", ket.amp, ket.amp.conj())
+def control_correlations(alice_basis: str) -> BasisPairDecomposition:
+    """How honest control-round outcomes correlate, per Alice measuring basis.
+
+    Alice reads the travel qutrit in alice_basis; Bob reads home in the
+    partner basis (z with z, x with x, v with t and t with v). The shared
+    state bell_state(0, 0) then splits into three product terms of amplitude
+    1/sqrt(3); the pairs are computed from the stored bases, not hardcoded.
+    """
+    lbl = str(alice_basis).lower()
+    if lbl not in _CONTROL_CORRELATIONS:
+        raise ValueError(f"unknown basis label {alice_basis!r}")
+    return _CONTROL_CORRELATIONS[lbl]
 
 
 def solve_cubic(c2: float, c1: float, c0: float) -> tuple[float, float, float]:

@@ -121,18 +121,18 @@ def test_criterion_5_factorized_spectrum_cross_check():
 def test_criterion_6_structural_identities():
     with criterion("structural identities hold at 1e-12"):
         # entangled basis: orthonormal, generated by the coding operations
-        states = [bell_state(i, j).amp.reshape(9) for i in range(3) for j in range(3)]
+        states = [bell_state(i, j).reshape(9) for i in range(3) for j in range(3)]
         gram = np.array([[np.vdot(a, b) for b in states] for a in states])
         assert np.abs(gram - np.eye(9)).max() < 1e-12
-        base = bell_state(0, 0).amp
+        base = bell_state(0, 0)
         for i in range(3):
             for j in range(3):
                 moved = np.einsum("ts,hs->ht", coding_unitary(i, j).m, base)
-                assert np.abs(moved - bell_state(i, j).amp).max() < 1e-12
+                assert np.abs(moved - bell_state(i, j)).max() < 1e-12
         # four pairwise unbiased bases
         for a in BASIS_LABELS:
             for b in BASIS_LABELS:
-                ov = np.abs(mub(a).matrix.conj().T @ mub(b).matrix) ** 2
+                ov = np.abs(mub(a).conj().T @ mub(b)) ** 2
                 want = np.eye(3) if a == b else np.full((3, 3), 1.0 / 3.0)
                 assert np.abs(ov - want).max() < 1e-12
         # either particle of the shared pair alone is maximally mixed

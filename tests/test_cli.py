@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -110,6 +111,13 @@ def test_rounds_rejects_probability_above_one(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_rounds_for_a_tiny_probability_returns_promptly(capsys):
+    start = time.perf_counter()
+    assert main(["rounds", "1e-12"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out.strip() == "4605170185986"
+
+
 def test_simulate_round_trip(tmp_path, capsys):
     cfg = {
         "cycles": 400,
@@ -183,6 +191,40 @@ def test_simulate_bad_config(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"cycles": 10}))
     assert main(["simulate", "--config", str(cfg_path)]) == 2
+
+
+_HUGE = 10**400  # a JSON integer literal too large for a float
+
+
+@pytest.mark.parametrize(
+    "command,payload",
+    [
+        ("simulate", {"freq": {"preset": ["uniform"]}}),
+        ("simulate", {"attack": {"type": "column", "basis": "z", "values": [[1e200, 0], [0, 0], [0, 0]]}}),
+        ("simulate", {"q": _HUGE}),
+        ("simulate", {"basis_weights": [_HUGE, 0]}),
+        ("simulate", {"attack": {"type": "symmetric", "d_z": _HUGE}}),
+        ("simulate", {"attack": {"type": "column", "basis": "z", "values": [[0, _HUGE], [0, 0], [0, 0]]}}),
+        ("simulate", {"freq": {"p": [[_HUGE, 0, 0], [0, 0, 0], [0, 0, 0]]}}),
+        ("entropy", {"p": [[_HUGE, 0, 0], [0, 0, 0], [0, 0, 0]]}),
+        ("rounds", "1e-320"),
+    ],
+)
+def test_malformed_input_exits_2_with_an_error_line(tmp_path, capsys, command, payload):
+    path = tmp_path / "input.json"
+    if command == "simulate":
+        path.write_text(json.dumps({"cycles": 10, "seed": 1, **payload}))
+        argv = ["simulate", "--config", str(path)]
+    elif command == "entropy":
+        path.write_text(json.dumps(payload))
+        argv = ["entropy", "--freq", str(path)]
+    else:
+        argv = ["rounds", payload]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
 
 
 def test_compare_text(capsys):

@@ -123,6 +123,7 @@ def test_load_frequency_table_renormalizes_rounding(tmp_path):
         {"q": []},
         [1, 2, 3],
         {"p": {"row": [1.0, 0.0, 0.0]}},
+        {"p": [[10**400, 0, 0], [0, 0, 0], [0, 0, 0]]},
     ],
 )
 def test_load_frequency_table_rejects_malformed(tmp_path, payload):

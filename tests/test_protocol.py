@@ -202,6 +202,22 @@ def test_config_from_dict_defaults_and_presets():
         {"cycles": 10, "seed": 1, "freq": {"p": [[0.5, 0.5, 0.5]] * 3}},
         {"cycles": 10, "seed": 1, "q": True},
         {"cycles": 10, "seed": 1, "basis_weights": [True, False]},
+        {"cycles": 10, "seed": 1, "freq": {"preset": ["uniform"]}},
+        {
+            "cycles": 10,
+            "seed": 1,
+            "attack": {"type": "column", "basis": "z", "values": [[1e200, 0], [0, 0], [0, 0]]},
+        },
+        # an integer literal too large for a float, in each numeric field
+        {"cycles": 10, "seed": 1, "q": 10**400},
+        {"cycles": 10, "seed": 1, "basis_weights": [10**400, 0]},
+        {"cycles": 10, "seed": 1, "attack": {"type": "symmetric", "d_z": 10**400}},
+        {
+            "cycles": 10,
+            "seed": 1,
+            "attack": {"type": "column", "basis": "z", "values": [[10**400, 0], [0, 0], [0, 0]]},
+        },
+        {"cycles": 10, "seed": 1, "freq": {"p": [[10**400, 0, 0], [0, 0, 0], [0, 0, 0]]}},
     ],
 )
 def test_config_from_dict_rejects_malformed(payload):
@@ -221,6 +237,8 @@ def test_rounds_for_confidence_reference_points():
     assert rounds_for_confidence(1.0 / 3.0, 0.99) == 12
     assert rounds_for_confidence(2.0 / 3.0, 0.99) == 5
     assert rounds_for_confidence(1.0, 0.99) == 1
+    # 1 - d rounds here; the exact answer comes from a 60-digit decimal evaluation
+    assert rounds_for_confidence(1e-12, 0.99) == 4605170185986
 
 
 def test_rounds_for_confidence_rejects_undetectable():
@@ -232,6 +250,8 @@ def test_rounds_for_confidence_rejects_undetectable():
         rounds_for_confidence(1.5, 0.99)
     with pytest.raises(ValueError):
         rounds_for_confidence(True, 0.99)
+    with pytest.raises(ValueError):
+        rounds_for_confidence(1e-320, 0.99)
 
 
 def test_rounds_for_confidence_rejects_bad_target():
