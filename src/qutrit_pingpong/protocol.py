@@ -6,17 +6,19 @@ coding operation to the travelling qutrit and decode by projecting onto
 the entangled pair basis; control cycles measure both qutrits in paired
 bases and flag any disallowed outcome pair. Attacks enter either as a
 circulant unitary on the travelling qutrit alone or as an
-entangling-probe branching map. All outcome distributions are exact Born
-probabilities; sampling inverts their cumulative sums. A run keeps one
-outcome byte per cycle; the report's counts and the CSV transcript are
-both derived from those bytes after the sampling loop.
+entangling-probe branching map. The post-attack state is the same every
+cycle, so each cycle is one draw from the exact Born distribution over 99
+outcome codes (a control pair in a basis, or a sent and a decoded
+bigram), computed once per run; runs sample it in numpy blocks by
+inverting its cumulative table. A run keeps one outcome byte per cycle;
+the report's counts and the CSV transcript are both derived from those
+bytes.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -68,24 +70,25 @@ class JointState:
         object.__setattr__(self, "amps", arr)
 
 
+_READY = JointState(np.multiply.outer(bell_state(0, 0), np.eye(ANCILLA_DIM)[0]))
+
+
 def initial_state() -> JointState:
-    """Shared entangled pair with the probe ancilla parked in its ready slot."""
-    amps = np.zeros((3, 3, ANCILLA_DIM), dtype=np.complex128)
-    amps[:, :, 0] = bell_state(0, 0)
-    return JointState(amps)
+    """Shared entangled pair with the probe ancilla parked in its ready slot (built once, at import)."""
+    return _READY
 
 
 def apply_travel_unitary(state: JointState, u: Unitary3) -> JointState:
     return JointState(np.einsum("ts,hsn->htn", u.m, state.amps))
 
 
-def apply_branch_attack(state: JointState, e: np.ndarray) -> JointState:
-    """Entangling-probe attack in computational coordinates.
+def apply_branch_attack(state: JointState, e: np.ndarray, basis: str = "z") -> JointState:
+    """Entangling-probe attack, with its coefficients given in a measuring basis.
 
-    e[m, n] is the amplitude for rewriting travel state n into m; the probe
-    remembers the (n, m) branch in pointer slot 3n + m. Each column of e
-    must be a unit vector (the map is then an isometry; e itself need not
-    be unitary). The ancilla must still be in its ready slot.
+    e[m, n] is the amplitude for rewriting vector n of the basis into
+    vector m; the probe remembers the (n, m) branch in pointer slot 3n + m.
+    Each column of e must be a unit vector (the map is then an isometry; e
+    itself need not be unitary). The ancilla must still be in its ready slot.
     """
     e = np.asarray(e, dtype=np.complex128)
     if e.shape != (3, 3):
@@ -98,60 +101,57 @@ def apply_branch_attack(state: JointState, e: np.ndarray) -> JointState:
     occupied = float((np.abs(state.amps[:, :, 1:]) ** 2).sum())
     if occupied > _STATE_NORM_TOL:
         raise ValueError("ancilla is no longer in its ready slot; cannot attack twice")
-    out = np.zeros((3, 3, ANCILLA_DIM), dtype=np.complex128)
-    for n in range(3):
-        for m in range(3):
-            out[:, m, 3 * n + m] += e[m, n] * state.amps[:, n, 0]
-    return JointState(out)
+    m = mub(basis)
+    ready = state.amps[:, :, 0] @ m.conj()
+    return JointState(np.einsum("tm,mn,hn->htnm", m, e, ready).reshape(3, 3, ANCILLA_DIM))
 
 
-@dataclass(frozen=True)
-class ControlTable:
-    """Exact joint outcome distribution of one control-basis choice.
+def _outcome_maps() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Amplitude maps from the (home, travel) pair h, t to each outcome, with the honest pairs.
 
-    joint[a, b] is the probability that the receiver sees a on the
-    travelling qutrit and the sender sees b on the home qutrit; allowed
-    holds the (a, b) pairs an unattacked channel can produce.
+    control[s, 3a + b, 3h + t] reads t as a in basis BASIS_LABELS[s] and h as
+    b in its partner basis, and allowed[s, a, b] marks the pairs an honest
+    channel gives; decode[k, out, 3h + t] codes with bigram k, then reads out.
     """
-
-    alice_basis: str
-    bob_basis: str
-    joint: np.ndarray
-    allowed: frozenset
-
-    def __post_init__(self):
-        arr = np.asarray(self.joint, dtype=float)
-        if arr.shape != (3, 3):
-            raise ValueError("joint distribution must be 3x3")
-        if (arr < -1e-12).any() or abs(float(arr.sum()) - 1.0) > 1e-10:
-            raise ValueError("joint distribution must be a probability table")
-        arr = arr.clip(min=0.0)
+    pairs = [control_correlations(basis) for basis in BASIS_LABELS]
+    alice = np.stack([mub(p.alice_basis) for p in pairs])
+    bob = np.stack([mub(p.bob_basis) for p in pairs])
+    control = np.einsum("sta,shb->sabht", alice.conj(), bob.conj()).reshape(len(pairs), 9, 9)
+    allowed = np.array([[[(a, b) in p.allowed_pairs() for b in range(3)] for a in range(3)] for p in pairs])
+    coding = np.stack([coding_unitary(*divmod(k, 3)).m for k in range(9)])
+    decode = np.einsum("oht,kts->kohs", BELL_STATES.conj(), coding).reshape(9, 9, 9)
+    for arr in (control, allowed, decode):
         arr.setflags(write=False)
-        object.__setattr__(self, "joint", arr)
-        object.__setattr__(self, "allowed", frozenset(self.allowed))
-
-    def detection_probability(self) -> float:
-        ok = sum(self.joint[a, b] for (a, b) in self.allowed)
-        return max(0.0, 1.0 - float(ok))
+    return control, allowed, decode
 
 
-def control_distribution(state: JointState, alice_basis: str) -> ControlTable:
+_CONTROL_MAP, _ALLOWED, _DECODE_MAP = _outcome_maps()
+
+
+def _born(amplitude_map: np.ndarray, state: JointState) -> np.ndarray:
+    """Born probabilities of the outcomes a map's rows project on, summed over the ancilla."""
+    return (np.abs(amplitude_map @ state.amps.reshape(9, ANCILLA_DIM)) ** 2).sum(axis=-1)
+
+
+def control_distribution(state: JointState, alice_basis: str) -> np.ndarray:
     """Joint control-round distribution for a travel-side basis choice.
 
-    The sender measures the home qutrit in the partner basis; allowed pairs
-    come from the ideal-state correlation rules.
+    joint[a, b] is the probability that the receiver sees a on the
+    travelling qutrit and the sender sees b on the home qutrit, measured
+    in the partner basis of control_correlations(alice_basis).
     """
     if alice_basis not in BASIS_LABELS:
         raise ValueError(f"unknown basis {alice_basis!r}")
-    pairs = control_correlations(alice_basis)
-    overlaps = np.einsum("hb,ta,htn->abn", mub(pairs.bob_basis).conj(), mub(alice_basis).conj(), state.amps)
-    joint = (np.abs(overlaps) ** 2).sum(axis=2)
-    return ControlTable(alice_basis, pairs.bob_basis, joint, pairs.allowed_pairs())
+    return _born(_CONTROL_MAP[BASIS_LABELS.index(alice_basis)], state).reshape(3, 3)
 
 
 def detection_probability(state: JointState, alice_basis: str) -> float:
-    """Exact probability that one control round in this basis flags the channel."""
-    return control_distribution(state, alice_basis).detection_probability()
+    """Exact probability that one control round in this basis flags the channel.
+
+    One minus the mass of the outcome pairs an honest channel gives.
+    """
+    joint = control_distribution(state, alice_basis)
+    return max(0.0, 1.0 - float(joint[_ALLOWED[BASIS_LABELS.index(alice_basis)]].sum()))
 
 
 def decode_distribution(state: JointState, bigram: tuple[int, int]) -> np.ndarray:
@@ -162,10 +162,9 @@ def decode_distribution(state: JointState, bigram: tuple[int, int]) -> np.ndarra
     point mass on the encoded bigram.
     """
     i, j = bigram
-    encoded = apply_travel_unitary(state, coding_unitary(i, j))
-    overlaps = np.einsum("kht,htn->kn", BELL_STATES.conj(), encoded.amps)
-    probs = (np.abs(overlaps) ** 2).sum(axis=1)
-    return probs
+    if i not in (0, 1, 2) or j not in (0, 1, 2):
+        raise ValueError(f"bigram indices must be 0, 1 or 2, got {bigram!r}")
+    return _born(_DECODE_MAP[3 * i + j], state)
 
 
 @dataclass(frozen=True)
@@ -270,43 +269,43 @@ def load_protocol_config(path) -> ProtocolConfig:
 
 
 def attack_state(config: ProtocolConfig) -> JointState:
-    """Joint state after the eavesdropper touches the travelling qutrit once."""
-    state = initial_state()
+    """Joint state after the eavesdropper touches the travelling qutrit once, validated once."""
     attack = config.attack
     if isinstance(attack, NoAttack):
-        return state
+        return initial_state()
     if isinstance(attack, SymmetricAttack):
         column, basis = attack.column(), "z"
     else:
         column, basis = attack.column, attack.basis
-    if config.ancilla == "none":
-        op = complete_circulant(column, representation=basis)
-        m = mub(basis)
-        u = m @ op.m @ m.conj().T
-        return apply_travel_unitary(state, Unitary3(u))
-    e = circulant(column.as_array())
+    if config.ancilla == "branch":
+        return apply_branch_attack(initial_state(), circulant(column.as_array()), basis)
+    op = complete_circulant(column, representation=basis)
     m = mub(basis)
-    rotated = JointState(np.einsum("tn,htk->hnk", m.conj(), state.amps))
-    branched = apply_branch_attack(rotated, e)
-    return JointState(np.einsum("tm,hmk->htk", m, branched.amps))
+    return apply_travel_unitary(initial_state(), Unitary3(m @ op.m @ m.conj().T))
 
 
-CONTROL_BASES = ("z", "x")
+# The simulator mixes control rounds in the first two bases only.
+CONTROL_BASES = BASIS_LABELS[:2]
 _MESSAGE_CODE = 18
 _N_CODES = 99
 
-
-def _forbidden_codes() -> np.ndarray:
-    """Mask over the outcome codes: True for a control pair an honest channel never gives."""
-    forbidden = np.zeros(_N_CODES, dtype=bool)
-    for code in range(_MESSAGE_CODE):
-        allowed = control_correlations(CONTROL_BASES[code // 9]).allowed_pairs()
-        forbidden[code] = divmod(code % 9, 3) not in allowed
-    forbidden.setflags(write=False)
-    return forbidden
+# Mask over the outcome codes: True for a control pair an honest channel never gives.
+_FORBIDDEN = np.append(~_ALLOWED[: len(CONTROL_BASES)], np.zeros(_N_CODES - _MESSAGE_CODE, dtype=bool))
+_FORBIDDEN.setflags(write=False)
 
 
-_FORBIDDEN = _forbidden_codes()
+def outcome_distribution(config: ProtocolConfig, state: JointState) -> np.ndarray:
+    """Probability of each of the 99 outcome codes in one cycle of a run.
+
+    Code 9s + 3a + b, a control round in basis CONTROL_BASES[s] with
+    results a and b, has probability q * basis_weights[s] * joint_s[a, b];
+    code 18 + 9k + out, a message round that sent bigram k and decoded out,
+    has probability (1 - q) * f_k * decode_k[out]. An outcome that a zero
+    q, basis weight or bigram frequency rules out is exactly zero.
+    """
+    control = _born(_CONTROL_MAP[: len(CONTROL_BASES)], state)
+    weights = np.append(config.q * np.array(config.basis_weights), (1.0 - config.q) * config.freq.p)
+    return (weights[:, None] * np.vstack([control, _born(_DECODE_MAP, state)])).ravel()
 
 
 TRANSCRIPT_HEADER = "cycle,mode,basis,alice,bob,detected,sent,decoded"
@@ -327,7 +326,7 @@ def write_transcript(outcomes, path) -> None:
     tails += [f"message,,,,,{sent},{decoded}" for sent in bigrams for decoded in bigrams]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(TRANSCRIPT_HEADER + "\n")
-        fh.writelines(f"{cycle},{tails[code]}\n" for cycle, code in enumerate(outcomes, start=1))
+        fh.writelines(f"{cycle},{tails[code]}\n" for cycle, code in enumerate(bytes(outcomes), start=1))
 
 
 def rounds_for_confidence(d: float, target: float = 0.99) -> int:
@@ -377,11 +376,11 @@ class BasisStats:
 class RunReport:
     """Everything a simulation run produces.
 
-    outcomes holds one code per cycle: 9s + 3a + b for a control round in
-    basis CONTROL_BASES[s] with results a and b, 18 + 9k + out for a message
-    round that sent bigram k and decoded out. Every count here derives from
-    it, write_transcript turns it into the CSV transcript, and as_dict and
-    to_json leave it out.
+    outcomes is a read-only uint8 array with one code per cycle: 9s + 3a + b
+    for a control round in basis CONTROL_BASES[s] with results a and b,
+    18 + 9k + out for a message round that sent bigram k and decoded out.
+    Every count here derives from it, write_transcript turns it into the
+    CSV transcript, and as_dict and to_json leave it out.
     """
 
     config: dict
@@ -394,7 +393,7 @@ class RunReport:
     confusion: np.ndarray
     correct_messages: int
     rounds_to_detection: int | None
-    outcomes: bytes
+    outcomes: np.ndarray
 
     def as_dict(self) -> dict:
         stats = {basis: asdict(s) for basis, s in self.basis_stats.items()}
@@ -415,58 +414,55 @@ class RunReport:
         return json.dumps(self.as_dict(), sort_keys=True, indent=2)
 
 
-def _cumulative(probs: np.ndarray) -> list[float]:
-    return (np.cumsum(probs) / probs.sum()).tolist()
+# Cycles sampled per numpy call: the sampler's temporary memory stays that of one block.
+_BLOCK = 2**16
 
 
-def _draw(cum: list[float], u: float) -> int:
-    return min(bisect_right(cum, u), len(cum) - 1)
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """Cumulative table of a distribution that ends at exactly 1.0.
+
+    Dividing by the last entry, not by a separately summed total, keeps a
+    uniform draw in [0, 1) from landing past the last nonzero entry.
+    """
+    cum = np.cumsum(probs)
+    cum /= cum[-1]
+    return cum
 
 
 def run(config: ProtocolConfig) -> RunReport:
     """Simulate the protocol and report its statistics.
 
-    The post-attack state is the same every cycle, so all outcome
-    distributions are computed once up front and each cycle only draws
-    from them and appends one outcome code. The counts, the confusion
-    matrix and the first detection all come from those codes after the
-    loop. Identical configs reproduce identical reports.
+    Each cycle is one draw from the exact 99-outcome distribution
+    (outcome_distribution), built once per run from the post-attack state.
+    Cycles are drawn in blocks of at most 2**16, one uniform per cycle
+    inverted through the cumulative table; each block's codes are counted
+    as they are drawn, so memory beyond one byte per cycle stays that of
+    one block. Identical configs reproduce identical reports.
     """
     rng = np.random.Generator(np.random.PCG64(config.seed))
     state = attack_state(config)
+    cum = _cdf(outcome_distribution(config, state))
 
-    control_tables = [control_distribution(state, basis) for basis in CONTROL_BASES]
-    alice_cum = [_cumulative(t.joint.sum(axis=1)) for t in control_tables]
-    bob_cond_cum = [
-        [_cumulative(row if row.sum() > 0 else np.ones(3)) for row in t.joint] for t in control_tables
-    ]
-    decode_cum = [_cumulative(decode_distribution(state, divmod(k, 3))) for k in range(9)]
-    bigram_cum = _cumulative(config.freq.flat())
+    codes = np.empty(config.cycles, dtype=np.uint8)
+    counts = np.zeros(_N_CODES, dtype=np.int64)
+    first_detection = None
+    for start in range(0, config.cycles, _BLOCK):
+        block = codes[start : start + _BLOCK]
+        block[:] = np.searchsorted(cum, rng.random(block.size), side="right")
+        block_counts = np.bincount(block, minlength=_N_CODES)
+        if first_detection is None and block_counts[_FORBIDDEN].any():
+            first_detection = start + int(_FORBIDDEN[block].argmax()) + 1
+        counts += block_counts
+    codes.setflags(write=False)
 
-    q_z, _ = config.basis_weights
-    codes = bytearray()
-    for _ in range(config.cycles):
-        if rng.random() < config.q:
-            s = 0 if rng.random() < q_z else 1
-            a = _draw(alice_cum[s], rng.random())
-            codes.append(9 * s + 3 * a + _draw(bob_cond_cum[s][a], rng.random()))
-        else:
-            k = _draw(bigram_cum, rng.random())
-            codes.append(_MESSAGE_CODE + 9 * k + _draw(decode_cum[k], rng.random()))
-
-    outcomes = bytes(codes)
-    series = np.frombuffer(outcomes, dtype=np.uint8)
-    counts = np.bincount(series, minlength=_N_CODES)
     control = counts[:_MESSAGE_CODE].reshape(2, 9)
     rounds = control.sum(axis=1).tolist()
     caught = (control * _FORBIDDEN[:_MESSAGE_CODE].reshape(2, 9)).sum(axis=1).tolist()
     confusion = counts[_MESSAGE_CODE:].reshape(9, 9)
-    flagged = _FORBIDDEN[series]
-    first_detection = int(flagged.argmax()) + 1 if flagged.any() else None
 
     basis_stats = {}
-    for basis, table, n, hits in zip(CONTROL_BASES, control_tables, rounds, caught):
-        p = table.detection_probability()
+    for basis, n, hits in zip(CONTROL_BASES, rounds, caught):
+        p = detection_probability(state, basis)
         if n > 0:
             emp = hits / n
             band = 3.0 * math.sqrt(p * (1.0 - p) / n)
@@ -488,5 +484,5 @@ def run(config: ProtocolConfig) -> RunReport:
         confusion=confusion,
         correct_messages=int(np.trace(confusion)),
         rounds_to_detection=rtd,
-        outcomes=outcomes,
+        outcomes=codes,
     )

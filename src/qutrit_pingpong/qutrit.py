@@ -213,10 +213,12 @@ def control_correlations(alice_basis: str) -> BasisPairDecomposition:
 def solve_cubic(c2: float, c1: float, c0: float) -> tuple[float, float, float]:
     """Real roots of x^3 + c2 x^2 + c1 x + c0 = 0, sorted descending.
 
-    Trigonometric method for the three-real-root regime. A discriminant more
-    negative than the 1e-12 guard means a complex-root regime, which for the
-    spectra handled here signals invalid physical parameters; that raises
-    NumericalError. Residuals stay below 1e-10 for unit-scale coefficients.
+    The largest root comes from the trigonometric method, well conditioned
+    there; the other two from their sum and product by the cancellation-free
+    quadratic, so a double root at zero does not split by the square root of
+    the rounding error. A discriminant below the -1e-12 guard means complex
+    roots, which for the spectra handled here signals invalid physical
+    parameters; that raises NumericalError.
     """
     for name, val in (("c2", c2), ("c1", c1), ("c0", c0)):
         if not math.isfinite(val):
@@ -234,12 +236,14 @@ def solve_cubic(c2: float, c1: float, c0: float) -> tuple[float, float, float]:
         # Degenerate regime: with a non-negative p the guard forces p and q
         # to be roundoff-small, so all three roots coincide.
         t = math.copysign(abs(q) ** (1.0 / 3.0), -q) if q != 0.0 else 0.0
-        roots = [t + shift] * 3
-    else:
-        m = 2.0 * math.sqrt(-p / 3.0)
-        cos3t = 3.0 * q / (p * m)
-        cos3t = min(1.0, max(-1.0, cos3t))
-        t0 = math.acos(cos3t) / 3.0
-        roots = [m * math.cos(t0 - 2.0 * math.pi * k / 3.0) + shift for k in range(3)]
-    roots.sort(reverse=True)
+        return (t + shift, t + shift, t + shift)
+    m = 2.0 * math.sqrt(-p / 3.0)
+    cos3t = min(1.0, max(-1.0, 3.0 * q / (p * m)))
+    top = m * math.cos(math.acos(cos3t) / 3.0) + shift
+    rest = -c2 - top
+    # The product from c0 keeps its relative accuracy while the top root
+    # dominates; otherwise the top root may be tiny, and c1 gives it.
+    product = -c0 / top if abs(top) > abs(rest) else c1 - top * rest
+    r = (rest + math.copysign(math.sqrt(max(rest * rest - 4.0 * product, 0.0)), rest)) / 2.0
+    roots = sorted((top, r, product / r if r != 0.0 else 0.0), reverse=True)
     return (roots[0], roots[1], roots[2])

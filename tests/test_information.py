@@ -242,3 +242,42 @@ def test_two_bigram_curve_is_flat():
 def test_curve_rejects_out_of_range_grid():
     with pytest.raises(ValueError):
         info_curve(FrequencyTable.uniform(), [0.0, 0.8])
+
+
+def _assert_spectrum_matches_dense(col, freq):
+    lam_fact = factorized_eigenvalues(col, freq)
+    lam_dense = np.sort(np.linalg.eigvalsh(assemble_rho(col, freq).m))[::-1]
+    assert np.abs(lam_fact - lam_dense).max() < 1e-10
+    holevo_information(col, freq)  # passes the -1e-10 floor and the 1e-9 sum check
+
+
+def test_spectrum_with_empty_and_near_empty_entries_matches_dense():
+    # A class with one occupied bigram gives the cubic x^3 - p0 x^2, whose
+    # double root 0 the trigonometric formula alone split into +-1e-9.
+    rng = np.random.default_rng(20091)
+    columns = [symmetric_column(d) for d in (0.0, 0.2, 0.5, 2.0 / 3.0)]
+    columns += [_random_column(rng) for _ in range(4)]
+    transposed_peaked = FrequencyTable(FREQUENCY_PRESETS["peaked"].p.T)
+    for col in columns:
+        _assert_spectrum_matches_dense(col, transposed_peaked)
+    assert len(info_curve(transposed_peaked, np.linspace(0.0, 2.0 / 3.0, 201))) == 201
+
+    for k in range(1, 100):
+        p0 = k / 100
+        top, r2, r3 = solve_cubic(-p0, 0.0, 0.0)
+        assert abs(top - p0) < 1e-15 and abs(r2) < 1e-15 and abs(r3) < 1e-15
+        one_per_class = FrequencyTable([[p0, 1.0 - p0, 0.0], [0.0] * 3, [0.0] * 3])
+        _assert_spectrum_matches_dense(columns[k % len(columns)], one_per_class)
+
+    for _ in range(300):
+        col = _random_column(rng) if rng.random() < 0.5 else AttackColumn(*np.eye(3)[rng.integers(3)])
+        p = rng.dirichlet(np.ones(9))
+        hit = rng.choice(9, size=rng.integers(1, 6), replace=False)
+        p[hit] = rng.choice([0.0, 1e-15, 1e-12, 1e-8], size=hit.size)
+        _assert_spectrum_matches_dense(col, FrequencyTable((p / p.sum()).reshape(3, 3)))
+
+    # double and triple roots at the top
+    uniform = FREQUENCY_PRESETS["uniform"]
+    for moduli in ((0.4, 0.4, 0.2), (0.5, 0.5, 0.0), (1 / 3, 1 / 3, 1 / 3)):
+        _assert_spectrum_matches_dense(AttackColumn(*np.sqrt(moduli)), uniform)
+    _assert_spectrum_matches_dense(symmetric_column(2.0 / 3.0), uniform)

@@ -2,6 +2,8 @@
 
 import json
 import math
+import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -16,8 +18,10 @@ from qutrit_pingpong.attack import (
 )
 from qutrit_pingpong.information import FREQUENCY_PRESETS, FrequencyTable
 from qutrit_pingpong.protocol import (
+    _BLOCK,
     ANCILLA_DIM,
     JointState,
+    _cdf,
     ProtocolConfig,
     apply_branch_attack,
     apply_travel_unitary,
@@ -27,11 +31,12 @@ from qutrit_pingpong.protocol import (
     detection_probability,
     initial_state,
     load_protocol_config,
+    outcome_distribution,
     rounds_for_confidence,
     run,
     write_transcript,
 )
-from qutrit_pingpong.qutrit import Unitary3, coding_unitary
+from qutrit_pingpong.qutrit import Unitary3, coding_unitary, control_correlations
 
 
 def test_initial_state_shape_and_support():
@@ -94,10 +99,10 @@ def test_branch_attack_is_an_isometry():
 def test_honest_control_tables():
     st0 = initial_state()
     for basis in ("z", "x", "v", "t"):
-        table = control_distribution(st0, basis)
-        assert table.detection_probability() < 1e-14
-        for pair in table.allowed:
-            assert abs(table.joint[pair] - 1.0 / 3.0) < 1e-12
+        joint = control_distribution(st0, basis)
+        assert detection_probability(st0, basis) < 1e-14
+        for pair in control_correlations(basis).allowed_pairs():
+            assert abs(joint[pair] - 1.0 / 3.0) < 1e-12
 
 
 def test_control_distribution_rejects_unknown_basis():
@@ -138,8 +143,7 @@ def test_swap_unitary_detection_in_computational_basis():
     # equally weighted control draws
     swap = Unitary3(np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex))
     state = apply_travel_unitary(initial_state(), swap)
-    table = control_distribution(state, "z")
-    assert abs(table.detection_probability() - 2.0 / 3.0) < 1e-12
+    assert abs(detection_probability(state, "z") - 2.0 / 3.0) < 1e-12
 
 
 def test_no_attack_state_is_initial():
@@ -387,3 +391,86 @@ def test_report_json_shape():
     assert set(data["basis_stats"]) == {"z", "x"}
     assert data["config"]["attack"] == {"type": "symmetric", "d_z": 0.2}
     assert len(data["confusion"]) == 9
+
+
+def test_cumulative_table_never_lands_on_a_zero_probability_code():
+    # numpy sums a table in a different order than it accumulates it, so a
+    # total taken separately can exceed the last cumulative entry; the
+    # table must end at exactly 1.0 and the last uniform below 1 must still
+    # land on a possible outcome
+    rng = np.random.default_rng(16914)
+    tables = []
+    for size in (9, 99):
+        for _ in range(500):
+            p = rng.random(size) * (rng.random(size) < 0.7)
+            p[-1] = 0.0
+            p[rng.integers(size - 1)] = rng.random() + 0.01
+            tables.append(p)
+    for name in ("peaked", "two-bigram"):
+        freq = FREQUENCY_PRESETS[name]
+        cfg = ProtocolConfig(cycles=1, seed=0, freq=freq, attack=SymmetricAttack(0.5), q=0.0)
+        tables.append(outcome_distribution(cfg, attack_state(cfg)))
+    for p in tables:
+        cum = _cdf(p)
+        assert cum[-1] == 1.0
+        assert p[np.searchsorted(cum, np.nextafter(1.0, 0.0), side="right")] > 0.0
+
+
+def _chi_square_critical(dof: int, alpha: float) -> float:
+    """Upper alpha point of the chi-square law (Wilson-Hilferty approximation)."""
+    h = 2.0 / (9.0 * dof)
+    return dof * (1.0 - h + NormalDist().inv_cdf(1.0 - alpha) * math.sqrt(h)) ** 3
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ProtocolConfig(
+            cycles=200_000, seed=1, freq=FREQUENCY_PRESETS["peaked"], attack=SymmetricAttack(0.5), q=0.5
+        ),
+        ProtocolConfig(
+            cycles=200_000,
+            seed=2,
+            freq=FREQUENCY_PRESETS["tiered"],
+            attack=ColumnAttack("x", AttackColumn(math.sqrt(0.6), 0.5, 1j * math.sqrt(0.15))),
+            q=0.5,
+            basis_weights=(0.3, 0.7),
+            ancilla="none",
+        ),
+        ProtocolConfig(
+            cycles=200_000,
+            seed=3,
+            freq=FREQUENCY_PRESETS["sparse"],
+            attack=ColumnAttack("x", AttackColumn(math.sqrt(0.6), 0.5, 1j * math.sqrt(0.15))),
+            q=0.3,
+        ),
+    ],
+    ids=["symmetric-branch", "column-x-none", "column-x-branch"],
+)
+def test_outcome_counts_fit_the_exact_distribution(config):
+    """Chi-square goodness of fit of all 99 code counts, at a false-alarm level of 1e-6."""
+    p = outcome_distribution(config, attack_state(config))
+    assert abs(p.sum() - 1.0) < 1e-12
+    counts = np.bincount(run(config).outcomes, minlength=p.size)
+    assert (counts[p == 0.0] == 0).all()
+    expected = config.cycles * p
+    small = expected < 5.0
+    observed = np.append(counts[~small], counts[small].sum())
+    expected = np.append(expected[~small], expected[small].sum())
+    observed, expected = observed[expected > 0.0], expected[expected > 0.0]
+    chi2 = float(((observed - expected) ** 2 / expected).sum())
+    assert chi2 < _chi_square_critical(expected.size - 1, 1e-6)
+
+
+def test_run_memory_is_one_byte_per_cycle_plus_one_block():
+    cfg = ProtocolConfig(cycles=1_000_000, seed=4, attack=SymmetricAttack(0.5), q=0.5)
+    run(ProtocolConfig(cycles=1, seed=4, attack=SymmetricAttack(0.5)))
+    tracemalloc.start()
+    try:
+        report = run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.outcomes.nbytes == cfg.cycles
+    # the block's float64 uniforms and its searchsorted indices, with slack
+    assert peak < cfg.cycles + 24 * _BLOCK
