@@ -39,6 +39,7 @@ from .qutrit import (
     BASIS_LABELS,
     BELL_STATES,
     Unitary3,
+    _pair_index,
     bell_state,
     coding_unitary,
     control_correlations,
@@ -161,10 +162,7 @@ def decode_distribution(state: JointState, bigram: tuple[int, int]) -> np.ndarra
     (i, j), flattened as 3i + j. Without an attack the distribution is a
     point mass on the encoded bigram.
     """
-    i, j = bigram
-    if i not in (0, 1, 2) or j not in (0, 1, 2):
-        raise ValueError(f"bigram indices must be 0, 1 or 2, got {bigram!r}")
-    return _born(_DECODE_MAP[3 * i + j], state)
+    return _born(_DECODE_MAP[_pair_index(*bigram)], state)
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,8 @@ from qutrit_pingpong.attack import (
 )
 from qutrit_pingpong.information import FREQUENCY_PRESETS, FrequencyTable
 from qutrit_pingpong.protocol import (
-    _BLOCK,
     ANCILLA_DIM,
     JointState,
-    _cdf,
     ProtocolConfig,
     apply_branch_attack,
     apply_travel_unitary,
@@ -35,6 +33,8 @@ from qutrit_pingpong.protocol import (
     rounds_for_confidence,
     run,
     write_transcript,
+    _BLOCK,
+    _cdf,
 )
 from qutrit_pingpong.qutrit import Unitary3, coding_unitary, control_correlations
 
