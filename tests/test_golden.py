@@ -1,11 +1,17 @@
-"""Golden simulator outputs: the report and the transcript head, byte for byte.
+"""Golden outputs: simulator reports and transcript heads, and the leak curves.
 
-Each directory under tests/golden holds a run config, the report JSON that
-`simulate` writes for it, and the header plus the first 200 transcript rows.
-Any change to the random stream or to the exact predictions shows up here
-and must be deliberate. After such a change, rewrite the fixtures with
+Each simulator directory under tests/golden holds a run config, the report
+JSON that `simulate` writes for it, and the header plus the first 200
+transcript rows; those are pinned byte for byte. tests/golden/curves holds
+the default 67-point `curve_csv(info_curve(freq))` of each frequency preset;
+its detection column is pinned byte for byte and its information columns to
+1e-14. Any change to the random stream, the exact predictions or the leak
+curve shows up here and must be deliberate. After such a change, rewrite
+the fixtures with
 
     PYTHONPATH=src python tests/test_golden.py NAME [NAME ...]
+
+where NAME is a simulator case or `curves`.
 """
 
 import csv
@@ -16,11 +22,13 @@ from pathlib import Path
 import pytest
 
 from qutrit_pingpong.cli import main
+from qutrit_pingpong.information import FREQUENCY_PRESETS, curve_csv, info_curve
 from qutrit_pingpong.qutrit import control_correlations
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = ("honest", "symmetric_branch", "column_x_branch", "column_x_none")
 TRANSCRIPT_ROWS = 200
+CURVE_TOL = 1e-14
 
 
 def simulate(case: str, workdir: Path) -> tuple[bytes, bytes]:
@@ -82,10 +90,31 @@ def test_full_transcript_adds_up_to_the_report(case, tmp_path):
     assert report["first_detection_cycle"] == first_detection
 
 
+def _curve_rows(text: str) -> list[list[str]]:
+    return list(csv.reader(text.splitlines()))
+
+
+@pytest.mark.parametrize("preset", sorted(FREQUENCY_PRESETS))
+def test_leak_curve_matches_golden_csv(preset):
+    got = _curve_rows(curve_csv(info_curve(FREQUENCY_PRESETS[preset])))
+    want = _curve_rows((GOLDEN / "curves" / f"{preset}.csv").read_text(encoding="utf-8"))
+    assert got[0] == want[0] == ["d_z", "I0_trits", "I0_bits"]
+    assert len(got) == len(want) == 68
+    assert [row[0] for row in got] == [row[0] for row in want]
+    for g, w in zip(got[1:], want[1:]):
+        for column in (1, 2):
+            assert abs(float(g[column]) - float(w[column])) <= CURVE_TOL, (preset, g[0], column)
+
+
 if __name__ == "__main__":
     import tempfile
 
     for name in sys.argv[1:]:
+        if name == "curves":
+            (GOLDEN / "curves").mkdir(exist_ok=True)
+            for preset, freq in FREQUENCY_PRESETS.items():
+                (GOLDEN / "curves" / f"{preset}.csv").write_text(curve_csv(info_curve(freq)), encoding="utf-8")
+            continue
         with tempfile.TemporaryDirectory() as tmp:
             report, head = simulate(name, Path(tmp))
         (GOLDEN / name / "report.json").write_bytes(report)
