@@ -3,23 +3,27 @@
 Given an attack column and the sender's bigram frequency table, the
 eavesdropper's accessible information about the message mode is the Holevo
 quantity of the nine conditional probe states. The 9x9 ensemble density
-operator is block-structured: its spectrum splits into three cubics, one
-per shift class of the bigram alphabet, with coefficients that are simple
-symmetric functions of the column moduli and the class frequencies. Both
-the factorized route and a direct dense diagonalization are provided so
-each can check the other.
+operator is block diagonal, one 3x3 block per shift class of the bigram
+alphabet, and each block has the spectrum of the Gram matrix of its three
+weighted probe states, which depends only on the column's squared moduli.
+One private batched routine builds these blocks for N columns at once and
+diagonalizes them in a single eigvalsh call; the leak curve, the Holevo
+bound and the factorized spectrum all go through it. The paper's
+closed-form cubics (cubic_coefficients) are the blocks' characteristic
+polynomials, and the dense 9x9 operator (assemble_rho) is kept so that
+each route can check the other.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attack import AttackColumn, symmetric_column
-from .qutrit import OMEGA, Hermitian9, NumericalError, solve_cubic
+from .attack import AttackColumn
+from .qutrit import OMEGA, Hermitian9, NumericalError
 
 TRIT_TO_BIT = math.log2(3.0)
 
@@ -36,6 +40,9 @@ class FrequencyTable:
     """
 
     p: np.ndarray
+    # _gram_weights[j, i, k] = sqrt(p[i][j] p[k][j]), the scale of the
+    # shift-class Gram blocks, kept so a single spectrum does not rebuild it.
+    _gram_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.asarray(self.p, dtype=float)
@@ -51,6 +58,9 @@ class FrequencyTable:
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "p", arr)
+        weights = np.sqrt(arr.T[:, :, None] * arr.T[:, None, :])
+        weights.setflags(write=False)
+        object.__setattr__(self, "_gram_weights", weights)
 
     @classmethod
     def uniform(cls) -> "FrequencyTable":
@@ -162,17 +172,15 @@ class InfoResult:
         return self.value / TRIT_TO_BIT if self.unit == "bit" else self.value
 
 
-def _entropy_base3(probs) -> float:
-    h = 0.0
-    for p in probs:
-        if p > 0.0:
-            h -= p * math.log(p)
-    return h / math.log(3.0)
+def _entropy_trits(probs: np.ndarray) -> np.ndarray:
+    """Shannon entropy in trits over the last axis of non-negative probs."""
+    logs = np.log(probs, out=np.zeros(probs.shape), where=probs > 0.0)
+    return np.add.reduce(probs * logs, axis=-1) * (-1.0 / math.log(3.0))
 
 
 def source_entropy(freq: FrequencyTable, unit: str = "trit") -> InfoResult:
     """Shannon entropy of the bigram source."""
-    h = _entropy_base3(freq.flat())
+    h = float(_entropy_trits(freq.p.reshape(9)))
     if unit == "bit":
         return InfoResult(h * TRIT_TO_BIT, "bit")
     return InfoResult(h, unit)
@@ -224,8 +232,9 @@ def cubic_coefficients(
     """Monic cubic lambda^3 + c2 lambda^2 + c1 lambda + c0 for one shift class.
 
     moduli is the attack column's squared-moduli triple, group the class's
-    three bigram frequencies. The three cubics (one per class) jointly carry
-    the full ensemble spectrum.
+    three bigram frequencies. This is the paper's closed form of the class's
+    characteristic polynomial: c2, c1 and c0 are minus the trace, the sum of
+    principal 2x2 minors and minus the determinant of its Gram block.
     """
     a, b, c = moduli
     p0, p1, p2 = group
@@ -235,14 +244,69 @@ def cubic_coefficients(
     return (c2, c1, c0)
 
 
+def _gram_phases() -> np.ndarray:
+    # Entry [l, 3*i + k] is omega^(l (k - i)): the phase that squared modulus
+    # l puts on the overlap of the probe states of phase indices i and k.
+    l, i, k = np.ogrid[0:3, 0:3, 0:3]
+    phases = np.exp(2j * np.pi * ((l * (k - i)) % 3) / 3.0).reshape(3, 9)
+    phases.setflags(write=False)
+    return phases
+
+
+_GRAM_PHASES = _gram_phases()
+
+
+def _class_blocks(moduli: np.ndarray, freq: FrequencyTable) -> np.ndarray:
+    """Gram blocks of the three shift classes, shape (N, 3, 3, 3).
+
+    moduli has shape (N, 3). Block [n, j] is G_ik = sqrt(p_ij p_kj)
+    sum_l t_l omega^(l (k - i)) for the squared moduli t = moduli[n]: the
+    Gram matrix of the class-j probe states, whose eigenvalues are the
+    class's share of the ensemble spectrum. It depends on the moduli only.
+    """
+    return (moduli @ _GRAM_PHASES).reshape(-1, 1, 3, 3) * freq._gram_weights
+
+
+def _class_spectra(moduli: np.ndarray, freq: FrequencyTable) -> np.ndarray:
+    """All nine ensemble eigenvalues of each row of moduli, shape (N, 9)."""
+    return np.linalg.eigvalsh(_class_blocks(moduli, freq)).reshape(-1, 9)
+
+
+def _first(values: np.ndarray, bad: np.ndarray) -> float:
+    """The first of values where bad is set, for an error message."""
+    return float(values[np.flatnonzero(bad)[0]])
+
+
+def _holevo_trits(moduli: np.ndarray, freq: FrequencyTable) -> np.ndarray:
+    """Holevo bound in trits of each row of moduli, shape (N,).
+
+    Eigenvalues in [-1e-10, 0) are clamped to zero; anything lower or any
+    spectrum total off from one by more than 1e-9 raises NumericalError,
+    and a value outside [0, 2] trits raises ValueError, each naming the
+    first offending point.
+    """
+    lams = _class_spectra(moduli, freq)
+    # Each check is one reduction over the batch; only a failure looks for
+    # the first offending point.
+    if lams.min(initial=0.0) < _EIGENVALUE_FLOOR:
+        low = lams.min(axis=1)
+        first = _first(low, low < _EIGENVALUE_FLOOR)
+        raise NumericalError(f"spectrum has negative eigenvalue {first!r}")
+    lams = np.maximum(lams, 0.0)
+    totals = np.add.reduce(lams, axis=1)
+    errors = np.abs(totals - 1.0)
+    if errors.max(initial=0.0) > 1e-9:
+        raise NumericalError(f"spectrum sums to {_first(totals, errors > 1e-9)!r}, expected 1")
+    info = _entropy_trits(lams)
+    if not (info.min(initial=0.0) >= -1e-9 and info.max(initial=0.0) <= 2.0 + 1e-9):
+        bad = ~((info >= -1e-9) & (info <= 2.0 + 1e-9))
+        raise ValueError(f"information value {_first(info, bad)!r} outside [0, 2.0]")
+    return info
+
+
 def factorized_eigenvalues(col: AttackColumn, freq: FrequencyTable) -> np.ndarray:
-    """All nine ensemble eigenvalues via the three per-class cubics, descending."""
-    moduli = col.moduli_squared()
-    roots: list[float] = []
-    for j in range(3):
-        c2, c1, c0 = cubic_coefficients(moduli, freq.group(j))
-        roots.extend(solve_cubic(c2, c1, c0))
-    return np.sort(np.array(roots))[::-1]
+    """All nine ensemble eigenvalues from the three shift-class blocks, descending."""
+    return np.sort(_class_spectra(np.array([col.moduli_squared()]), freq)[0])[::-1]
 
 
 def holevo_information(
@@ -254,14 +318,7 @@ def holevo_information(
     entropy. Eigenvalues in [-1e-10, 0) are clamped to zero; anything lower
     or any total off from one by more than 1e-9 raises NumericalError.
     """
-    lams = factorized_eigenvalues(col, freq)
-    if lams.min() < _EIGENVALUE_FLOOR:
-        raise NumericalError(f"spectrum has negative eigenvalue {lams.min()!r}")
-    lams = np.clip(lams, 0.0, None)
-    total = float(lams.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise NumericalError(f"spectrum sums to {total!r}, expected 1")
-    h = _entropy_base3(lams)
+    h = float(_holevo_trits(np.array([col.moduli_squared()]), freq)[0])
     if unit == "bit":
         return InfoResult(h * TRIT_TO_BIT, "bit")
     return InfoResult(h, unit)
@@ -273,18 +330,27 @@ def info_curve(
     """(detection, information) samples for the symmetric attack family.
 
     Detection runs over [0, 2/3]; information is reported in trits. The
-    default grid has 67 evenly spaced points.
+    default grid has 67 evenly spaced points. The grid must be a
+    one-dimensional sequence of numbers; values within 1e-12 of the range
+    are clamped into it, and NaN, infinities or anything further out raise
+    ValueError naming the first bad value. The whole grid is evaluated in
+    one batch.
     """
     if d_values is None:
         d_values = np.linspace(0.0, 2.0 / 3.0, 67)
-    points = []
-    for d in np.asarray(d_values, dtype=float):
-        if not (math.isfinite(d) and -1e-12 <= d <= 2.0 / 3.0 + 1e-12):
-            raise ValueError(f"detection grid value {d!r} outside [0, 2/3]")
-        d = min(max(d, 0.0), 2.0 / 3.0)
-        info = holevo_information(symmetric_column(d), freq)
-        points.append((float(d), info.value))
-    return points
+    try:
+        d = np.array(d_values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError("detection grid must be a sequence of numbers") from None
+    if d.ndim != 1:
+        raise ValueError(f"detection grid must be one-dimensional, got shape {d.shape}")
+    bad = ~((d >= -1e-12) & (d <= 2.0 / 3.0 + 1e-12))
+    if bad.any():
+        raise ValueError(f"detection grid value {_first(d, bad)!r} outside [0, 2/3]")
+    d = np.clip(d, 0.0, 2.0 / 3.0)
+    # squared moduli of symmetric_column(d)
+    moduli = np.column_stack((1.0 - d, d / 2.0, d / 2.0))
+    return list(zip(d.tolist(), _holevo_trits(moduli, freq).tolist()))
 
 
 def curve_csv(points) -> str:

@@ -331,7 +331,8 @@ def rounds_for_confidence(d: float, target: float = 0.99) -> int:
     """Fewest control rounds that reach the target detection confidence.
 
     Solves for the smallest r with 1 - (1 - d)^r >= target, evaluated as
-    -expm1(r * log1p(-d)) so that a tiny d is not lost in 1 - d. A
+    -expm1(r * log1p(-d)) so that a tiny d is not lost in 1 - d; one round
+    gives exactly d, so d >= target needs no logarithm at all. A
     non-positive d means an undetectable attack, which is an error here, as
     is a d above 1 or one needing more than 2**53 rounds, beyond which a
     float no longer tells r from r + 1.
@@ -344,7 +345,7 @@ def rounds_for_confidence(d: float, target: float = 0.99) -> int:
         raise ValueError("undetectable attack: detection probability must be positive")
     if d > 1.0:
         raise ValueError(f"detection probability must not exceed 1, got {d!r}")
-    if d == 1.0:
+    if d >= target:
         return 1
     step = math.log1p(-d)
     estimate = math.log1p(-target) / step

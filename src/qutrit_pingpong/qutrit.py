@@ -1,8 +1,10 @@
 """Qutrit-pair algebra and the small dense numerics it rests on.
 
 Bell states of two qutrits, the dense coding unitaries, the four mutually
-unbiased qutrit bases, plus a trigonometric real-cubic root solver.
-Everything is closed form in plain numpy at dimension 3 or 9. The Bell
+unbiased qutrit bases, plus a trigonometric real-cubic root solver for the
+paper's closed-form spectrum cubics (the ensemble spectrum itself comes
+from batched eigvalsh in `information`; the solver is its analytic
+reference). Everything is plain numpy at dimension 3 or 9. The Bell
 states, coding unitaries, bases and control-pair decompositions are built
 and checked once, when the module is imported; the accessor functions
 return those stored read-only values, and all functions are pure.
@@ -32,10 +34,11 @@ _DISCRIMINANT_GUARD = 1e-12
 
 
 class NumericalError(ArithmeticError):
-    """A closed-form routine got input outside its domain.
+    """A numerical routine got input outside its domain.
 
-    Raised for a cubic with complex roots, chain links that do not close into
-    a triangle, or a spectrum that fails its floor or sum check.
+    Raised for chain links that do not close into a triangle, an ensemble
+    spectrum that fails its floor or sum check, or a cubic with complex roots
+    in solve_cubic.
     """
 
 

@@ -14,6 +14,7 @@ from qutrit_pingpong.information import (
     DensityMatrix9,
     FrequencyTable,
     InfoResult,
+    _class_blocks,
     assemble_rho,
     cubic_coefficients,
     factorized_eigenvalues,
@@ -240,8 +241,67 @@ def test_two_bigram_curve_is_flat():
 
 
 def test_curve_rejects_out_of_range_grid():
-    with pytest.raises(ValueError):
-        info_curve(FrequencyTable.uniform(), [0.0, 0.8])
+    uniform = FrequencyTable.uniform()
+    for grid in ([0.0, 0.8], [0.1, -1e-9], [0.2, float("nan")], [float("inf")], [0.1, -float("inf")]):
+        with pytest.raises(ValueError, match=r"detection grid value .* outside \[0, 2/3\]"):
+            info_curve(uniform, grid)
+    with pytest.raises(ValueError, match=r"value 0\.8 outside"):
+        info_curve(uniform, [0.1, 0.8, 0.9])  # the first bad value is named
+    for grid in ([[0.0, 0.1], [0.2, 0.3]], 0.3, np.float64(0.3), ["zero"], [[0.1], [0.2, 0.3]]):
+        with pytest.raises(ValueError):
+            info_curve(uniform, grid)
+
+
+def test_curve_clamps_the_slack_and_returns_plain_floats():
+    uniform = FrequencyTable.uniform()
+    points = info_curve(uniform, [-1e-13, 0.25, 2.0 / 3.0 + 1e-13])
+    assert [d for d, _ in points] == [0.0, 0.25, 2.0 / 3.0]
+    assert all(type(d) is float and type(v) is float for d, v in points)
+    assert points[1][1] == pytest.approx(holevo_information(symmetric_column(0.25), uniform).value, abs=1e-14)
+    assert info_curve(uniform, []) == []
+    assert info_curve(uniform, np.array([])) == []
+
+
+def test_flat_columns_leak_two_trits_under_the_uniform_source():
+    # Every probe state is equally likely and the nine are orthogonal: the
+    # spectrum is 1/9 nine times whatever the column's phases.
+    uniform = FREQUENCY_PRESETS["uniform"]
+    rng = np.random.default_rng(1909)
+    columns = [AttackColumn(*([1.0 / math.sqrt(3.0)] * 3))]
+    columns += [AttackColumn(*(np.exp(2j * np.pi * rng.random(3)) / math.sqrt(3.0))) for _ in range(50)]
+    for col in columns:
+        assert abs(holevo_information(col, uniform).value - 2.0) < 1e-12
+        assert np.abs(factorized_eigenvalues(col, uniform) - 1.0 / 9.0).max() < 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(FREQUENCY_PRESETS))
+def test_factorized_spectrum_matches_dense_on_the_symmetric_grid(name):
+    # Under `uniform` every class has the eigenvalue d/6 twice; a root
+    # solver that splits repeated roots misses eigvalsh here by up to 9e-9.
+    freq = FREQUENCY_PRESETS[name]
+    for d in np.linspace(0.0, 2.0 / 3.0, 81):
+        col = symmetric_column(float(d))
+        lam_dense = np.sort(np.linalg.eigvalsh(assemble_rho(col, freq).m))[::-1]
+        assert np.abs(factorized_eigenvalues(col, freq) - lam_dense).max() < 1e-10, (name, d)
+
+
+def test_class_blocks_carry_the_paper_cubic():
+    # The characteristic polynomial of each shift-class block is the
+    # closed-form cubic: trace -c2, principal 2x2 minors c1, determinant -c0.
+    rng = np.random.default_rng(314)
+    for _ in range(50):
+        col = _random_column(rng)
+        p = rng.random((3, 3))
+        freq = FrequencyTable(p / p.sum())
+        moduli = col.moduli_squared()
+        blocks = _class_blocks(np.array([moduli]), freq)[0]
+        for j in range(3):
+            g = blocks[j]
+            c2, c1, c0 = cubic_coefficients(moduli, freq.group(j))
+            minors = sum(np.linalg.det(g[np.ix_(pair, pair)]) for pair in ((0, 1), (0, 2), (1, 2)))
+            assert abs(np.trace(g) + c2) < 1e-12
+            assert abs(minors - c1) < 1e-12
+            assert abs(np.linalg.det(g) + c0) < 1e-12
 
 
 def _assert_spectrum_matches_dense(col, freq):

@@ -7,7 +7,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qutrit_pingpong.attack import (
     AttackColumn,
@@ -269,6 +269,7 @@ def test_rounds_for_confidence_rejects_bad_target():
     st.floats(min_value=1e-4, max_value=0.999),
     st.floats(min_value=0.5, max_value=0.9999),
 )
+@example(d=0.6423052989512529, target=0.6423052989512529)  # one round reaches d exactly
 def test_rounds_for_confidence_is_minimal(d, target):
     r = rounds_for_confidence(d, target)
     assert 1.0 - (1.0 - d) ** r >= target
