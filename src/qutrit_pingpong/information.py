@@ -298,15 +298,28 @@ def _holevo_trits(moduli: np.ndarray, freq: FrequencyTable) -> np.ndarray:
     if errors.max(initial=0.0) > 1e-9:
         raise NumericalError(f"spectrum sums to {_first(totals, errors > 1e-9)!r}, expected 1")
     info = _entropy_trits(lams)
-    if not (info.min(initial=0.0) >= -1e-9 and info.max(initial=0.0) <= 2.0 + 1e-9):
-        bad = ~((info >= -1e-9) & (info <= 2.0 + 1e-9))
+    # [-1e-9, 2 + 1e-9] is the band of half-width 1 + 1e-9 around 1; NaN fails too.
+    offsets = np.abs(info - 1.0)
+    if not offsets.max(initial=0.0) <= 1.0 + 1e-9:
+        bad = ~(offsets <= 1.0 + 1e-9)
         raise ValueError(f"information value {_first(info, bad)!r} outside [0, 2.0]")
     return info
 
 
+def _unit_moduli(col: AttackColumn) -> np.ndarray:
+    """The column's squared moduli as a (1, 3) row with unit sum.
+
+    AttackColumn accepts a squared norm within 1e-9 of one; rescaling keeps
+    that slack out of the spectrum, so it cannot trip the 1e-9 sum check.
+    """
+    moduli = col.moduli_squared()
+    total = sum(moduli)
+    return np.array([[t / total for t in moduli]])
+
+
 def factorized_eigenvalues(col: AttackColumn, freq: FrequencyTable) -> np.ndarray:
     """All nine ensemble eigenvalues from the three shift-class blocks, descending."""
-    return np.sort(_class_spectra(np.array([col.moduli_squared()]), freq)[0])[::-1]
+    return np.sort(_class_spectra(_unit_moduli(col), freq)[0])[::-1]
 
 
 def holevo_information(
@@ -318,7 +331,7 @@ def holevo_information(
     entropy. Eigenvalues in [-1e-10, 0) are clamped to zero; anything lower
     or any total off from one by more than 1e-9 raises NumericalError.
     """
-    h = float(_holevo_trits(np.array([col.moduli_squared()]), freq)[0])
+    h = float(_holevo_trits(_unit_moduli(col), freq)[0])
     if unit == "bit":
         return InfoResult(h * TRIT_TO_BIT, "bit")
     return InfoResult(h, unit)

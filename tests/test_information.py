@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qutrit_pingpong.attack import AttackColumn, symmetric_column
+from qutrit_pingpong.attack import AttackColumn, normalized_column, symmetric_column
+from qutrit_pingpong import information
 from qutrit_pingpong.information import (
     FREQUENCY_PRESETS,
     TRIT_TO_BIT,
@@ -23,7 +24,7 @@ from qutrit_pingpong.information import (
     load_frequency_table,
     source_entropy,
 )
-from qutrit_pingpong.qutrit import solve_cubic
+from qutrit_pingpong.qutrit import NumericalError, solve_cubic
 
 _ENTROPY_EXPECTATIONS = {
     "uniform": 2.0,
@@ -260,6 +261,41 @@ def test_curve_clamps_the_slack_and_returns_plain_floats():
     assert points[1][1] == pytest.approx(holevo_information(symmetric_column(0.25), uniform).value, abs=1e-14)
     assert info_curve(uniform, []) == []
     assert info_curve(uniform, np.array([])) == []
+
+
+def test_batched_spectrum_checks_name_the_first_bad_point(monkeypatch):
+    flat = np.full(9, 1.0 / 9.0)
+    clamped = np.r_[-5e-11, np.full(8, 1.0 / 8.0)]  # within the floor: counts as zero
+    negative = np.r_[-5e-10, flat[1:]]
+    heavy = flat * 1.1
+    uniform = FrequencyTable.uniform()
+
+    def curve_over(*rows):
+        monkeypatch.setattr(information, "_class_spectra", lambda moduli, freq: np.array(rows))
+        return info_curve(uniform, np.linspace(0.0, 0.5, len(rows)))
+
+    values = [v for _, v in curve_over(flat, clamped)]
+    assert values == pytest.approx([2.0, math.log(8.0) / math.log(3.0)], abs=1e-12)
+    with pytest.raises(NumericalError, match=r"negative eigenvalue -5e-10"):
+        curve_over(flat, heavy, negative)
+    with pytest.raises(NumericalError, match=r"spectrum sums to 1\.1"):
+        curve_over(flat, heavy, heavy * 1.1)
+    for values, named in (([0.5, 2.1, -1.0], "2.1"), ([-2e-9, 0.5], "-2e-09"), ([0.5, np.nan], "nan")):
+        monkeypatch.setattr(information, "_entropy_trits", lambda lams, v=values: np.array(v))
+        with pytest.raises(ValueError, match=rf"information value {named} outside \[0, 2\.0\]"):
+            curve_over(*[flat] * len(values))
+
+
+def test_norm_slack_of_an_accepted_column_stays_out_of_the_spectrum():
+    # AttackColumn accepts a squared norm within 1e-9 of one; the spectrum is
+    # that of the normalized column, so the 1e-9 sum check never sees the slack.
+    slack = AttackColumn(math.sqrt(0.5 + 1e-9), math.sqrt(0.3), math.sqrt(0.2))
+    unit = normalized_column(slack.c0, slack.c1, slack.c2)
+    for freq in FREQUENCY_PRESETS.values():
+        lams = factorized_eigenvalues(slack, freq)
+        assert abs(float(lams.sum()) - 1.0) < 1e-14
+        assert np.abs(lams - factorized_eigenvalues(unit, freq)).max() < 1e-15
+        assert abs(holevo_information(slack, freq).value - holevo_information(unit, freq).value) < 1e-13
 
 
 def test_flat_columns_leak_two_trits_under_the_uniform_source():
