@@ -244,16 +244,12 @@ def cubic_coefficients(
     return (c2, c1, c0)
 
 
-def _gram_phases() -> np.ndarray:
-    # Entry [l, 3*i + k] is omega^(l (k - i)): the phase that squared modulus
-    # l puts on the overlap of the probe states of phase indices i and k.
-    l, i, k = np.ogrid[0:3, 0:3, 0:3]
-    phases = np.exp(2j * np.pi * ((l * (k - i)) % 3) / 3.0).reshape(3, 9)
-    phases.setflags(write=False)
-    return phases
-
-
-_GRAM_PHASES = _gram_phases()
+# Entry [l, 3*i + k] is omega^(l (k - i)): the phase that squared modulus l
+# puts on the overlap of the probe states of phase indices i and k.
+_GRAM_PHASES = np.array(
+    [[OMEGA ** (l * (k - i) % 3) for i in range(3) for k in range(3)] for l in range(3)]
+)
+_GRAM_PHASES.setflags(write=False)
 
 
 def _class_blocks(moduli: np.ndarray, freq: FrequencyTable) -> np.ndarray:
