@@ -258,7 +258,7 @@ def _class_blocks(moduli: np.ndarray, freq: FrequencyTable) -> np.ndarray:
     moduli has shape (N, 3). Block [n, j] is G_ik = sqrt(p_ij p_kj)
     sum_l t_l omega^(l (k - i)) for the squared moduli t = moduli[n]: the
     Gram matrix of the class-j probe states, whose eigenvalues are the
-    class's share of the ensemble spectrum. It depends on the moduli only.
+    class's share of the ensemble spectrum; the column's phases drop out.
     """
     return (moduli @ _GRAM_PHASES).reshape(-1, 1, 3, 3) * freq._gram_weights
 
