@@ -12,7 +12,6 @@ set of reference attack parameter rows with known detection probabilities.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 
@@ -148,9 +147,9 @@ class AttackOperator:
         arr.setflags(write=False)
         object.__setattr__(self, "m", arr)
 
-    def column(self, i: int = 0) -> AttackColumn:
-        c = self.m[:, i]
-        return AttackColumn(complex(c[0]), complex(c[1]), complex(c[2]))
+    def column(self) -> AttackColumn:
+        """The first column, the response to basis state 0."""
+        return AttackColumn(*(complex(c) for c in self.m[:, 0]))
 
 
 def circulant(first_column) -> np.ndarray:
@@ -424,12 +423,3 @@ def attack_to_dict(attack: AttackSpec) -> dict:
         return {"type": "column", "basis": attack.basis, "values": vals}
     raise ValueError(f"not an attack specification: {attack!r}")
 
-
-def load_attack(path) -> AttackSpec:
-    """Read an attack specification from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"attack file {path}: invalid JSON ({exc})") from exc
-    return attack_from_dict(data)

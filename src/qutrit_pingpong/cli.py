@@ -22,6 +22,7 @@ from .comparison import (
 )
 from .information import (
     FREQUENCY_PRESETS,
+    TRIT_TO_BIT,
     FrequencyTable,
     curve_csv,
     info_curve,
@@ -93,11 +94,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_entropy(args) -> int:
-    freq = _resolve_freq(args)
+    h = source_entropy(_resolve_freq(args)).value
     if args.unit in ("trit", "both"):
-        print(f"H = {source_entropy(freq, 'trit').value:.4f} trit")
+        print(f"H = {h:.4f} trit")
     if args.unit in ("bit", "both"):
-        print(f"H = {source_entropy(freq, 'bit').value:.4f} bit")
+        print(f"H = {h * TRIT_TO_BIT:.4f} bit")
     return 0
 
 

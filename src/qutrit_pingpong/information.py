@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attack import AttackColumn
-from .qutrit import OMEGA, Hermitian9, NumericalError
+from .attack import AttackColumn, is_finite_real
+from .qutrit import ALGEBRAIC_TOL, OMEGA, NumericalError
 
 TRIT_TO_BIT = math.log2(3.0)
 
@@ -31,12 +31,12 @@ _FREQ_SUM_TOL = 1e-12
 _EIGENVALUE_FLOOR = -1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrequencyTable:
     """Bigram frequencies p[i][j]: phase index i, shift index j.
 
     Rows and columns both run over {0, 1, 2}; entries are non-negative and
-    sum to one.
+    sum to one. Two tables are equal when their entries are.
     """
 
     p: np.ndarray
@@ -62,40 +62,34 @@ class FrequencyTable:
         weights.setflags(write=False)
         object.__setattr__(self, "_gram_weights", weights)
 
+    def __eq__(self, other):
+        if not isinstance(other, FrequencyTable):
+            return NotImplemented
+        return bool(np.array_equal(self.p, other.p))
+
+    def __hash__(self):
+        return hash(self.p.tobytes())
+
     @classmethod
     def uniform(cls) -> "FrequencyTable":
         return cls(np.full((3, 3), 1.0 / 9.0))
-
-    def group(self, j: int) -> tuple[float, float, float]:
-        """Frequencies of the three bigrams sharing shift index j."""
-        if j not in (0, 1, 2):
-            raise ValueError(f"shift index must be 0, 1 or 2, got {j!r}")
-        return (float(self.p[0, j]), float(self.p[1, j]), float(self.p[2, j]))
-
-    def group_sums(self) -> tuple[float, float, float]:
-        sums = self.p.sum(axis=0)
-        return (float(sums[0]), float(sums[1]), float(sums[2]))
-
-    def flat(self) -> np.ndarray:
-        """Row-major vector, entry 3*i + j."""
-        return self.p.reshape(9).copy()
 
 
 def frequency_table_from_rows(rows, where: str) -> FrequencyTable:
     """Validate a 3x3 frequency array read from JSON and renormalize it.
 
-    Small rounding in the input is forgiven by renormalizing, but sums more
-    than 1e-9 away from one are rejected as genuinely malformed. Error
-    messages start with where, the caller's name for the array.
+    Each entry must be a finite, non-negative int or float; JSON booleans
+    and strings are rejected. Small rounding in the input is forgiven by
+    renormalizing, but sums more than 1e-9 away from one are rejected as
+    genuinely malformed. Error messages start with where, the caller's name
+    for the array.
     """
-    try:
-        arr = np.asarray(rows, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{where} must be a 3x3 array of numbers") from None
-    if arr.shape != (3, 3):
+    rows_ok = isinstance(rows, list) and len(rows) == 3
+    if not (rows_ok and all(isinstance(row, list) and len(row) == 3 for row in rows)):
         raise ValueError(f"{where} must be a 3x3 array of numbers")
-    if not np.isfinite(arr).all() or (arr < 0.0).any():
-        raise ValueError(f"{where} entries must be finite and non-negative")
+    if not all(is_finite_real(x) and x >= 0 for row in rows for x in row):
+        raise ValueError(f"{where} entries must be finite non-negative numbers")
+    arr = np.array(rows, dtype=float)
     total = float(arr.sum())
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"{where} entries sum to {total!r}, not 1")
@@ -153,23 +147,13 @@ FREQUENCY_PRESETS: dict[str, FrequencyTable] = {
 
 @dataclass(frozen=True)
 class InfoResult:
-    """An information value tagged with its unit ("trit" or "bit")."""
+    """An information value in trits; multiply by TRIT_TO_BIT for bits."""
 
     value: float
-    unit: str
 
     def __post_init__(self):
-        if self.unit not in ("trit", "bit"):
-            raise ValueError(f"unit must be 'trit' or 'bit', got {self.unit!r}")
-        upper = 2.0 if self.unit == "trit" else 2.0 * TRIT_TO_BIT
-        if not (math.isfinite(self.value) and -1e-9 <= self.value <= upper + 1e-9):
-            raise ValueError(f"information value {self.value!r} outside [0, {upper}]")
-
-    def in_bits(self) -> float:
-        return self.value * TRIT_TO_BIT if self.unit == "trit" else self.value
-
-    def in_trits(self) -> float:
-        return self.value / TRIT_TO_BIT if self.unit == "bit" else self.value
+        if not (math.isfinite(self.value) and -1e-9 <= self.value <= 2.0 + 1e-9):
+            raise ValueError(f"information value {self.value!r} outside [0, 2.0]")
 
 
 def _entropy_trits(probs: np.ndarray) -> np.ndarray:
@@ -178,25 +162,34 @@ def _entropy_trits(probs: np.ndarray) -> np.ndarray:
     return np.add.reduce(probs * logs, axis=-1) * (-1.0 / math.log(3.0))
 
 
-def source_entropy(freq: FrequencyTable, unit: str = "trit") -> InfoResult:
-    """Shannon entropy of the bigram source."""
-    h = float(_entropy_trits(freq.p.reshape(9)))
-    if unit == "bit":
-        return InfoResult(h * TRIT_TO_BIT, "bit")
-    return InfoResult(h, unit)
+def source_entropy(freq: FrequencyTable) -> InfoResult:
+    """Shannon entropy of the bigram source, in trits."""
+    return InfoResult(float(_entropy_trits(freq.p.reshape(9))))
 
 
-class DensityMatrix9(Hermitian9):
+@dataclass(frozen=True)
+class DensityMatrix9:
     """A 9x9 density operator: Hermitian, unit trace, positive semidefinite."""
 
+    m: np.ndarray
+
     def __post_init__(self):
-        super().__post_init__()
-        tr = float(np.trace(self.m).real)
+        arr = np.array(self.m, dtype=np.complex128)
+        if arr.shape != (9, 9):
+            raise ValueError(f"density matrix must have shape (9, 9), got {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("density matrix must be finite (no NaN or inf entries)")
+        residual = np.abs(arr - arr.conj().T).max()
+        if residual > ALGEBRAIC_TOL:
+            raise ValueError(f"density matrix is not Hermitian, residual {residual:.3e}")
+        tr = float(np.trace(arr).real)
         if abs(tr - 1.0) > 1e-10:
             raise ValueError(f"density matrix trace must be 1, got {tr!r}")
-        low = float(np.linalg.eigvalsh(self.m).min())
+        low = float(np.linalg.eigvalsh(arr).min())
         if low < _EIGENVALUE_FLOOR:
             raise ValueError(f"density matrix has negative eigenvalue {low!r}")
+        arr.setflags(write=False)
+        object.__setattr__(self, "m", arr)
 
 
 def _probe_state(col: AttackColumn, i: int, j: int) -> np.ndarray:
@@ -318,19 +311,14 @@ def factorized_eigenvalues(col: AttackColumn, freq: FrequencyTable) -> np.ndarra
     return np.sort(_class_spectra(_unit_moduli(col), freq)[0])[::-1]
 
 
-def holevo_information(
-    col: AttackColumn, freq: FrequencyTable, unit: str = "trit"
-) -> InfoResult:
-    """Eavesdropper's Holevo bound on information about the bigram.
+def holevo_information(col: AttackColumn, freq: FrequencyTable) -> InfoResult:
+    """Eavesdropper's Holevo bound on information about the bigram, in trits.
 
     The probe states are pure, so the bound is the ensemble eigenvalue
     entropy. Eigenvalues in [-1e-10, 0) are clamped to zero; anything lower
     or any total off from one by more than 1e-9 raises NumericalError.
     """
-    h = float(_holevo_trits(_unit_moduli(col), freq)[0])
-    if unit == "bit":
-        return InfoResult(h * TRIT_TO_BIT, "bit")
-    return InfoResult(h, unit)
+    return InfoResult(float(_holevo_trits(_unit_moduli(col), freq)[0]))
 
 
 def info_curve(

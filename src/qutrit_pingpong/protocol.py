@@ -38,7 +38,6 @@ from .information import FREQUENCY_PRESETS, FrequencyTable, frequency_table_from
 from .qutrit import (
     BASIS_LABELS,
     BELL_STATES,
-    Unitary3,
     _pair_index,
     bell_state,
     coding_unitary,
@@ -79,8 +78,9 @@ def initial_state() -> JointState:
     return _READY
 
 
-def apply_travel_unitary(state: JointState, u: Unitary3) -> JointState:
-    return JointState(np.einsum("ts,hsn->htn", u.m, state.amps))
+def apply_travel_unitary(state: JointState, u: np.ndarray) -> JointState:
+    """Apply the 3x3 unitary u to the travelling qutrit; JointState checks the result's norm."""
+    return JointState(np.einsum("ts,hsn->htn", u, state.amps))
 
 
 def apply_branch_attack(state: JointState, e: np.ndarray, basis: str = "z") -> JointState:
@@ -119,7 +119,7 @@ def _outcome_maps() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     bob = np.stack([mub(p.bob_basis) for p in pairs])
     control = np.einsum("sta,shb->sabht", alice.conj(), bob.conj()).reshape(len(pairs), 9, 9)
     allowed = np.array([[[(a, b) in p.allowed_pairs() for b in range(3)] for a in range(3)] for p in pairs])
-    coding = np.stack([coding_unitary(*divmod(k, 3)).m for k in range(9)])
+    coding = np.stack([coding_unitary(*divmod(k, 3)) for k in range(9)])
     decode = np.einsum("oht,kts->kohs", BELL_STATES.conj(), coding).reshape(9, 9, 9)
     for arr in (control, allowed, decode):
         arr.setflags(write=False)
@@ -279,7 +279,7 @@ def attack_state(config: ProtocolConfig) -> JointState:
         return apply_branch_attack(initial_state(), circulant(column.as_array()), basis)
     op = complete_circulant(column, representation=basis)
     m = mub(basis)
-    return apply_travel_unitary(initial_state(), Unitary3(m @ op.m @ m.conj().T))
+    return apply_travel_unitary(initial_state(), m @ op.m @ m.conj().T)
 
 
 # The simulator mixes control rounds in the first two bases only.

@@ -42,17 +42,6 @@ class NumericalError(ArithmeticError):
     """
 
 
-def _complex_array(name: str, values, shape: tuple) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.complex128)
-    if arr.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} must be finite (no NaN or inf entries)")
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
-
-
 def _check_unitary(name: str, m: np.ndarray) -> None:
     residual = np.abs(m.conj().T @ m - np.eye(len(m))).max()
     if residual > ALGEBRAIC_TOL:
@@ -64,32 +53,6 @@ def _pair_index(i: int, j: int) -> int:
         if value not in (0, 1, 2):
             raise ValueError(f"{name} must be 0, 1 or 2, got {value!r}")
     return 3 * int(i) + int(j)
-
-
-@dataclass(frozen=True)
-class Unitary3:
-    """A 3x3 unitary matrix."""
-
-    m: np.ndarray
-
-    def __post_init__(self):
-        arr = _complex_array("Unitary3.m", self.m, (3, 3))
-        _check_unitary("Unitary3.m", arr)
-        object.__setattr__(self, "m", arr)
-
-
-@dataclass(frozen=True)
-class Hermitian9:
-    """A 9x9 Hermitian matrix."""
-
-    m: np.ndarray
-
-    def __post_init__(self):
-        arr = _complex_array("Hermitian9.m", self.m, (9, 9))
-        residual = np.abs(arr - arr.conj().T).max()
-        if residual > ALGEBRAIC_TOL:
-            raise ValueError(f"Hermitian9.m is not Hermitian, residual {residual:.3e}")
-        object.__setattr__(self, "m", arr)
 
 
 def _build_bell_states() -> np.ndarray:
@@ -117,20 +80,23 @@ def bell_state(i: int, j: int) -> np.ndarray:
     return BELL_STATES[_pair_index(i, j)]
 
 
-def _build_coding_unitary(i: int, j: int) -> Unitary3:
+def _build_coding_unitary(i: int, j: int) -> np.ndarray:
     m = np.zeros((3, 3), dtype=np.complex128)
     for k in range(3):
         m[(k + j) % 3, k] = OMEGA ** ((i * k) % 3)
-    return Unitary3(m)
+    _check_unitary(f"coding unitary ({i}, {j})", m)
+    m.setflags(write=False)
+    return m
 
 
 _CODING_UNITARIES = tuple(_build_coding_unitary(i, j) for i in range(3) for j in range(3))
 
 
-def coding_unitary(i: int, j: int) -> Unitary3:
+def coding_unitary(i: int, j: int) -> np.ndarray:
     """Dense-coding unitary: maps |k> to omega^(i*k) |k+j mod 3>.
 
-    Applying it to the travel qutrit of bell_state(0, 0) yields bell_state(i, j).
+    Returns a read-only 3x3 array. Applying it to the travel qutrit of
+    bell_state(0, 0) yields bell_state(i, j).
     """
     return _CODING_UNITARIES[_pair_index(i, j)]
 

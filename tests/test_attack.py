@@ -1,6 +1,5 @@
 """Attack columns, circulant completion, reference data, JSON specs."""
 
-import json
 import math
 
 import numpy as np
@@ -22,7 +21,6 @@ from qutrit_pingpong.attack import (
     column_z_from_x,
     complete_circulant,
     detection_from_column,
-    load_attack,
     normalized_column,
     symmetric_column,
     verify_reference_attacks,
@@ -362,17 +360,3 @@ def test_attack_from_dict_rejects_malformed(payload):
     with pytest.raises(ValueError):
         attack_from_dict(payload)
 
-
-def test_load_attack_from_file(tmp_path):
-    path = tmp_path / "attack.json"
-    path.write_text(json.dumps({"type": "symmetric", "d_z": 0.5}))
-    spec = load_attack(path)
-    assert isinstance(spec, SymmetricAttack)
-    assert spec.d_z == 0.5
-
-
-def test_load_attack_rejects_bad_json(tmp_path):
-    path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    with pytest.raises(ValueError):
-        load_attack(path)

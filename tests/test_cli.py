@@ -1,6 +1,7 @@
 """Command-line interface, driven in process plus one subprocess check."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -156,6 +157,21 @@ def test_simulate_to_stdout_is_json(tmp_path, capsys):
     assert report["detections"] == 0
 
 
+def test_simulate_accepts_a_completion_at_the_flat_triangle(tmp_path, capsys):
+    # d just past 8/9 makes the chain links of (sqrt(1-d), sqrt(d/2), sqrt(d/2))
+    # miss closing by about 1e-11: the completion is accepted, so the
+    # simulator must run it too.
+    d = 8 / 9 + 1e-11
+    values = [[math.sqrt(1.0 - d), 0.0], [math.sqrt(d / 2.0), 0.0], [math.sqrt(d / 2.0), 0.0]]
+    cfg = {"cycles": 1000, "seed": 5, "ancilla": "none", "attack": {"type": "column", "basis": "z", "values": values}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["basis_stats"]["z"]["predicted"] == pytest.approx(d, abs=1e-12)
+
+
 def test_simulate_same_seed_repeats_exactly(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(
@@ -207,6 +223,10 @@ _HUGE = 10**400  # a JSON integer literal too large for a float
         ("simulate", {"attack": {"type": "column", "basis": "z", "values": [[0, _HUGE], [0, 0], [0, 0]]}}),
         ("simulate", {"freq": {"p": [[_HUGE, 0, 0], [0, 0, 0], [0, 0, 0]]}}),
         ("entropy", {"p": [[_HUGE, 0, 0], [0, 0, 0], [0, 0, 0]]}),
+        ("simulate", {"freq": {"p": [[True, False, False], [False] * 3, [False] * 3]}}),
+        ("simulate", {"freq": {"p": [["0.5", 0.5, 0], [0, 0, 0], [0, 0, 0]]}}),
+        ("entropy", {"p": [[True, False, False], [False] * 3, [False] * 3]}),
+        ("entropy", {"p": [["0.5", 0.5, 0], [0, 0, 0], [0, 0, 0]]}),
         ("rounds", "1e-320"),
     ],
 )

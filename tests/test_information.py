@@ -11,7 +11,6 @@ from qutrit_pingpong.attack import AttackColumn, normalized_column, symmetric_co
 from qutrit_pingpong import information
 from qutrit_pingpong.information import (
     FREQUENCY_PRESETS,
-    TRIT_TO_BIT,
     DensityMatrix9,
     FrequencyTable,
     InfoResult,
@@ -50,21 +49,11 @@ def test_frequency_table_validation():
         FrequencyTable(np.full((2, 3), 1.0 / 6.0))
 
 
-def test_frequency_groups_collect_shift_classes():
-    freq = FREQUENCY_PRESETS["tiered"]
-    for j in range(3):
-        assert freq.group(j) == (freq.p[0, j], freq.p[1, j], freq.p[2, j])
-    assert abs(sum(freq.group_sums()) - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        freq.group(3)
-
-
-def test_flat_layout_is_row_major():
-    freq = FREQUENCY_PRESETS["peaked"]
-    flat = freq.flat()
-    for i in range(3):
-        for j in range(3):
-            assert flat[3 * i + j] == freq.p[i, j]
+def test_frequency_tables_compare_by_value():
+    uniform = FrequencyTable.uniform()
+    assert FREQUENCY_PRESETS["uniform"] == uniform
+    assert hash(FREQUENCY_PRESETS["uniform"]) == hash(uniform)
+    assert FREQUENCY_PRESETS["tiered"] != uniform
 
 
 def test_presets_are_well_formed():
@@ -83,22 +72,11 @@ def test_uniform_entropy_is_two_trits_exactly():
     assert source_entropy(FrequencyTable.uniform()).value == pytest.approx(2.0, abs=1e-14)
 
 
-def test_entropy_unit_conversion():
-    freq = FREQUENCY_PRESETS["tiered"]
-    trits = source_entropy(freq, "trit")
-    bits = source_entropy(freq, "bit")
-    assert abs(bits.value - trits.value * TRIT_TO_BIT) < 1e-12
-    assert abs(trits.in_bits() - bits.value) < 1e-12
-    assert abs(bits.in_trits() - trits.value) < 1e-12
-
-
 def test_info_result_validation():
     with pytest.raises(ValueError):
-        InfoResult(1.0, "nat")
+        InfoResult(2.5)
     with pytest.raises(ValueError):
-        InfoResult(2.5, "trit")
-    with pytest.raises(ValueError):
-        InfoResult(-0.5, "bit")
+        InfoResult(-0.5)
 
 
 def test_load_frequency_table(tmp_path):
@@ -126,6 +104,8 @@ def test_load_frequency_table_renormalizes_rounding(tmp_path):
         [1, 2, 3],
         {"p": {"row": [1.0, 0.0, 0.0]}},
         {"p": [[10**400, 0, 0], [0, 0, 0], [0, 0, 0]]},
+        {"p": [[True, False, False], [False, False, False], [False, False, False]]},
+        {"p": [["0.5", 0.5, 0], [0, 0, 0], [0, 0, 0]]},
     ],
 )
 def test_load_frequency_table_rejects_malformed(tmp_path, payload):
@@ -142,6 +122,10 @@ def test_density_matrix_validation():
     neg[0, 0], neg[1, 1] = 1.5, -0.5
     with pytest.raises(ValueError):
         DensityMatrix9(neg)
+    skew = np.eye(9, dtype=complex) / 9.0  # unit trace, so only the Hermitian check can fire
+    skew[0, 1] = 0.1
+    with pytest.raises(ValueError, match="not Hermitian"):
+        DensityMatrix9(skew)
 
 
 def test_assembled_ensemble_is_a_density_matrix():
@@ -215,17 +199,9 @@ def test_maximal_attack_leaks_the_source_entropy():
 def test_invisible_attack_leaks_class_entropy_only():
     for freq in FREQUENCY_PRESETS.values():
         leak = holevo_information(symmetric_column(0.0), freq).value
-        sums = freq.group_sums()
+        sums = freq.p.sum(axis=0)
         want = -sum(s * math.log(s) for s in sums if s > 0.0) / math.log(3.0)
         assert abs(leak - want) < 1e-9
-
-
-def test_leak_in_bits_scales_by_log2_of_three():
-    freq = FREQUENCY_PRESETS["sparse"]
-    col = symmetric_column(0.4)
-    trits = holevo_information(col, freq).value
-    bits = holevo_information(col, freq, unit="bit").value
-    assert abs(bits - trits * TRIT_TO_BIT) < 1e-12
 
 
 def test_curves_monotone_for_all_presets():
@@ -333,7 +309,7 @@ def test_class_blocks_carry_the_paper_cubic():
         blocks = _class_blocks(np.array([moduli]), freq)[0]
         for j in range(3):
             g = blocks[j]
-            c2, c1, c0 = cubic_coefficients(moduli, freq.group(j))
+            c2, c1, c0 = cubic_coefficients(moduli, freq.p[:, j])
             minors = sum(np.linalg.det(g[np.ix_(pair, pair)]) for pair in ((0, 1), (0, 2), (1, 2)))
             assert abs(np.trace(g) + c2) < 1e-12
             assert abs(minors - c1) < 1e-12

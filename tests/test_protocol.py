@@ -14,6 +14,7 @@ from qutrit_pingpong.attack import (
     ColumnAttack,
     NoAttack,
     SymmetricAttack,
+    complete_circulant,
     symmetric_column,
 )
 from qutrit_pingpong.information import FREQUENCY_PRESETS, FrequencyTable
@@ -36,7 +37,7 @@ from qutrit_pingpong.protocol import (
     _BLOCK,
     _cdf,
 )
-from qutrit_pingpong.qutrit import Unitary3, coding_unitary, control_correlations
+from qutrit_pingpong.qutrit import coding_unitary, control_correlations
 
 
 def test_initial_state_shape_and_support():
@@ -138,10 +139,23 @@ def test_phase_basis_attack_rates():
     assert detection_probability(state, "z") < 1e-12
 
 
+@pytest.mark.parametrize("basis", ["z", "x"])
+@pytest.mark.parametrize("excess", [1e-12, 1e-11, 4e-11])
+def test_runs_every_completion_that_complete_circulant_accepts(basis, excess):
+    # Past d = 8/9 the chain links of (sqrt(1-d), sqrt(d/2), sqrt(d/2)) no
+    # longer close; a miss within 1e-10 is still an accepted completion.
+    d = 8.0 / 9.0 + excess
+    col = AttackColumn(math.sqrt(1.0 - d), math.sqrt(d / 2.0), math.sqrt(d / 2.0))
+    complete_circulant(col, representation=basis)
+    report = run(ProtocolConfig(cycles=1000, seed=8, attack=ColumnAttack(basis, col), ancilla="none"))
+    assert report.cycles == 1000
+    assert abs(report.basis_stats[basis].predicted - (1.0 - abs(col.c0) ** 2)) < 1e-12
+
+
 def test_swap_unitary_detection_in_computational_basis():
     # exchanging |0> and |1> on the travel qutrit disturbs two of the three
     # equally weighted control draws
-    swap = Unitary3(np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex))
+    swap = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
     state = apply_travel_unitary(initial_state(), swap)
     assert abs(detection_probability(state, "z") - 2.0 / 3.0) < 1e-12
 
@@ -187,6 +201,13 @@ def test_config_round_trip():
     assert isinstance(again.attack, SymmetricAttack)
 
 
+def test_equal_configs_compare_equal_and_hash_alike():
+    a, b = ProtocolConfig(cycles=1, seed=0), ProtocolConfig(cycles=1, seed=0)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert a != ProtocolConfig(cycles=1, seed=0, freq=FREQUENCY_PRESETS["tiered"])
+
+
 def test_config_from_dict_defaults_and_presets():
     cfg = ProtocolConfig.from_dict({"cycles": 10, "seed": 3, "freq": {"preset": "peaked"}})
     assert isinstance(cfg.attack, NoAttack)
@@ -222,6 +243,9 @@ def test_config_from_dict_defaults_and_presets():
             "attack": {"type": "column", "basis": "z", "values": [[10**400, 0], [0, 0], [0, 0]]},
         },
         {"cycles": 10, "seed": 1, "freq": {"p": [[10**400, 0, 0], [0, 0, 0], [0, 0, 0]]}},
+        # JSON booleans and strings are not frequencies
+        {"cycles": 10, "seed": 1, "freq": {"p": [[True, False, False], [False] * 3, [False] * 3]}},
+        {"cycles": 10, "seed": 1, "freq": {"p": [["0.5", 0.5, 0], [0, 0, 0], [0, 0, 0]]}},
     ],
 )
 def test_config_from_dict_rejects_malformed(payload):
@@ -313,7 +337,7 @@ def test_message_statistics_match_source_frequencies():
     report = run(cfg)
     assert report.message_rounds == cfg.cycles
     sent = report.confusion.sum(axis=1)
-    for k, p in enumerate(freq.flat()):
+    for k, p in enumerate(freq.p.reshape(9)):
         if p == 0.0:
             assert sent[k] == 0
             continue

@@ -10,9 +10,7 @@ from qutrit_pingpong.qutrit import (
     BASIS_LABELS,
     OMEGA,
     PARTNER_BASIS,
-    Hermitian9,
     NumericalError,
-    Unitary3,
     bell_state,
     coding_unitary,
     control_correlations,
@@ -42,7 +40,7 @@ def test_bell_state_rejects_bad_indices():
 def test_coding_unitaries_are_unitary():
     for i in range(3):
         for j in range(3):
-            u = coding_unitary(i, j).m
+            u = coding_unitary(i, j)
             assert np.abs(u.conj().T @ u - np.eye(3)).max() < 1e-14
 
 
@@ -51,12 +49,12 @@ def test_coding_unitary_moves_base_pair_to_each_entangled_state():
     for i in range(3):
         for j in range(3):
             u = coding_unitary(i, j)
-            moved = np.einsum("ts,hs->ht", u.m, base)
+            moved = np.einsum("ts,hs->ht", u, base)
             assert np.abs(moved - bell_state(i, j)).max() < 1e-14
 
 
 def test_identity_coding_operation_is_identity():
-    assert np.abs(coding_unitary(0, 0).m - np.eye(3)).max() == 0.0
+    assert np.abs(coding_unitary(0, 0) - np.eye(3)).max() == 0.0
 
 
 @pytest.mark.parametrize("label", BASIS_LABELS)
@@ -118,7 +116,7 @@ def test_base_pair_reduces_to_maximally_mixed():
         assert np.abs(rho - np.eye(3) / 3.0).max() < 1e-14
 
 
-@pytest.mark.parametrize("array", [mub("x"), bell_state(1, 2)])
+@pytest.mark.parametrize("array", [mub("x"), bell_state(1, 2), coding_unitary(1, 2)])
 def test_stored_arrays_are_read_only(array):
     with pytest.raises(ValueError):
         array[0, 0] = 0.0
@@ -128,18 +126,6 @@ def test_constants_are_built_once():
     assert mub("x") is mub("x")
     assert coding_unitary(1, 2) is coding_unitary(1, 2)
     assert control_correlations("z") is control_correlations("z")
-
-
-def test_unitary_validation_rejects_non_unitary():
-    with pytest.raises(ValueError):
-        Unitary3(np.ones((3, 3), dtype=complex))
-
-
-def test_hermitian_validation_rejects_asymmetric():
-    m = np.zeros((9, 9), dtype=complex)
-    m[0, 1] = 1.0
-    with pytest.raises(ValueError):
-        Hermitian9(m)
 
 
 @given(
