@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from qutrit_pingpong.information import DensityMatrix9
 from qutrit_pingpong.qutrit import (
     BASIS_LABELS,
     OMEGA,
@@ -126,6 +127,14 @@ def test_constants_are_built_once():
     assert mub("x") is mub("x")
     assert coding_unitary(1, 2) is coding_unitary(1, 2)
     assert control_correlations("z") is control_correlations("z")
+
+
+def test_hermitian_validation_rejects_asymmetric():
+    # The Hermitian check lives in DensityMatrix9, where 9x9 operators are made.
+    skew = np.eye(9, dtype=complex) / 9.0  # unit trace, so only the Hermitian check can fire
+    skew[0, 1] = 0.1
+    with pytest.raises(ValueError, match="not Hermitian"):
+        DensityMatrix9(skew)
 
 
 @given(
