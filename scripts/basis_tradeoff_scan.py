@@ -29,14 +29,13 @@ import numpy as np
 
 from qutrit_pingpong.attack import AttackColumn, ColumnAttack, column_z_from_x
 from qutrit_pingpong.protocol import ProtocolConfig, attack_state, detection_probability
-from qutrit_pingpong.qutrit import OMEGA
+from qutrit_pingpong.qutrit import mub
 
 
 def random_circulant_column(rng) -> AttackColumn:
     phases = rng.uniform(-math.pi, math.pi, size=2)
     eig = np.array([1.0, np.exp(1j * phases[0]), np.exp(1j * phases[1])])
-    fourier = np.array([[OMEGA ** ((l * m) % 3) for m in range(3)] for l in range(3)])
-    col = fourier @ eig / 3.0
+    col = mub("x") @ eig / math.sqrt(3.0)
     return AttackColumn(*(complex(v) for v in col))
 
 

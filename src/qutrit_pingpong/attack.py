@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qutrit import BASIS_LABELS, OMEGA, NumericalError
+from .qutrit import BASIS_LABELS, NumericalError, mub
 
 # Attack-operator constraints (normalization, unitarity, moduli pattern)
 # are enforced at this scale; reference data is only six digits deep.
@@ -112,7 +112,7 @@ _MIXEDNESS_GROUPS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttackOperator:
     """Full 3x3 attack coefficient matrix in a named measuring basis.
 
@@ -214,16 +214,10 @@ def complete_circulant(col: AttackColumn, representation: str = "z") -> AttackOp
 def column_z_from_x(col_x: AttackColumn) -> tuple[float, float, float]:
     """Squared moduli of the computational-basis column implied by an x-basis column.
 
-    Scalar cross-representation relation: the three z moduli are the squared
-    thirds of the plain, omega-twisted and conjugate-twisted entry sums. The
-    triple always sums to one.
+    The z moduli are the squared moduli of the column's Fourier transform,
+    mub("x") @ col_x; the triple always sums to one.
     """
-    a, b, c = col_x.c0, col_x.c1, col_x.c2
-    w = OMEGA
-    wb = OMEGA.conjugate()
-    m0 = abs(a + b + c) ** 2 / 3.0
-    m1 = abs(a + w * b + wb * c) ** 2 / 3.0
-    m2 = abs(a + wb * b + w * c) ** 2 / 3.0
+    m0, m1, m2 = (np.abs(mub("x") @ col_x.as_array()) ** 2).tolist()
     return (m0, m1, m2)
 
 

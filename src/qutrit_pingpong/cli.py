@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: entropy, curve, attack-verify, simulate, rounds, compare.
-Exit codes: 0 success, 2 bad input or usage, 3 numerical failure
-(including a failed reference verification).
+Exit codes: 0 success, 2 bad input or usage (including a run too large
+to allocate), 3 numerical failure (including a failed reference
+verification).
 """
 
 from __future__ import annotations
@@ -203,7 +204,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

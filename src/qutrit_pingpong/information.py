@@ -2,7 +2,9 @@
 
 Given an attack column and the sender's bigram frequency table, the
 eavesdropper's accessible information about the message mode is the Holevo
-quantity of the nine conditional probe states. The 9x9 ensemble density
+quantity of the nine conditional probe states; the probe state for bigram
+(i, j) is coding unitary (i, j), taken from qutrit.CODING_UNITARIES,
+applied to the attack-weighted pointer state. The 9x9 ensemble density
 operator is block diagonal, one 3x3 block per shift class of the bigram
 alphabet, and each block has the spectrum of the Gram matrix of its three
 weighted probe states, which depends only on the column's squared moduli.
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attack import AttackColumn, is_finite_real
-from .qutrit import ALGEBRAIC_TOL, OMEGA, NumericalError
+from .qutrit import ALGEBRAIC_TOL, CODING_UNITARIES, OMEGA, NumericalError
 
 TRIT_TO_BIT = math.log2(3.0)
 
@@ -159,7 +161,8 @@ class InfoResult:
 def _entropy_trits(probs: np.ndarray) -> np.ndarray:
     """Shannon entropy in trits over the last axis of non-negative probs."""
     logs = np.log(probs, out=np.zeros(probs.shape), where=probs > 0.0)
-    return np.add.reduce(probs * logs, axis=-1) * (-1.0 / math.log(3.0))
+    # + 0.0 turns the -0.0 of a deterministic source into +0.0, nothing else.
+    return np.add.reduce(probs * logs, axis=-1) * (-1.0 / math.log(3.0)) + 0.0
 
 
 def source_entropy(freq: FrequencyTable) -> InfoResult:
@@ -167,7 +170,7 @@ def source_entropy(freq: FrequencyTable) -> InfoResult:
     return InfoResult(float(_entropy_trits(freq.p.reshape(9))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix9:
     """A 9x9 density operator: Hermitian, unit trace, positive semidefinite."""
 
@@ -192,31 +195,16 @@ class DensityMatrix9:
         object.__setattr__(self, "m", arr)
 
 
-def _probe_state(col: AttackColumn, i: int, j: int) -> np.ndarray:
-    """Eavesdropper's conditional pure state for bigram (i, j).
-
-    Nine amplitudes indexed 3*block + travel, where the block records which
-    computational component the probe latched onto and the travel index is
-    the coded output Bob receives.
-    """
-    psi = np.zeros(9, dtype=np.complex128)
-    psi[3 * 0 + j % 3] = col.c0
-    psi[3 * 1 + (1 + j) % 3] = col.c1 * OMEGA ** (i % 3)
-    psi[3 * 2 + (2 + j) % 3] = col.c2 * OMEGA ** ((2 * i) % 3)
-    return psi
-
-
 def assemble_rho(col: AttackColumn, freq: FrequencyTable) -> DensityMatrix9:
-    """Ensemble density operator of the nine frequency-weighted probe states."""
-    rho = np.zeros((9, 9), dtype=np.complex128)
-    for i in range(3):
-        for j in range(3):
-            w = freq.p[i, j]
-            if w == 0.0:
-                continue
-            psi = _probe_state(col, i, j)
-            rho += w * np.outer(psi, psi.conj())
-    return DensityMatrix9(rho)
+    """Ensemble density operator of the nine frequency-weighted probe states.
+
+    Eve's probe state for bigram k = 3i + j is coding unitary k applied to
+    her attack-weighted pointer state: nine amplitudes indexed 3*block +
+    travel, where the block records which computational component the probe
+    latched onto and the travel index is the coded output Bob receives.
+    """
+    probes = (CODING_UNITARIES * col.as_array()).transpose(0, 2, 1).reshape(9, 9)
+    return DensityMatrix9((probes.T * freq.p.reshape(9)) @ probes.conj())
 
 
 def cubic_coefficients(

@@ -38,9 +38,9 @@ from .information import FREQUENCY_PRESETS, FrequencyTable, frequency_table_from
 from .qutrit import (
     BASIS_LABELS,
     BELL_STATES,
+    CODING_UNITARIES,
     _pair_index,
     bell_state,
-    coding_unitary,
     control_correlations,
     mub,
 )
@@ -50,7 +50,7 @@ ANCILLA_DIM = 9
 _STATE_NORM_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointState:
     """Pure state of (home, travel, ancilla) as a (3, 3, 9) amplitude array."""
 
@@ -119,8 +119,7 @@ def _outcome_maps() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     bob = np.stack([mub(p.bob_basis) for p in pairs])
     control = np.einsum("sta,shb->sabht", alice.conj(), bob.conj()).reshape(len(pairs), 9, 9)
     allowed = np.array([[[(a, b) in p.allowed_pairs() for b in range(3)] for a in range(3)] for p in pairs])
-    coding = np.stack([coding_unitary(*divmod(k, 3)) for k in range(9)])
-    decode = np.einsum("oht,kts->kohs", BELL_STATES.conj(), coding).reshape(9, 9, 9)
+    decode = np.einsum("oht,kts->kohs", BELL_STATES.conj(), CODING_UNITARIES).reshape(9, 9, 9)
     for arr in (control, allowed, decode):
         arr.setflags(write=False)
     return control, allowed, decode

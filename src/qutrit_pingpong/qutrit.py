@@ -1,13 +1,16 @@
 """Qutrit-pair algebra and the small dense numerics it rests on.
 
-Bell states of two qutrits, the dense coding unitaries, the four mutually
-unbiased qutrit bases, plus a trigonometric real-cubic root solver for the
-paper's closed-form spectrum cubics (the ensemble spectrum itself comes
-from batched eigvalsh in `information`; the solver is its analytic
-reference). Everything is plain numpy at dimension 3 or 9. The Bell
-states, coding unitaries, bases and control-pair decompositions are built
-and checked once, when the module is imported; the accessor functions
-return those stored read-only values, and all functions are pure.
+The nine dense coding unitaries |k> -> omega^(ik) |k+j>, the Bell states
+of two qutrits and the four mutually unbiased qutrit bases, plus a
+trigonometric real-cubic root solver for the paper's closed-form spectrum
+cubics (the ensemble spectrum itself comes from batched eigvalsh in
+`information`; the solver is its analytic reference). Everything is plain
+numpy at dimension 3 or 9. Only the coding unitaries write out the
+phase-and-shift convention: the Bell states here and Eve's probe states in
+`information` are derived from their stored stack, CODING_UNITARIES. The
+stack, Bell states, bases and control-pair decompositions are built and
+checked once, when the module is imported; the accessor functions return
+those stored read-only values, and all functions are pure.
 """
 
 from __future__ import annotations
@@ -55,19 +58,24 @@ def _pair_index(i: int, j: int) -> int:
     return 3 * int(i) + int(j)
 
 
-def _build_bell_states() -> np.ndarray:
-    states = np.zeros((9, 3, 3), dtype=np.complex128)
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                states[3 * i + j, k, (k + j) % 3] = OMEGA ** ((i * k) % 3) / math.sqrt(3.0)
-    _check_unitary("the Bell-state basis", states.reshape(9, 9))
-    states.setflags(write=False)
-    return states
+def _build_coding_unitary(i: int, j: int) -> np.ndarray:
+    m = np.zeros((3, 3), dtype=np.complex128)
+    for k in range(3):
+        m[(k + j) % 3, k] = OMEGA ** ((i * k) % 3)
+    _check_unitary(f"coding unitary ({i}, {j})", m)
+    return m
 
 
-# The nine entangled pair states, index 3i + j, each a (home, travel) array.
-BELL_STATES = _build_bell_states()
+# The nine dense-coding unitaries, index 3i + j, as one read-only stack.
+CODING_UNITARIES = np.stack([_build_coding_unitary(i, j) for i in range(3) for j in range(3)])
+CODING_UNITARIES.setflags(write=False)
+_CODING_UNITARIES = tuple(CODING_UNITARIES)
+
+# The nine entangled pair states, index 3i + j, each a (home, travel) array:
+# coding unitary 3i + j applied to the travel qutrit of bell_state(0, 0).
+BELL_STATES = CODING_UNITARIES.transpose(0, 2, 1) / math.sqrt(3.0)
+_check_unitary("the Bell-state basis", BELL_STATES.reshape(9, 9))
+BELL_STATES.setflags(write=False)
 
 
 def bell_state(i: int, j: int) -> np.ndarray:
@@ -78,18 +86,6 @@ def bell_state(i: int, j: int) -> np.ndarray:
     the nine states form an orthonormal basis of the pair space.
     """
     return BELL_STATES[_pair_index(i, j)]
-
-
-def _build_coding_unitary(i: int, j: int) -> np.ndarray:
-    m = np.zeros((3, 3), dtype=np.complex128)
-    for k in range(3):
-        m[(k + j) % 3, k] = OMEGA ** ((i * k) % 3)
-    _check_unitary(f"coding unitary ({i}, {j})", m)
-    m.setflags(write=False)
-    return m
-
-
-_CODING_UNITARIES = tuple(_build_coding_unitary(i, j) for i in range(3) for j in range(3))
 
 
 def coding_unitary(i: int, j: int) -> np.ndarray:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import qutrit_pingpong
+from qutrit_pingpong import cli
 from qutrit_pingpong.cli import main
 
 
@@ -78,6 +79,17 @@ def test_curve_constant_for_two_bigram_source(capsys):
     vals = [float(row.split(",")[1]) for row in rows]
     assert max(vals) - min(vals) < 1e-9
     assert all(abs(v - 0.5794) < 1e-4 for v in vals)
+
+
+def test_deterministic_source_prints_no_negative_zero(tmp_path, capsys):
+    path = tmp_path / "freq.json"
+    path.write_text(json.dumps({"p": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]}))
+    assert main(["entropy", "--freq", str(path)]) == 0
+    assert capsys.readouterr().out == "H = 0.0000 trit\nH = 0.0000 bit\n"
+    assert main(["curve", "--freq", str(path), "--points", "3"]) == 0
+    captured = capsys.readouterr()
+    assert [line.split(",")[1:] for line in captured.out.split("\n")[1:4]] == [["0", "0"]] * 3
+    assert captured.err.startswith("endpoints: I(0) = 0.0000, I(2/3) = 0.0000, source H = 0.0000")
 
 
 def test_curve_rejects_single_point(capsys):
@@ -207,6 +219,19 @@ def test_simulate_bad_config(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"cycles": 10}))
     assert main(["simulate", "--config", str(cfg_path)]) == 2
+
+
+def test_simulate_that_cannot_be_allocated_exits_2(tmp_path, capsys, monkeypatch):
+    def out_of_memory(config):
+        raise MemoryError("Unable to allocate 93.1 GiB for an array")
+
+    monkeypatch.setattr(cli, "run", out_of_memory)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"cycles": 100_000_000_000, "seed": 1}))
+    assert main(["simulate", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Unable to allocate 93.1 GiB for an array\n"
 
 
 _HUGE = 10**400  # a JSON integer literal too large for a float

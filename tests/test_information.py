@@ -72,6 +72,15 @@ def test_uniform_entropy_is_two_trits_exactly():
     assert source_entropy(FrequencyTable.uniform()).value == pytest.approx(2.0, abs=1e-14)
 
 
+def test_deterministic_source_gives_positive_zero():
+    freq = FrequencyTable(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    values = [source_entropy(freq).value, holevo_information(symmetric_column(0.3), freq).value]
+    values += [v for _, v in info_curve(freq, [0.0, 1.0 / 3.0, 2.0 / 3.0])]
+    for v in values:
+        assert v == 0.0
+        assert math.copysign(1.0, v) == 1.0
+
+
 def test_info_result_validation():
     with pytest.raises(ValueError):
         InfoResult(2.5)

@@ -17,7 +17,7 @@ from qutrit_pingpong.attack import (
     complete_circulant,
     symmetric_column,
 )
-from qutrit_pingpong.information import FREQUENCY_PRESETS, FrequencyTable
+from qutrit_pingpong.information import FREQUENCY_PRESETS, FrequencyTable, holevo_information
 from qutrit_pingpong.protocol import (
     ANCILLA_DIM,
     JointState,
@@ -499,3 +499,33 @@ def test_run_memory_is_one_byte_per_cycle_plus_one_block():
     assert report.outcomes.nbytes == cfg.cycles
     # the block's float64 uniforms and its searchsorted indices, with slack
     assert peak < cfg.cycles + 24 * _BLOCK
+
+
+def _von_neumann_trits(rho: np.ndarray) -> float:
+    lams = np.linalg.eigvalsh(rho)
+    lams = lams[lams > 0.0]
+    return float(-(lams * np.log(lams)).sum() / math.log(3.0))
+
+
+@pytest.mark.parametrize("name", sorted(FREQUENCY_PRESETS))
+def test_holevo_bound_matches_the_joint_state_for_z_columns(name):
+    """chi of Eve's travel-and-ancilla states, coded on the branch-attacked joint state."""
+    freq = FREQUENCY_PRESETS[name]
+    rng = np.random.default_rng(7)
+    columns = [symmetric_column(d) for d in np.linspace(0.0, 2.0 / 3.0, 9)]
+    for _ in range(20):
+        v = rng.normal(size=3) + 1j * rng.normal(size=3)
+        columns.append(AttackColumn(*(v / np.linalg.norm(v))))
+    for col in columns:
+        cfg = ProtocolConfig(cycles=1, seed=0, freq=freq, attack=ColumnAttack("z", col), ancilla="branch")
+        state = attack_state(cfg)
+        ensemble = np.zeros((27, 27), dtype=complex)
+        conditional = 0.0
+        for (i, j), p in np.ndenumerate(freq.p):
+            # home by (travel, ancilla); Eve holds travel and ancilla
+            a = apply_travel_unitary(state, coding_unitary(i, j)).amps.reshape(3, 27)
+            rho = a.T @ a.conj()
+            ensemble += p * rho
+            conditional += p * _von_neumann_trits(rho)
+        chi = _von_neumann_trits(ensemble) - conditional
+        assert abs(chi - holevo_information(col, freq).value) < 1e-10
