@@ -3,7 +3,8 @@
 the preset tables themselves, and the protocol comparison table.
 
 Writes CSV/JSON files into --out-dir (default ./exports). The curve CSVs
-carry full double precision so downstream plots reproduce exactly.
+carry full double precision so downstream plots reproduce exactly; their
+I0_bits column is the qutrit leak curve on the comparison table's bit axis.
 """
 
 import argparse
@@ -13,12 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qutrit_pingpong.comparison import (
-    comparison_curve_csv,
-    comparison_curve_data,
-    format_protocol_table,
-    protocol_table_json,
-)
+from qutrit_pingpong.comparison import format_protocol_table, protocol_table_json
 from qutrit_pingpong.information import FREQUENCY_PRESETS, curve_csv, info_curve, source_entropy
 
 
@@ -44,11 +40,9 @@ def main(argv=None) -> int:
         h = source_entropy(freq).value
         print(f"{name:11s} H = {h:.5f} trit  ->  {curve_path}")
 
-    cmp_path = out / "comparison_curve.csv"
-    cmp_path.write_text(comparison_curve_csv(comparison_curve_data()), encoding="utf-8")
     table_path = out / "protocol_table.json"
     table_path.write_text(protocol_table_json() + "\n", encoding="utf-8")
-    print(f"comparison  ->  {cmp_path}, {table_path}")
+    print(f"comparison  ->  {table_path}")
     print()
     print(format_protocol_table())
     return 0

@@ -5,8 +5,9 @@ Restricted to the basis the attack is expressed in, its effect is captured
 by a 3x3 coefficient matrix; the first column alone fixes the detection
 probability in that basis. This module provides the column/operator types,
 the circulant unitary completion of a column, the cross-representation
-moduli relation, blending of control-basis detection rates, and a bundled
-set of reference attack parameter rows with known detection probabilities.
+moduli relation, the check of control-basis weights and the blend of two
+control bases' detection rates by those weights, and a bundled set of
+reference attack parameter rows with known detection probabilities.
 """
 
 from __future__ import annotations
@@ -37,6 +38,29 @@ def is_finite_real(value) -> bool:
         return math.isfinite(value)
     except OverflowError:  # an integer too large for a float
         return False
+
+
+def _items(value) -> tuple:
+    """tuple(value), or () when value is not iterable."""
+    try:
+        return tuple(value)
+    except TypeError:
+        return ()
+
+
+def check_basis_weights(weights) -> tuple[float, float]:
+    """Control-basis weights (q_z, q_x) as two floats.
+
+    Raises ValueError unless weights holds two finite non-negative numbers,
+    not booleans, that sum to 1 within 1e-12.
+    """
+    pair = _items(weights)
+    if len(pair) != 2 or not all(is_finite_real(w) and w >= 0.0 for w in pair):
+        raise ValueError(f"basis_weights must be two non-negative numbers, got {weights!r}")
+    q_z, q_x = (float(w) for w in pair)
+    if abs(q_z + q_x - 1.0) > 1e-12:
+        raise ValueError(f"basis_weights must sum to 1, got {(q_z, q_x)!r}")
+    return q_z, q_x
 
 
 @dataclass(frozen=True)
@@ -221,45 +245,17 @@ def column_z_from_x(col_x: AttackColumn) -> tuple[float, float, float]:
     return (m0, m1, m2)
 
 
-@dataclass(frozen=True)
-class DetectionReport:
-    """Detection probabilities per control basis; unknown entries stay None.
+def blended_detection(rates, weights) -> float:
+    """Detection probability of a control mode mixing z and x rounds.
 
-    blended, when present, records ((q_z, q_x), d) for the two-basis control
-    mix and must agree with blended_detection on the same weights.
+    rates is (d_z, d_x), the detection probability of one control round in
+    each basis; weights is (q_z, q_x), checked as check_basis_weights does.
     """
-
-    d_z: float | None = None
-    d_x: float | None = None
-    d_v: float | None = None
-    d_t: float | None = None
-    blended: tuple[tuple[float, float], float] | None = None
-
-    def __post_init__(self):
-        for name in ("d_z", "d_x", "d_v", "d_t"):
-            val = getattr(self, name)
-            if val is None:
-                continue
-            if not (math.isfinite(val) and -1e-12 <= val <= 1.0 + 1e-12):
-                raise ValueError(f"{name} must be a probability, got {val!r}")
-        if self.blended is not None:
-            (q_z, q_x), d = self.blended
-            expected = blended_detection(self, q_z, q_x)
-            if abs(d - expected) > 1e-12:
-                raise ValueError(
-                    f"blended value {d!r} disagrees with the recomputed mix {expected!r}"
-                )
-
-
-def blended_detection(report: DetectionReport, q_z: float, q_x: float) -> float:
-    """Detection probability of a control mode mixing z and x rounds."""
-    if not (math.isfinite(q_z) and math.isfinite(q_x)):
-        raise ValueError("weights must be finite")
-    if q_z < 0.0 or q_x < 0.0 or abs(q_z + q_x - 1.0) > 1e-12:
-        raise ValueError(f"weights must be non-negative and sum to 1, got ({q_z!r}, {q_x!r})")
-    if report.d_z is None or report.d_x is None:
-        raise ValueError("blending needs both d_z and d_x")
-    return q_z * report.d_z + q_x * report.d_x
+    q_z, q_x = check_basis_weights(weights)
+    pair = _items(rates)
+    if len(pair) != 2 or not all(is_finite_real(d) and -1e-12 <= d <= 1.0 + 1e-12 for d in pair):
+        raise ValueError(f"rates must be two probabilities (d_z, d_x), got {rates!r}")
+    return q_z * pair[0] + q_x * pair[1]
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Command-line front end.
 
 Subcommands: entropy, curve, attack-verify, simulate, rounds, compare.
+compare prints only the variant table, as text or with --json as JSON; the
+qutrit variant's leak curve in bits is the I0_bits column of curve.
 Exit codes: 0 success, 2 bad input or usage (including a run too large
 to allocate), 3 numerical failure (including a failed reference
 verification).
@@ -15,12 +17,7 @@ import sys
 import numpy as np
 
 from .attack import verify_reference_attacks
-from .comparison import (
-    comparison_curve_csv,
-    comparison_curve_data,
-    format_protocol_table,
-    protocol_table_json,
-)
+from .comparison import format_protocol_table, protocol_table_json
 from .information import (
     FREQUENCY_PRESETS,
     TRIT_TO_BIT,
@@ -50,9 +47,9 @@ def _add_freq_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_freq(args) -> FrequencyTable:
-    if getattr(args, "freq", None):
+    if args.freq:
         return load_frequency_table(args.freq)
-    if getattr(args, "preset", None):
+    if args.preset:
         return FREQUENCY_PRESETS[args.preset]
     return FrequencyTable.uniform()
 
@@ -87,9 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="compare ping-pong protocol variants")
     p_cmp.add_argument("--json", action="store_true", help="emit the table as JSON")
-    p_cmp.add_argument("--curve-out", metavar="PATH", help="also write the qutrit leak curve CSV")
-    _add_freq_options(p_cmp)
-    p_cmp.add_argument("--points", type=int, default=67, help="curve grid size (default 67)")
 
     return parser
 
@@ -103,15 +97,11 @@ def _cmd_entropy(args) -> int:
     return 0
 
 
-def _grid(points: int) -> np.ndarray:
-    if points < 2:
-        raise ValueError(f"curve needs at least 2 points, got {points}")
-    return np.linspace(0.0, 2.0 / 3.0, points)
-
-
 def _cmd_curve(args) -> int:
     freq = _resolve_freq(args)
-    rows = info_curve(freq, _grid(args.points))
+    if args.points < 2:
+        raise ValueError(f"curve needs at least 2 points, got {args.points}")
+    rows = info_curve(freq, np.linspace(0.0, 2.0 / 3.0, args.points))
     text = curve_csv(rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -171,12 +161,7 @@ def _cmd_rounds(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    rows = comparison_curve_data(_resolve_freq(args), _grid(args.points)) if args.curve_out else None
     print(protocol_table_json() if args.json else format_protocol_table())
-    if rows is not None:
-        with open(args.curve_out, "w", encoding="utf-8") as fh:
-            fh.write(comparison_curve_csv(rows))
-        print(f"wrote {len(rows)} curve points to {args.curve_out}")
     return 0
 
 

@@ -4,9 +4,9 @@ Each variant is summarized by its carrier dimension, how many carriers a
 message block uses, the block capacity in bits, and the best and worst
 detection probabilities a single control round offers against a maximally
 extracting attack. Exact rationals keep the d_min = d_max / 2 structure
-visible. Curve data for the qutrit variant reuses the information module;
-the qubit-based rows are fixed reference parameters of the published
-variants, not recomputed here.
+visible. The qubit-based rows are fixed reference parameters of the
+published variants, not recomputed here; the qutrit variant's leak curve in
+bits is the I0_bits column of information.curve_csv (the `curve` command).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .information import FrequencyTable, TRIT_TO_BIT, info_curve
+from .information import TRIT_TO_BIT
 
 
 @dataclass(frozen=True)
@@ -53,27 +53,6 @@ def protocol_table() -> tuple[ProtocolDescriptor, ...]:
         ProtocolDescriptor("GHZ triplets of qubits", 2, 3, 3.0, Fraction(3, 4), Fraction(3, 8)),
         ProtocolDescriptor("GHZ quadruples of qubits", 2, 4, 4.0, Fraction(7, 8), Fraction(7, 16)),
     )
-
-
-def comparison_curve_data(freq: FrequencyTable | None = None, d_values=None) -> list[tuple[float, float]]:
-    """(detection, leaked bits) samples for the qutrit variant.
-
-    Same symmetric-attack sweep as info_curve, converted to bits so the
-    values sit on a common axis with the qubit variants' published curves.
-    """
-    if freq is None:
-        freq = FrequencyTable.uniform()
-    return [(d, v * TRIT_TO_BIT) for d, v in info_curve(freq, d_values)]
-
-
-def comparison_curve_csv(points) -> str:
-    """CSV text of comparison_curve_data points at 17 significant digits."""
-    lines = [
-        "# qubit-variant curves are published reference values, not recomputed here",
-        "d,qutrit_bits",
-    ]
-    lines.extend(f"{d:.17g},{bits:.17g}" for d, bits in points)
-    return "\n".join(lines) + "\n"
 
 
 def protocol_table_json() -> str:

@@ -99,14 +99,14 @@ def frequency_table_from_rows(rows, where: str) -> FrequencyTable:
 
 
 def load_frequency_table(path) -> FrequencyTable:
-    """Read a frequency table from JSON: {"p": [[...], [...], [...]]}."""
+    """Read a frequency table from JSON: {"p": [[...], [...], [...]]} and no other field."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"frequency file {path}: invalid JSON ({exc})") from exc
-    if not (isinstance(data, dict) and "p" in data):
-        raise ValueError(f"frequency file {path}: expected an object with a 'p' field")
+    if not (isinstance(data, dict) and set(data) == {"p"}):
+        raise ValueError(f"frequency file {path}: expected an object with a 'p' field and no other")
     return frequency_table_from_rows(data["p"], f"frequency file {path}: 'p'")
 
 

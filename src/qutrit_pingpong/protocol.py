@@ -30,6 +30,7 @@ from .attack import (
     SymmetricAttack,
     attack_from_dict,
     attack_to_dict,
+    check_basis_weights,
     circulant,
     complete_circulant,
     is_finite_real,
@@ -194,13 +195,7 @@ class ProtocolConfig:
         if not (is_finite_real(self.q) and 0.0 <= self.q <= 1.0):
             raise ValueError(f"q must be a number in [0, 1], got {self.q!r}")
         object.__setattr__(self, "q", float(self.q))
-        bw = tuple(self.basis_weights)
-        if len(bw) != 2 or any(not is_finite_real(w) or w < 0.0 for w in bw):
-            raise ValueError(f"basis_weights must be two non-negative numbers, got {self.basis_weights!r}")
-        bw = tuple(float(w) for w in bw)
-        if abs(bw[0] + bw[1] - 1.0) > 1e-12:
-            raise ValueError(f"basis_weights must sum to 1, got {bw!r}")
-        object.__setattr__(self, "basis_weights", bw)
+        object.__setattr__(self, "basis_weights", check_basis_weights(self.basis_weights))
         if self.ancilla not in ("branch", "none"):
             raise ValueError(f"ancilla mode must be 'branch' or 'none', got {self.ancilla!r}")
 

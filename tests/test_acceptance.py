@@ -11,7 +11,6 @@ import numpy as np
 
 from qutrit_pingpong.attack import (
     AttackColumn,
-    DetectionReport,
     SymmetricAttack,
     blended_detection,
     verify_reference_attacks,
@@ -184,7 +183,6 @@ def test_criterion_7_simulator_agrees_with_analysis():
 
 def test_criterion_8_control_mode_bookkeeping():
     with criterion("blended two-basis control rate and 99% confidence round count"):
-        report = DetectionReport(d_z=0.0, d_x=2.0 / 3.0)
-        mixed = blended_detection(report, 0.5, 0.5)
+        mixed = blended_detection((0.0, 2.0 / 3.0), (0.5, 0.5))
         assert abs(mixed - 1.0 / 3.0) < 1e-12
         assert rounds_for_confidence(1.0 / 3.0, 0.99) == 12

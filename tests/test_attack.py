@@ -11,7 +11,6 @@ from qutrit_pingpong.attack import (
     AttackColumn,
     AttackOperator,
     ColumnAttack,
-    DetectionReport,
     NoAttack,
     SymmetricAttack,
     attack_from_dict,
@@ -281,41 +280,41 @@ def test_reference_rows_saturate_one_basis():
 
 
 def test_blended_detection_mixes_rates():
-    rep = DetectionReport(d_z=0.0, d_x=2.0 / 3.0)
-    assert abs(blended_detection(rep, 0.5, 0.5) - 1.0 / 3.0) < 1e-15
+    assert abs(blended_detection((0.0, 2.0 / 3.0), (0.5, 0.5)) - 1.0 / 3.0) < 1e-15
 
 
 def test_blended_detection_saturated_and_silent_cases():
-    full = DetectionReport(d_z=2.0 / 3.0, d_x=2.0 / 3.0)
     for q_z in (0.0, 0.3, 1.0):
-        assert abs(blended_detection(full, q_z, 1.0 - q_z) - 2.0 / 3.0) < 1e-15
-    silent = DetectionReport(d_z=0.0, d_x=0.0)
-    assert blended_detection(silent, 0.5, 0.5) == 0.0
+        assert abs(blended_detection((2.0 / 3.0, 2.0 / 3.0), (q_z, 1.0 - q_z)) - 2.0 / 3.0) < 1e-15
+    assert blended_detection((0.0, 0.0), (0.5, 0.5)) == 0.0
 
 
-def test_blended_detection_validates_weights():
-    rep = DetectionReport(d_z=0.1, d_x=0.2)
+@pytest.mark.parametrize(
+    "rates,weights",
+    [
+        ((0.1, 0.2), (0.7, 0.7)),
+        ((0.1, 0.2), (-0.5, 1.5)),
+        ((0.1, 0.2), (True, False)),
+        ((0.1, 0.2), ("0.5", 0.5)),
+        ((0.1, 0.2), (10**400, 0)),
+        ((1.5, 0.2), (0.5, 0.5)),
+        ((True, 0.2), (0.5, 0.5)),
+        ((0.1,), (0.5, 0.5)),
+    ],
+    ids=[
+        "weights-sum-above-1",
+        "negative-weight",
+        "boolean-weights",
+        "string-weight",
+        "huge-integer-weight",
+        "rate-above-1",
+        "boolean-rate",
+        "one-rate",
+    ],
+)
+def test_blended_detection_validates_weights(rates, weights):
     with pytest.raises(ValueError):
-        blended_detection(rep, 0.7, 0.7)
-    with pytest.raises(ValueError):
-        blended_detection(rep, -0.5, 1.5)
-
-
-def test_blended_detection_needs_both_rates():
-    with pytest.raises(ValueError):
-        blended_detection(DetectionReport(d_z=0.1), 0.5, 0.5)
-
-
-def test_detection_report_checks_blended_consistency():
-    with pytest.raises(ValueError):
-        DetectionReport(d_z=0.0, d_x=2.0 / 3.0, blended=((0.5, 0.5), 0.5))
-    rep = DetectionReport(d_z=0.0, d_x=2.0 / 3.0, blended=((0.5, 0.5), 1.0 / 3.0))
-    assert rep.blended[1] == pytest.approx(1.0 / 3.0)
-
-
-def test_detection_report_rejects_non_probability():
-    with pytest.raises(ValueError):
-        DetectionReport(d_z=1.5)
+        blended_detection(rates, weights)
 
 
 def test_attack_spec_round_trips():

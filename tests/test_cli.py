@@ -13,6 +13,7 @@ import pytest
 import qutrit_pingpong
 from qutrit_pingpong import cli
 from qutrit_pingpong.cli import main
+from qutrit_pingpong.information import TRIT_TO_BIT
 
 
 def test_entropy_preset(capsys):
@@ -64,13 +65,19 @@ def test_entropy_two_bigram_value(capsys):
 
 
 def test_curve_endpoint_values(capsys):
-    assert main(["curve", "--points", "67"]) == 0
+    assert main(["curve", "--preset", "uniform", "--points", "67"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert len(lines) == 68
-    last = [float(x) for x in lines[-1].split(",")]
+    rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+    first, last = rows[0], rows[-1]
+    assert first[0] == 0.0
+    # an invisible attack still leaks one trit of the uniform source
+    assert abs(first[2] - TRIT_TO_BIT) < 1e-9
     assert abs(last[0] - 2.0 / 3.0) < 1e-12
     assert abs(last[1] - 2.0) < 1e-9
     assert abs(last[2] - 3.1699) < 1e-4
+    assert abs(last[2] - 2.0 * TRIT_TO_BIT) < 1e-9
+    assert all(a[0] < b[0] for a, b in zip(rows, rows[1:]))
 
 
 def test_curve_constant_for_two_bigram_source(capsys):
@@ -253,6 +260,7 @@ _HUGE = 10**400  # a JSON integer literal too large for a float
         ("entropy", {"p": [[True, False, False], [False] * 3, [False] * 3]}),
         ("entropy", {"p": [["0.5", 0.5, 0], [0, 0, 0], [0, 0, 0]]}),
         ("rounds", "1e-320"),
+        ("entropy", {"p": [[1 / 9] * 3] * 3, "note": 1}),
     ],
 )
 def test_malformed_input_exits_2_with_an_error_line(tmp_path, capsys, command, payload):
@@ -286,21 +294,10 @@ def test_compare_json(capsys):
     assert rows[0]["d_max"] == [2, 3]
 
 
-def test_compare_curve_out(tmp_path, capsys):
+def test_compare_keeps_only_the_table(tmp_path, capsys):
     path = tmp_path / "cmp.csv"
-    assert main(["compare", "--curve-out", str(path), "--points", "5"]) == 0
-    lines = path.read_text().strip().split("\n")
-    assert lines[0].startswith("#")
-    assert lines[1] == "d,qutrit_bits"
-    assert len(lines) == 7
-
-
-def test_compare_rejects_short_curve_before_printing(tmp_path, capsys):
-    path = tmp_path / "cmp.csv"
-    assert main(["compare", "--curve-out", str(path), "--points", "1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "at least 2 points" in captured.err
+    assert main(["compare", "--curve-out", str(path)]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
     assert not path.exists()
 
 

@@ -175,6 +175,8 @@ def test_no_attack_state_is_initial():
         {"cycles": 10, "seed": 1, "basis_weights": (-0.5, 1.5)},
         {"cycles": 10, "seed": 1, "ancilla": "probe"},
         {"cycles": True, "seed": 1},
+        {"cycles": 1, "seed": 0, "basis_weights": 5},
+        {"cycles": 1, "seed": 0, "basis_weights": None},
     ],
 )
 def test_config_validation(kwargs):

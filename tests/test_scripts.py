@@ -27,7 +27,7 @@ def _run_script(name: str, *args: str) -> subprocess.CompletedProcess:
 def test_export_curves_writes_every_product(tmp_path):
     proc = _run_script("export_curves.py", "--out-dir", str(tmp_path), "--points", "5")
     assert proc.returncode == 0, proc.stderr
-    expected = {"comparison_curve.csv", "protocol_table.json"}
+    expected = {"protocol_table.json"}
     for name in FREQUENCY_PRESETS:
         expected |= {f"curve_{name}.csv", f"freq_{name}.json"}
         lines = (tmp_path / f"curve_{name}.csv").read_text().splitlines()
