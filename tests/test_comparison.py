@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qutrit_pingpong.comparison import ProtocolDescriptor, format_protocol_table, protocol_table
+from qutrit_pingpong.information import TRIT_TO_BIT, FrequencyTable, info_curve
 
 
 def test_table_has_four_variants():
@@ -55,6 +56,28 @@ def test_descriptor_enforces_half_ratio():
 def test_descriptor_rejects_nonpositive_capacity():
     with pytest.raises(ValueError):
         ProtocolDescriptor("bad", 2, 2, 0.0, Fraction(1, 2), Fraction(1, 4))
+
+
+def _qutrit_curve_bits():
+    # the qutrit variant's leak curve on the comparison's common axis of bits
+    return [(d, trits * TRIT_TO_BIT) for d, trits in info_curve(FrequencyTable.uniform())]
+
+
+def test_curve_data_tops_out_at_full_capacity():
+    data = _qutrit_curve_bits()
+    d_last, bits_last = data[-1]
+    assert d_last == pytest.approx(2.0 / 3.0)
+    assert bits_last == pytest.approx(2.0 * TRIT_TO_BIT, abs=1e-9)
+
+
+def test_curve_data_endpoints_and_order():
+    data = _qutrit_curve_bits()
+    assert len(data) == 67
+    d_first, bits_first = data[0]
+    assert d_first == 0.0
+    # an invisible attack still leaks one trit of the uniform source
+    assert bits_first == pytest.approx(TRIT_TO_BIT, abs=1e-9)
+    assert all(a[0] < b[0] for a, b in zip(data, data[1:]))
 
 
 def test_formatted_table_lists_every_variant():
