@@ -17,9 +17,11 @@ from qutrit_pingpong.attack import (
     complete_circulant,
     symmetric_column,
 )
-from qutrit_pingpong.information import FREQUENCY_PRESETS, FrequencyTable, holevo_information
+from qutrit_pingpong.information import FREQUENCY_PRESETS, holevo_information
 from qutrit_pingpong.protocol import (
     ANCILLA_DIM,
+    CONTROL_BASES,
+    TRANSCRIPT_HEADER,
     JointState,
     ProtocolConfig,
     apply_branch_attack,
@@ -409,6 +411,42 @@ def test_transcript_rows(tmp_path):
     for line in message[:5]:
         sent, decoded = line.split(",")[6:8]
         assert len(sent) == 2 and len(decoded) == 2
+
+
+def _formatted_transcript(codes) -> bytes:
+    """The per-row f-string formatter that the byte writer replaced, kept as its reference."""
+    tails = [
+        f"control,{basis},{a},{b},{int((a, b) not in control_correlations(basis).allowed_pairs())},,"
+        for basis in CONTROL_BASES for a in range(3) for b in range(3)
+    ]
+    bigrams = [f"{i}{j}" for i in range(3) for j in range(3)]
+    tails += [f"message,,,,,{sent},{decoded}" for sent in bigrams for decoded in bigrams]
+    rows = "".join(f"{cycle},{tails[code]}\n" for cycle, code in enumerate(bytes(codes), start=1))
+    return (TRANSCRIPT_HEADER + "\n" + rows).encode("utf-8")
+
+
+@pytest.mark.parametrize("cycles", [1, 9, 10, 99, 100, 4095, 4096, 4097, 9999, 10000, 100001])
+def test_transcript_matches_the_row_formatter(cycles, tmp_path):
+    """Every digit width up to 6 and the edges of the 2**12-cycle blocks, over all 99 codes."""
+    codes = (np.arange(cycles) % 99).astype(np.uint8)
+    path = tmp_path / "transcript.csv"
+    write_transcript(codes, path)
+    assert path.read_bytes() == _formatted_transcript(codes)
+
+
+def test_transcript_memory_stays_that_of_one_block(tmp_path):
+    cycles = 1_000_000
+    codes = (np.arange(cycles) % 99).astype(np.uint8)
+    path = tmp_path / "transcript.csv"
+    tracemalloc.start()
+    try:
+        write_transcript(codes, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size == len(TRANSCRIPT_HEADER) + 1 + sum(len(str(c)) + 19 for c in range(1, cycles + 1))
+    # one block's rows and int64 temporaries; a copy of the 1 MB of codes would not fit
+    assert peak < 500_000
 
 
 def test_report_json_shape():
