@@ -1,127 +1,4 @@
-"""Qutrit ping-pong protocol: coding algebra, attack analysis, simulation."""
-
-from .attack import (
-    AttackColumn,
-    AttackOperator,
-    ColumnAttack,
-    NoAttack,
-    ReferenceAttack,
-    REFERENCE_ATTACKS,
-    SymmetricAttack,
-    attack_from_dict,
-    attack_to_dict,
-    blended_detection,
-    column_z_from_x,
-    complete_circulant,
-    detection_from_column,
-    normalized_column,
-    symmetric_column,
-    verify_reference_attacks,
-)
-from .comparison import (
-    ProtocolDescriptor,
-    format_protocol_table,
-    protocol_table,
-)
-from .information import (
-    FREQUENCY_PRESETS,
-    TRIT_TO_BIT,
-    DensityMatrix9,
-    FrequencyTable,
-    InfoResult,
-    assemble_rho,
-    cubic_coefficients,
-    factorized_eigenvalues,
-    holevo_information,
-    info_curve,
-    load_frequency_table,
-    source_entropy,
-)
-from .protocol import (
-    JointState,
-    ProtocolConfig,
-    RunReport,
-    apply_branch_attack,
-    apply_travel_unitary,
-    attack_state,
-    control_distribution,
-    decode_distribution,
-    detection_probability,
-    initial_state,
-    load_protocol_config,
-    outcome_distribution,
-    rounds_for_confidence,
-    run,
-    write_transcript,
-)
-from .qutrit import (
-    BASIS_LABELS,
-    OMEGA,
-    PARTNER_BASIS,
-    NumericalError,
-    bell_state,
-    coding_unitary,
-    control_correlations,
-    mub,
-    solve_cubic,
-)
+"""Qutrit ping-pong protocol. Import from its modules, which the package does
+not re-export: qutrit, attack, information, protocol, comparison and cli."""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AttackColumn",
-    "AttackOperator",
-    "BASIS_LABELS",
-    "ColumnAttack",
-    "DensityMatrix9",
-    "FREQUENCY_PRESETS",
-    "FrequencyTable",
-    "InfoResult",
-    "JointState",
-    "NoAttack",
-    "NumericalError",
-    "OMEGA",
-    "PARTNER_BASIS",
-    "ProtocolConfig",
-    "ProtocolDescriptor",
-    "REFERENCE_ATTACKS",
-    "ReferenceAttack",
-    "RunReport",
-    "SymmetricAttack",
-    "TRIT_TO_BIT",
-    "apply_branch_attack",
-    "apply_travel_unitary",
-    "assemble_rho",
-    "attack_from_dict",
-    "attack_state",
-    "attack_to_dict",
-    "bell_state",
-    "blended_detection",
-    "coding_unitary",
-    "column_z_from_x",
-    "complete_circulant",
-    "control_correlations",
-    "control_distribution",
-    "cubic_coefficients",
-    "decode_distribution",
-    "detection_from_column",
-    "detection_probability",
-    "factorized_eigenvalues",
-    "format_protocol_table",
-    "holevo_information",
-    "info_curve",
-    "initial_state",
-    "load_frequency_table",
-    "load_protocol_config",
-    "mub",
-    "normalized_column",
-    "outcome_distribution",
-    "protocol_table",
-    "rounds_for_confidence",
-    "run",
-    "solve_cubic",
-    "source_entropy",
-    "symmetric_column",
-    "verify_reference_attacks",
-    "write_transcript",
-]

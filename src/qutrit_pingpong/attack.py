@@ -7,18 +7,20 @@ probability in that basis. This module provides the column/operator types,
 the circulant unitary completion of a column, the cross-representation
 moduli relation, the check of control-basis weights and the blend of two
 control bases' detection rates by those weights, and a bundled set of
-reference attack parameter rows with known detection probabilities.
+reference attack parameter rows with known detection probabilities, plus
+the checks of JSON input that the file loaders share.
 """
 
 from __future__ import annotations
 
 import cmath
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qutrit import BASIS_LABELS, NumericalError, mub
+from .qutrit import NumericalError, check_basis, mub
 
 # Attack-operator constraints (normalization, unitarity, moduli pattern)
 # are enforced at this scale; reference data is only six digits deep.
@@ -38,6 +40,23 @@ def is_finite_real(value) -> bool:
         return math.isfinite(value)
     except OverflowError:  # an integer too large for a float
         return False
+
+
+def read_json(path, what: str):
+    """The parsed JSON file at path; invalid or too deeply nested JSON raises
+    ValueError naming the file as what, e.g. "config file"."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ValueError(f"{what} {path}: invalid JSON ({exc})") from exc
+
+
+def reject_extra_fields(data: dict, allowed: set, what: str) -> None:
+    """Raise ValueError naming the keys of a JSON object outside allowed."""
+    extra = set(data) - allowed
+    if extra:
+        raise ValueError(f"unexpected {what} fields: {sorted(extra)}")
 
 
 def _items(value) -> tuple:
@@ -154,8 +173,7 @@ class AttackOperator:
             raise ValueError(f"attack matrix must be 3x3, got {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("attack matrix must be finite")
-        if self.representation not in BASIS_LABELS:
-            raise ValueError(f"unknown representation {self.representation!r}")
+        check_basis(self.representation)
         residual = np.abs(arr.conj().T @ arr - np.eye(3)).max()
         if residual > CONSTRAINT_TOL:
             raise ValueError(f"attack matrix is not unitary, residual {residual:.3e}")
@@ -197,8 +215,7 @@ def complete_circulant(col: AttackColumn, representation: str = "z") -> AttackOp
     pattern hold exactly. Raises NumericalError, naming the violated
     triangle inequality, when the links miss closing by more than 1e-10.
     """
-    if representation not in BASIS_LABELS:
-        raise ValueError(f"unknown representation {representation!r}")
+    check_basis(representation)
     # Rescaled to unit sum, so that the column's norm error (up to
     # CONSTRAINT_TOL) cannot add to the result's unitarity residual.
     moduli = col.moduli_squared()
@@ -310,12 +327,16 @@ class ReferenceCheck:
     passed: bool
 
 
-def verify_reference_attacks(tolerance: float = 5e-5) -> list[ReferenceCheck]:
+# The reference rows are tabulated to six digits.
+REFERENCE_TOL = 5e-5
+
+
+def verify_reference_attacks() -> list[ReferenceCheck]:
     """Recompute (d_x, d_z) for every bundled reference row.
 
     d_x follows from the column directly, d_z from the cross-representation
     moduli relation. The deviation is the larger of the two absolute errors
-    against the tabulated values.
+    against the tabulated values; a row passes within REFERENCE_TOL.
     """
     checks = []
     for row in REFERENCE_ATTACKS:
@@ -324,7 +345,7 @@ def verify_reference_attacks(tolerance: float = 5e-5) -> list[ReferenceCheck]:
         m0, _, _ = column_z_from_x(col)
         d_z = 1.0 - m0
         deviation = max(abs(d_x - row.d_x), abs(d_z - row.d_z))
-        checks.append(ReferenceCheck(row, d_x, d_z, deviation, deviation <= tolerance))
+        checks.append(ReferenceCheck(row, d_x, d_z, deviation, deviation <= REFERENCE_TOL))
     return checks
 
 
@@ -354,8 +375,7 @@ class ColumnAttack:
     column: AttackColumn
 
     def __post_init__(self):
-        if self.basis not in BASIS_LABELS:
-            raise ValueError(f"unknown basis {self.basis!r}")
+        check_basis(self.basis)
 
 
 AttackSpec = NoAttack | SymmetricAttack | ColumnAttack
@@ -367,10 +387,10 @@ def attack_from_dict(data: dict) -> AttackSpec:
         raise ValueError("attack specification must be a JSON object")
     kind = data.get("type")
     if kind == "none":
-        _reject_extra_keys(data, {"type"})
+        reject_extra_fields(data, {"type"}, "attack")
         return NoAttack()
     if kind == "symmetric":
-        _reject_extra_keys(data, {"type", "d_z"})
+        reject_extra_fields(data, {"type", "d_z"}, "attack")
         if "d_z" not in data:
             raise ValueError("symmetric attack needs a d_z field")
         d_z = data["d_z"]
@@ -378,10 +398,8 @@ def attack_from_dict(data: dict) -> AttackSpec:
             raise ValueError("d_z must be a finite number")
         return SymmetricAttack(float(d_z))
     if kind == "column":
-        _reject_extra_keys(data, {"type", "basis", "values"})
+        reject_extra_fields(data, {"type", "basis", "values"}, "attack")
         basis = data.get("basis")
-        if not isinstance(basis, str):
-            raise ValueError("column attack needs a basis label")
         values = data.get("values")
         if not (isinstance(values, list) and len(values) == 3):
             raise ValueError("column attack needs exactly three [re, im] pairs")
@@ -393,14 +411,8 @@ def attack_from_dict(data: dict) -> AttackSpec:
             if not (is_finite_real(re) and is_finite_real(im)):
                 raise ValueError("column values must be finite numbers")
             entries.append(complex(float(re), float(im)))
-        return ColumnAttack(basis.lower(), AttackColumn(*entries))
+        return ColumnAttack(basis.lower() if isinstance(basis, str) else basis, AttackColumn(*entries))
     raise ValueError(f"unknown attack type {kind!r}")
-
-
-def _reject_extra_keys(data: dict, allowed: set) -> None:
-    extra = set(data) - allowed
-    if extra:
-        raise ValueError(f"unexpected attack fields: {sorted(extra)}")
 
 
 def attack_to_dict(attack: AttackSpec) -> dict:

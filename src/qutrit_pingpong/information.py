@@ -18,13 +18,12 @@ each route can check the other.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attack import AttackColumn, is_finite_real
+from .attack import AttackColumn, is_finite_real, read_json
 from .qutrit import ALGEBRAIC_TOL, CODING_UNITARIES, OMEGA, NumericalError
 
 TRIT_TO_BIT = math.log2(3.0)
@@ -100,11 +99,7 @@ def frequency_table_from_rows(rows, where: str) -> FrequencyTable:
 
 def load_frequency_table(path) -> FrequencyTable:
     """Read a frequency table from JSON: {"p": [[...], [...], [...]]} and no other field."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"frequency file {path}: invalid JSON ({exc})") from exc
+    data = read_json(path, "frequency file")
     if not (isinstance(data, dict) and set(data) == {"p"}):
         raise ValueError(f"frequency file {path}: expected an object with a 'p' field and no other")
     return frequency_table_from_rows(data["p"], f"frequency file {path}: 'p'")

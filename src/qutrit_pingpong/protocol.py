@@ -36,6 +36,8 @@ from .attack import (
     circulant,
     complete_circulant,
     is_finite_real,
+    read_json,
+    reject_extra_fields,
 )
 from .information import FREQUENCY_PRESETS, FrequencyTable, frequency_table_from_rows
 from .qutrit import (
@@ -44,6 +46,7 @@ from .qutrit import (
     CODING_UNITARIES,
     _pair_index,
     bell_state,
+    check_basis,
     control_correlations,
     mub,
 )
@@ -143,9 +146,7 @@ def control_distribution(state: JointState, alice_basis: str) -> np.ndarray:
     travelling qutrit and the sender sees b on the home qutrit, measured
     in the partner basis of control_correlations(alice_basis).
     """
-    if alice_basis not in BASIS_LABELS:
-        raise ValueError(f"unknown basis {alice_basis!r}")
-    return _born(_CONTROL_MAP[BASIS_LABELS.index(alice_basis)], state).reshape(3, 3)
+    return _born(_CONTROL_MAP[BASIS_LABELS.index(check_basis(alice_basis))], state).reshape(3, 3)
 
 
 def detection_probability(state: JointState, alice_basis: str) -> float:
@@ -217,9 +218,7 @@ class ProtocolConfig:
         if not isinstance(data, dict):
             raise ValueError("config must be a JSON object")
         known = {"cycles", "seed", "freq", "attack", "q", "basis_weights", "ancilla"}
-        extra = set(data) - known
-        if extra:
-            raise ValueError(f"unexpected config fields: {sorted(extra)}")
+        reject_extra_fields(data, known, "config")
         for name in ("cycles", "seed"):
             if name not in data:
                 raise ValueError(f"config needs a {name!r} field")
@@ -245,12 +244,7 @@ class ProtocolConfig:
 
 
 def load_protocol_config(path) -> ProtocolConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"config file {path}: invalid JSON ({exc})") from exc
-    return ProtocolConfig.from_dict(data)
+    return ProtocolConfig.from_dict(read_json(path, "config file"))
 
 
 def attack_state(config: ProtocolConfig) -> JointState:

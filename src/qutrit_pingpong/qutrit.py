@@ -1,16 +1,14 @@
 """Qutrit-pair algebra and the small dense numerics it rests on.
 
 The nine dense coding unitaries |k> -> omega^(ik) |k+j>, the Bell states
-of two qutrits and the four mutually unbiased qutrit bases, plus a
-trigonometric real-cubic root solver for the paper's closed-form spectrum
-cubics (the ensemble spectrum itself comes from batched eigvalsh in
-`information`; the solver is its analytic reference). Everything is plain
-numpy at dimension 3 or 9. Only the coding unitaries write out the
-phase-and-shift convention: the Bell states here and Eve's probe states in
-`information` are derived from their stored stack, CODING_UNITARIES. The
-stack, Bell states, bases and control-pair decompositions are built and
-checked once, when the module is imported; the accessor functions return
-those stored read-only values, and all functions are pure.
+of two qutrits, the four mutually unbiased bases with their lower-case
+labels (z, x, v, t) and the control-pair decompositions, all plain numpy,
+built and checked once at import; the accessors return these read-only
+values. Only the coding unitaries write out the phase-and-shift
+convention: the Bell states and Eve's probe states in `information` come
+from their stack, CODING_UNITARIES. check_basis is the one check of a
+basis label. solve_cubic, a real-cubic root solver, is the analytic
+reference for the spectrum cubics. All functions are pure.
 """
 
 from __future__ import annotations
@@ -28,6 +26,14 @@ OMEGA = cmath.exp(2j * math.pi / 3)
 ALGEBRAIC_TOL = 1e-12
 
 BASIS_LABELS = ("z", "x", "v", "t")
+
+
+def check_basis(label) -> str:
+    """label, if it is one of the lower-case BASIS_LABELS; else ValueError."""
+    if not (isinstance(label, str) and label in BASIS_LABELS):
+        raise ValueError(f"unknown basis label {label!r}, expected one of {BASIS_LABELS}")
+    return label
+
 
 # Which basis Bob must read out so that an honest control round is perfectly
 # correlated with Alice's result.
@@ -121,12 +127,9 @@ def mub(label: str) -> np.ndarray:
     Fourier conjugate, x_a = (|0> + w^a |1> + w^(2a) |2>)/sqrt(3) with
     w = OMEGA. v and t single out one component with a phase: v_b has omega
     on entry b and ones elsewhere, t_b the complex conjugate pattern. Every
-    cross-basis overlap has squared modulus 1/3. The label is case-insensitive.
+    cross-basis overlap has squared modulus 1/3.
     """
-    lbl = str(label).lower()
-    if lbl not in _MUBS:
-        raise ValueError(f"unknown basis label {label!r}, expected one of {BASIS_LABELS}")
-    return _MUBS[lbl]
+    return _MUBS[check_basis(label)]
 
 
 @dataclass(frozen=True)
@@ -169,10 +172,7 @@ def control_correlations(alice_basis: str) -> BasisPairDecomposition:
     state bell_state(0, 0) then splits into three product terms of amplitude
     1/sqrt(3); the pairs are computed from the stored bases, not hardcoded.
     """
-    lbl = str(alice_basis).lower()
-    if lbl not in _CONTROL_CORRELATIONS:
-        raise ValueError(f"unknown basis label {alice_basis!r}")
-    return _CONTROL_CORRELATIONS[lbl]
+    return _CONTROL_CORRELATIONS[check_basis(alice_basis)]
 
 
 def solve_cubic(c2: float, c1: float, c0: float) -> tuple[float, float, float]:

@@ -64,10 +64,11 @@ def test_criterion_1_source_entropies():
 
 def test_criterion_2_reference_attack_rows():
     with criterion("18 bundled attack rows reproduce tabulated detection values (5e-5)"):
-        checks = verify_reference_attacks(tolerance=5e-5)
+        checks = verify_reference_attacks()
         assert len(checks) == 18
         bad = [c for c in checks if not c.passed]
         assert not bad, [(c.row, c.deviation) for c in bad]
+        assert max(c.deviation for c in checks) <= 5e-5
 
 
 def test_criterion_3_protocol_comparison_rationals():

@@ -349,6 +349,7 @@ def test_column_attack_validates_basis():
         {"type": "symmetric", "d_z": "big"},
         {"type": "symmetric", "d_z": 0.1, "stray": 1},
         {"type": "column", "basis": "z"},
+        {"type": "column", "values": [[1, 0], [0, 0], [0, 0]]},
         {"type": "column", "basis": "z", "values": [[1, 0], [0, 0]]},
         {"type": "column", "basis": "z", "values": [[1, 0], [0, 0], ["x", 0]]},
         {"type": "none", "extra": True},

@@ -280,6 +280,18 @@ def test_malformed_input_exits_2_with_an_error_line(tmp_path, capsys, command, p
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("command,option", [("entropy", "--freq"), ("simulate", "--config")])
+def test_deeply_nested_json_exits_2_with_an_error_line(tmp_path, capsys, command, option):
+    # Written by hand: json.dumps itself cannot nest this deep.
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    assert main([command, option, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert f"{path}: invalid JSON (" in captured.err
+
+
 def test_compare_text(capsys):
     assert main(["compare"]) == 0
     out = capsys.readouterr().out
