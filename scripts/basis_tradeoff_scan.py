@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from qutrit_pingpong.attack import AttackColumn, ColumnAttack, column_z_from_x
-from qutrit_pingpong.protocol import ProtocolConfig, attack_state, detection_probability
+from qutrit_pingpong.protocol import attack_state, detection_probability
 from qutrit_pingpong.qutrit import mub
 
 
@@ -64,8 +64,7 @@ def main(argv=None) -> int:
         relation_dz = 1.0 - m0
         row = [own, relation_dz]
         for ancilla in ("none", "branch"):
-            cfg = ProtocolConfig(cycles=1, seed=0, attack=ColumnAttack("x", col), ancilla=ancilla)
-            state = attack_state(cfg)
+            state = attack_state(ColumnAttack("x", col), ancilla)
             for b in bases:
                 row.append(detection_probability(state, b))
         rows.append(row)

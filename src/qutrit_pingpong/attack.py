@@ -1,14 +1,14 @@
 """Eavesdropper attack model.
 
 An individual attack entangles each travelling qutrit with a fresh ancilla.
-Restricted to the basis the attack is expressed in, its effect is captured
-by a 3x3 coefficient matrix; the first column alone fixes the detection
-probability in that basis. This module provides the column/operator types,
-the circulant unitary completion of a column, the cross-representation
-moduli relation, the check of control-basis weights and the blend of two
-control bases' detection rates by those weights, and a bundled set of
-reference attack parameter rows with known detection probabilities, plus
-the checks of JSON input that the file loaders share.
+Restricted to the basis the attack is expressed in, its effect is a 3x3
+coefficient matrix whose first column alone fixes the detection probability
+in that basis. This module provides the column and operator types, the
+circulant completion of a column, the cross-representation moduli relation,
+the check and blend of control-basis weights, bundled reference attack rows
+with known detection probabilities, and the JSON input checks the file
+loaders share. The completion and the information bounds take a column's
+squared moduli from AttackColumn.moduli_squared(), at unit sum.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qutrit import NumericalError, check_basis, mub
+from .qutrit import NumericalError, check_basis, check_unitary, frozen_array, mub
 
 # Attack-operator constraints (normalization, unitarity, moduli pattern)
 # are enforced at this scale; reference data is only six digits deep.
@@ -110,19 +110,18 @@ class AttackColumn:
         return np.array([self.c0, self.c1, self.c2], dtype=np.complex128)
 
     def moduli_squared(self) -> tuple[float, float, float]:
-        return (abs(self.c0) ** 2, abs(self.c1) ** 2, abs(self.c2) ** 2)
+        """The squared moduli over their sum, which absorbs the norm slack of up to CONSTRAINT_TOL."""
+        moduli = (abs(self.c0) ** 2, abs(self.c1) ** 2, abs(self.c2) ** 2)
+        return tuple(t / sum(moduli) for t in moduli)
 
 
 def normalized_column(c0, c1, c2) -> AttackColumn:
     """Build an AttackColumn from unnormalized entries by rescaling."""
-    v = np.array([c0, c1, c2], dtype=np.complex128)
-    if not np.isfinite(v).all():
-        raise ValueError("column entries must be finite")
+    v = frozen_array([c0, c1, c2], (3,), "column entries")
     norm = float(np.linalg.norm(v))
     if norm < 1e-6:
         raise ValueError("column entries are too close to zero to normalize")
-    v = v / norm
-    return AttackColumn(complex(v[0]), complex(v[1]), complex(v[2]))
+    return AttackColumn(*(v / norm).tolist())
 
 
 def detection_from_column(col: AttackColumn) -> float:
@@ -168,15 +167,9 @@ class AttackOperator:
     representation: str
 
     def __post_init__(self):
-        arr = np.asarray(self.m, dtype=np.complex128)
-        if arr.shape != (3, 3):
-            raise ValueError(f"attack matrix must be 3x3, got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("attack matrix must be finite")
+        arr = frozen_array(self.m, (3, 3), "attack matrix")
         check_basis(self.representation)
-        residual = np.abs(arr.conj().T @ arr - np.eye(3)).max()
-        if residual > CONSTRAINT_TOL:
-            raise ValueError(f"attack matrix is not unitary, residual {residual:.3e}")
+        check_unitary("attack matrix", arr, CONSTRAINT_TOL)
         mods = np.abs(arr) ** 2
         for group in _MIXEDNESS_GROUPS:
             vals = [mods[idx] for idx in group]
@@ -185,8 +178,6 @@ class AttackOperator:
                     "attack matrix does not preserve complete mixedness: "
                     f"squared moduli {vals} differ along a broken diagonal"
                 )
-        arr = arr.copy()
-        arr.setflags(write=False)
         object.__setattr__(self, "m", arr)
 
     def column(self) -> AttackColumn:
@@ -216,10 +207,7 @@ def complete_circulant(col: AttackColumn, representation: str = "z") -> AttackOp
     triangle inequality, when the links miss closing by more than 1e-10.
     """
     check_basis(representation)
-    # Rescaled to unit sum, so that the column's norm error (up to
-    # CONSTRAINT_TOL) cannot add to the result's unitarity residual.
-    moduli = col.moduli_squared()
-    t0, t1, t2 = (t / sum(moduli) for t in moduli)
+    t0, t1, t2 = col.moduli_squared()
     links = {
         "sqrt(t0*t2)": math.sqrt(t0 * t2),
         "sqrt(t0*t1)": math.sqrt(t0 * t1),

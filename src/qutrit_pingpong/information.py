@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attack import AttackColumn, is_finite_real, read_json
-from .qutrit import ALGEBRAIC_TOL, CODING_UNITARIES, OMEGA, NumericalError
+from .qutrit import ALGEBRAIC_TOL, CODING_UNITARIES, OMEGA, NumericalError, frozen_array
 
 TRIT_TO_BIT = math.log2(3.0)
 
@@ -41,25 +41,19 @@ class FrequencyTable:
     """
 
     p: np.ndarray
-    # _gram_weights[j, i, k] = sqrt(p[i][j] p[k][j]), the scale of the
-    # shift-class Gram blocks, kept so a single spectrum does not rebuild it.
+    # _gram_weights[j, i, k] = sqrt(p[i][j] p[k][j]), the scale of the shift-class
+    # Gram blocks, kept C-contiguous so a single spectrum does not rebuild it.
     _gram_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.p, dtype=float)
-        if arr.shape != (3, 3):
-            raise ValueError(f"frequency table must be 3x3, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("frequencies must be finite")
+        arr = frozen_array(self.p, (3, 3), "frequency table", dtype=float)
         if (arr < 0.0).any():
             raise ValueError("frequencies must be non-negative")
         total = float(arr.sum())
         if abs(total - 1.0) > _FREQ_SUM_TOL:
             raise ValueError(f"frequencies must sum to 1, got {total!r}")
-        arr = arr.copy()
-        arr.setflags(write=False)
         object.__setattr__(self, "p", arr)
-        weights = np.sqrt(arr.T[:, :, None] * arr.T[:, None, :])
+        weights = np.ascontiguousarray(np.sqrt(arr.T[:, :, None] * arr.T[:, None, :]))
         weights.setflags(write=False)
         object.__setattr__(self, "_gram_weights", weights)
 
@@ -105,34 +99,30 @@ def load_frequency_table(path) -> FrequencyTable:
     return frequency_table_from_rows(data["p"], f"frequency file {path}: 'p'")
 
 
-def _preset(rows) -> FrequencyTable:
-    return FrequencyTable(np.array(rows, dtype=float))
-
-
 FREQUENCY_PRESETS: dict[str, FrequencyTable] = {
     "uniform": FrequencyTable.uniform(),
-    "tiered": _preset(
+    "tiered": FrequencyTable(
         [
             [1 / 6, 1 / 6, 1 / 18],
             [1 / 9, 1 / 18, 1 / 9],
             [1 / 18, 1 / 9, 1 / 6],
         ]
     ),
-    "sparse": _preset(
+    "sparse": FrequencyTable(
         [
             [2 / 9, 0.0, 2 / 9],
             [0.0, 2 / 9, 0.0],
             [2 / 9, 0.0, 1 / 9],
         ]
     ),
-    "peaked": _preset(
+    "peaked": FrequencyTable(
         [
             [0.4, 0.0, 0.0],
             [0.1, 0.4, 0.0],
             [0.0, 0.1, 0.0],
         ]
     ),
-    "two-bigram": _preset(
+    "two-bigram": FrequencyTable(
         [
             [2 / 3, 0.0, 0.0],
             [0.0, 1 / 3, 0.0],
@@ -172,11 +162,7 @@ class DensityMatrix9:
     m: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.m, dtype=np.complex128)
-        if arr.shape != (9, 9):
-            raise ValueError(f"density matrix must have shape (9, 9), got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("density matrix must be finite (no NaN or inf entries)")
+        arr = frozen_array(self.m, (9, 9), "density matrix")
         residual = np.abs(arr - arr.conj().T).max()
         if residual > ALGEBRAIC_TOL:
             raise ValueError(f"density matrix is not Hermitian, residual {residual:.3e}")
@@ -186,7 +172,6 @@ class DensityMatrix9:
         low = float(np.linalg.eigvalsh(arr).min())
         if low < _EIGENVALUE_FLOOR:
             raise ValueError(f"density matrix has negative eigenvalue {low!r}")
-        arr.setflags(write=False)
         object.__setattr__(self, "m", arr)
 
 
@@ -278,20 +263,9 @@ def _holevo_trits(moduli: np.ndarray, freq: FrequencyTable) -> np.ndarray:
     return info
 
 
-def _unit_moduli(col: AttackColumn) -> np.ndarray:
-    """The column's squared moduli as a (1, 3) row with unit sum.
-
-    AttackColumn accepts a squared norm within 1e-9 of one; rescaling keeps
-    that slack out of the spectrum, so it cannot trip the 1e-9 sum check.
-    """
-    moduli = col.moduli_squared()
-    total = sum(moduli)
-    return np.array([[t / total for t in moduli]])
-
-
 def factorized_eigenvalues(col: AttackColumn, freq: FrequencyTable) -> np.ndarray:
     """All nine ensemble eigenvalues from the three shift-class blocks, descending."""
-    return np.sort(_class_spectra(_unit_moduli(col), freq)[0])[::-1]
+    return np.sort(_class_spectra(np.array([col.moduli_squared()]), freq)[0])[::-1]
 
 
 def holevo_information(col: AttackColumn, freq: FrequencyTable) -> InfoResult:
@@ -301,7 +275,7 @@ def holevo_information(col: AttackColumn, freq: FrequencyTable) -> InfoResult:
     entropy. Eigenvalues in [-1e-10, 0) are clamped to zero; anything lower
     or any total off from one by more than 1e-9 raises NumericalError.
     """
-    return InfoResult(float(_holevo_trits(_unit_moduli(col), freq)[0]))
+    return InfoResult(float(_holevo_trits(np.array([col.moduli_squared()]), freq)[0]))
 
 
 def info_curve(
@@ -311,17 +285,20 @@ def info_curve(
 
     Detection runs over [0, 2/3]; information is reported in trits. The
     default grid has 67 evenly spaced points. The grid must be a
-    one-dimensional sequence of numbers; values within 1e-12 of the range
-    are clamped into it, and NaN, infinities or anything further out raise
-    ValueError naming the first bad value. The whole grid is evaluated in
-    one batch.
+    one-dimensional sequence of ints or floats, not booleans or strings;
+    values within 1e-12 of the range are clamped into it, and NaN,
+    infinities or anything further out raise ValueError naming the first
+    bad value. The whole grid is evaluated in one batch.
     """
     if d_values is None:
         d_values = np.linspace(0.0, 2.0 / 3.0, 67)
     try:
-        d = np.array(d_values, dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError("detection grid must be a sequence of numbers") from None
+        d = np.array(d_values)
+    except (TypeError, ValueError):  # a ragged grid
+        d = np.array(None)
+    if d.dtype.kind not in "iuf":  # not booleans or strings, though numpy casts them
+        raise ValueError("detection grid must be a sequence of numbers")
+    d = d.astype(float, copy=False)
     if d.ndim != 1:
         raise ValueError(f"detection grid must be one-dimensional, got shape {d.shape}")
     bad = ~((d >= -1e-12) & (d <= 2.0 / 3.0 + 1e-12))

@@ -48,6 +48,7 @@ from .qutrit import (
     bell_state,
     check_basis,
     control_correlations,
+    frozen_array,
     mub,
 )
 
@@ -63,16 +64,10 @@ class JointState:
     amps: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.amps, dtype=np.complex128)
-        if arr.shape != (3, 3, ANCILLA_DIM):
-            raise ValueError(f"joint state must have shape (3, 3, 9), got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("joint state amplitudes must be finite")
+        arr = frozen_array(self.amps, (3, 3, ANCILLA_DIM), "joint state")
         norm = float((np.abs(arr) ** 2).sum())
         if abs(norm - 1.0) > _STATE_NORM_TOL:
             raise ValueError(f"joint state must be normalized, squared norm {norm!r}")
-        arr = arr.copy()
-        arr.setflags(write=False)
         object.__setattr__(self, "amps", arr)
 
 
@@ -97,11 +92,7 @@ def apply_branch_attack(state: JointState, e: np.ndarray, basis: str = "z") -> J
     Each column of e must be a unit vector (the map is then an isometry; e
     itself need not be unitary). The ancilla must still be in its ready slot.
     """
-    e = np.asarray(e, dtype=np.complex128)
-    if e.shape != (3, 3):
-        raise ValueError(f"branch coefficients must be 3x3, got {e.shape}")
-    if not np.isfinite(e).all():
-        raise ValueError("branch coefficients must be finite")
+    e = frozen_array(e, (3, 3), "branch coefficients")
     col_norms = (np.abs(e) ** 2).sum(axis=0)
     if np.abs(col_norms - 1.0).max() > 1e-9:
         raise ValueError(f"branch columns must be unit vectors, squared norms {col_norms.tolist()}")
@@ -247,16 +238,15 @@ def load_protocol_config(path) -> ProtocolConfig:
     return ProtocolConfig.from_dict(read_json(path, "config file"))
 
 
-def attack_state(config: ProtocolConfig) -> JointState:
-    """Joint state after the eavesdropper touches the travelling qutrit once, validated once."""
-    attack = config.attack
+def attack_state(attack: AttackSpec, ancilla: str) -> JointState:
+    """Joint state after the attack touches the travelling qutrit once, in ancilla mode "branch" or "none"."""
     if isinstance(attack, NoAttack):
         return initial_state()
     if isinstance(attack, SymmetricAttack):
         column, basis = attack.column(), "z"
     else:
         column, basis = attack.column, attack.basis
-    if config.ancilla == "branch":
+    if ancilla == "branch":
         return apply_branch_attack(initial_state(), circulant(column.as_array()), basis)
     op = complete_circulant(column, representation=basis)
     m = mub(basis)
@@ -454,7 +444,7 @@ def run(config: ProtocolConfig) -> RunReport:
     one block. Identical configs reproduce identical reports.
     """
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    state = attack_state(config)
+    state = attack_state(config.attack, config.ancilla)
     cum = _cdf(outcome_distribution(config, state))
 
     codes = np.empty(config.cycles, dtype=np.uint8)

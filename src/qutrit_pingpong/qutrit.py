@@ -6,8 +6,10 @@ labels (z, x, v, t) and the control-pair decompositions, all plain numpy,
 built and checked once at import; the accessors return these read-only
 values. Only the coding unitaries write out the phase-and-shift
 convention: the Bell states and Eve's probe states in `information` come
-from their stack, CODING_UNITARIES. check_basis is the one check of a
-basis label. solve_cubic, a real-cubic root solver, is the analytic
+from their stack, CODING_UNITARIES. The one check of each kind: check_basis
+of a basis label, frozen_array of an array a value type holds (its shape,
+finiteness and read-only copy), check_unitary of unitarity at a tolerance
+the caller gives. solve_cubic, a real-cubic root solver, is the analytic
 reference for the spectrum cubics. All functions are pure.
 """
 
@@ -51,9 +53,22 @@ class NumericalError(ArithmeticError):
     """
 
 
-def _check_unitary(name: str, m: np.ndarray) -> None:
+def frozen_array(value, shape: tuple, what: str, dtype=np.complex128) -> np.ndarray:
+    """A read-only dtype copy of value. Raises ValueError "{what} must have
+    shape {shape}, got {got}" or "{what} must be finite"."""
+    arr = np.array(value, dtype=dtype)
+    if arr.shape != shape:
+        raise ValueError(f"{what} must have shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be finite")
+    arr.setflags(write=False)
+    return arr
+
+
+def check_unitary(name: str, m: np.ndarray, tol: float = ALGEBRAIC_TOL) -> None:
+    """Raise ValueError naming m unless m^dagger m is the identity within tol."""
     residual = np.abs(m.conj().T @ m - np.eye(len(m))).max()
-    if residual > ALGEBRAIC_TOL:
+    if residual > tol:
         raise ValueError(f"{name} is not unitary, residual {residual:.3e}")
 
 
@@ -68,7 +83,7 @@ def _build_coding_unitary(i: int, j: int) -> np.ndarray:
     m = np.zeros((3, 3), dtype=np.complex128)
     for k in range(3):
         m[(k + j) % 3, k] = OMEGA ** ((i * k) % 3)
-    _check_unitary(f"coding unitary ({i}, {j})", m)
+    check_unitary(f"coding unitary ({i}, {j})", m)
     return m
 
 
@@ -80,7 +95,7 @@ _CODING_UNITARIES = tuple(CODING_UNITARIES)
 # The nine entangled pair states, index 3i + j, each a (home, travel) array:
 # coding unitary 3i + j applied to the travel qutrit of bell_state(0, 0).
 BELL_STATES = CODING_UNITARIES.transpose(0, 2, 1) / math.sqrt(3.0)
-_check_unitary("the Bell-state basis", BELL_STATES.reshape(9, 9))
+check_unitary("the Bell-state basis", BELL_STATES.reshape(9, 9))
 BELL_STATES.setflags(write=False)
 
 
@@ -112,7 +127,7 @@ def _build_mub(label: str) -> np.ndarray:
     else:
         m = np.full((3, 3), s, dtype=np.complex128)
         np.fill_diagonal(m, (OMEGA if label == "v" else OMEGA.conjugate()) * s)
-    _check_unitary(f"basis {label!r}", m)
+    check_unitary(f"basis {label!r}", m)
     m.setflags(write=False)
     return m
 

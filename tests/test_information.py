@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qutrit_pingpong.attack import AttackColumn, normalized_column, symmetric_column
+from qutrit_pingpong.attack import AttackColumn, complete_circulant, normalized_column, symmetric_column
 from qutrit_pingpong import information
 from qutrit_pingpong.information import (
     FREQUENCY_PRESETS,
@@ -234,6 +234,15 @@ def test_curve_rejects_out_of_range_grid():
             info_curve(uniform, grid)
 
 
+def test_curve_rejects_grids_of_booleans_and_strings():
+    # numpy would cast these to floats; the grid must hold numbers, as in JSON.
+    uniform = FrequencyTable.uniform()
+    for grid in (["0.5"], [False], [True], np.array([True, False]), [None]):
+        with pytest.raises(ValueError, match="^detection grid must be a sequence of numbers$"):
+            info_curve(uniform, grid)
+    assert info_curve(uniform, [0]) == info_curve(uniform, np.array([0.0], dtype=np.float32))
+
+
 def test_curve_clamps_the_slack_and_returns_plain_floats():
     uniform = FrequencyTable.uniform()
     points = info_curve(uniform, [-1e-13, 0.25, 2.0 / 3.0 + 1e-13])
@@ -277,6 +286,27 @@ def test_norm_slack_of_an_accepted_column_stays_out_of_the_spectrum():
         assert abs(float(lams.sum()) - 1.0) < 1e-14
         assert np.abs(lams - factorized_eigenvalues(unit, freq)).max() < 1e-15
         assert abs(holevo_information(slack, freq).value - holevo_information(unit, freq).value) < 1e-13
+
+
+@pytest.mark.parametrize("excess", [0.999e-9, -0.999e-9])
+def test_completion_and_spectrum_read_one_unit_sum_triple(monkeypatch, excess):
+    # A column at AttackColumn's 1e-9 norm limit: its squared moduli come out
+    # at unit sum, and the completion and the spectrum both read that triple.
+    col = AttackColumn(math.sqrt(0.5 + excess), math.sqrt(0.3), math.sqrt(0.2))
+    triple = col.moduli_squared()
+    assert abs(sum(triple) - 1.0) <= math.ulp(1.0)
+    seen = []
+    original = AttackColumn.moduli_squared
+
+    def spy(self):
+        seen.append(original(self))
+        return seen[-1]
+
+    monkeypatch.setattr(AttackColumn, "moduli_squared", spy)
+    complete_circulant(col)
+    holevo_information(col, FREQUENCY_PRESETS["tiered"])
+    factorized_eigenvalues(col, FREQUENCY_PRESETS["tiered"])
+    assert seen == [triple] * 3
 
 
 def test_flat_columns_leak_two_trits_under_the_uniform_source():

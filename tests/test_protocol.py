@@ -115,28 +115,24 @@ def test_control_distribution_rejects_unknown_basis():
 
 @pytest.mark.parametrize("d", [0.2, 0.5, 2.0 / 3.0])
 def test_branch_attack_detection_rates(d):
-    cfg = ProtocolConfig(cycles=1, seed=0, attack=SymmetricAttack(d), ancilla="branch")
-    state = attack_state(cfg)
+    state = attack_state(SymmetricAttack(d), "branch")
     assert abs(detection_probability(state, "z") - d) < 1e-12
     for basis in ("x", "v", "t"):
         assert abs(detection_probability(state, basis) - 2.0 / 3.0) < 1e-12
 
 
 def test_unitary_attack_is_invisible_in_conjugate_basis():
-    cfg = ProtocolConfig(cycles=1, seed=0, attack=SymmetricAttack(0.5), ancilla="none")
-    state = attack_state(cfg)
+    state = attack_state(SymmetricAttack(0.5), "none")
     assert abs(detection_probability(state, "z") - 0.5) < 1e-12
     assert detection_probability(state, "x") < 1e-12
 
 
 def test_phase_basis_attack_rates():
     col = AttackColumn(math.sqrt(0.6), math.sqrt(0.25), math.sqrt(0.15))
-    branch = ProtocolConfig(cycles=1, seed=0, attack=ColumnAttack("x", col), ancilla="branch")
-    state = attack_state(branch)
+    state = attack_state(ColumnAttack("x", col), "branch")
     assert abs(detection_probability(state, "x") - 0.4) < 1e-12
     assert abs(detection_probability(state, "z") - 2.0 / 3.0) < 1e-12
-    plain = ProtocolConfig(cycles=1, seed=0, attack=ColumnAttack("x", col), ancilla="none")
-    state = attack_state(plain)
+    state = attack_state(ColumnAttack("x", col), "none")
     assert abs(detection_probability(state, "x") - 0.4) < 1e-12
     assert detection_probability(state, "z") < 1e-12
 
@@ -163,8 +159,8 @@ def test_swap_unitary_detection_in_computational_basis():
 
 
 def test_no_attack_state_is_initial():
-    cfg = ProtocolConfig(cycles=1, seed=0)
-    assert np.abs(attack_state(cfg).amps - initial_state().amps).max() == 0.0
+    for ancilla in ("branch", "none"):
+        assert np.abs(attack_state(NoAttack(), ancilla).amps - initial_state().amps).max() == 0.0
 
 
 @pytest.mark.parametrize(
@@ -351,7 +347,7 @@ def test_message_statistics_match_source_frequencies():
 
 def test_attacked_run_corrupts_decoding():
     cfg = ProtocolConfig(cycles=20_000, seed=707, attack=SymmetricAttack(2.0 / 3.0), q=0.0)
-    state = attack_state(cfg)
+    state = attack_state(cfg.attack, cfg.ancilla)
     # with the ancilla recording every transition, a maximal attack leaves
     # only the diagonal branches coherent: each bigram survives with 1/9
     p_right = decode_distribution(state, (0, 0))[0]
@@ -474,7 +470,7 @@ def test_cumulative_table_never_lands_on_a_zero_probability_code():
     for name in ("peaked", "two-bigram"):
         freq = FREQUENCY_PRESETS[name]
         cfg = ProtocolConfig(cycles=1, seed=0, freq=freq, attack=SymmetricAttack(0.5), q=0.0)
-        tables.append(outcome_distribution(cfg, attack_state(cfg)))
+        tables.append(outcome_distribution(cfg, attack_state(cfg.attack, cfg.ancilla)))
     for p in tables:
         cum = _cdf(p)
         assert cum[-1] == 1.0
@@ -514,7 +510,7 @@ def _chi_square_critical(dof: int, alpha: float) -> float:
 )
 def test_outcome_counts_fit_the_exact_distribution(config):
     """Chi-square goodness of fit of all 99 code counts, at a false-alarm level of 1e-6."""
-    p = outcome_distribution(config, attack_state(config))
+    p = outcome_distribution(config, attack_state(config.attack, config.ancilla))
     assert abs(p.sum() - 1.0) < 1e-12
     counts = np.bincount(run(config).outcomes, minlength=p.size)
     assert (counts[p == 0.0] == 0).all()
@@ -557,8 +553,7 @@ def test_holevo_bound_matches_the_joint_state_for_z_columns(name):
         v = rng.normal(size=3) + 1j * rng.normal(size=3)
         columns.append(AttackColumn(*(v / np.linalg.norm(v))))
     for col in columns:
-        cfg = ProtocolConfig(cycles=1, seed=0, freq=freq, attack=ColumnAttack("z", col), ancilla="branch")
-        state = attack_state(cfg)
+        state = attack_state(ColumnAttack("z", col), "branch")
         ensemble = np.zeros((27, 27), dtype=complex)
         conditional = 0.0
         for (i, j), p in np.ndenumerate(freq.p):

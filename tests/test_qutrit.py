@@ -6,15 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qutrit_pingpong.information import DensityMatrix9
+from qutrit_pingpong.attack import AttackOperator, normalized_column
+from qutrit_pingpong.information import DensityMatrix9, FrequencyTable
+from qutrit_pingpong.protocol import JointState, apply_branch_attack, initial_state
 from qutrit_pingpong.qutrit import (
     BASIS_LABELS,
     OMEGA,
     PARTNER_BASIS,
     NumericalError,
     bell_state,
+    check_unitary,
     coding_unitary,
     control_correlations,
+    frozen_array,
     mub,
     solve_cubic,
 )
@@ -127,6 +131,47 @@ def test_constants_are_built_once():
     assert mub("x") is mub("x")
     assert coding_unitary(1, 2) is coding_unitary(1, 2)
     assert control_correlations("z") is control_correlations("z")
+
+
+def test_frozen_array_returns_a_read_only_copy():
+    source = np.eye(3)
+    frozen = frozen_array(source, (3, 3), "matrix")
+    source[0, 0] = 5.0
+    assert frozen.dtype == np.complex128 and frozen[0, 0] == 1.0
+    assert not frozen.flags.writeable and source.flags.writeable
+    assert frozen_array([1, 2], (2,), "pair", dtype=float).dtype == np.float64
+
+
+# Every value type that holds an array, with the name and shape its one check uses.
+_ARRAY_HOLDERS = [
+    (JointState, "joint state", (3, 3, 9)),
+    (lambda a: AttackOperator(a, "z"), "attack matrix", (3, 3)),
+    (DensityMatrix9, "density matrix", (9, 9)),
+    (FrequencyTable, "frequency table", (3, 3)),
+    (lambda a: apply_branch_attack(initial_state(), a), "branch coefficients", (3, 3)),
+    (lambda a: normalized_column(*a), "column entries", (3,)),
+]
+
+
+@pytest.mark.parametrize("build, what, shape", _ARRAY_HOLDERS, ids=[h[1] for h in _ARRAY_HOLDERS])
+def test_every_array_holder_rejects_a_bad_shape_and_a_nan_the_same_way(build, what, shape):
+    with pytest.raises(ValueError) as bad_shape:
+        build(np.ones(shape + (2,)))
+    assert str(bad_shape.value) == f"{what} must have shape {shape}, got {shape + (2,)}"
+    with_nan = np.zeros(shape)
+    with_nan.flat[0] = np.nan
+    with pytest.raises(ValueError) as not_finite:
+        build(with_nan)
+    assert str(not_finite.value) == f"{what} must be finite"
+
+
+def test_unitarity_check_takes_the_callers_tolerance():
+    nearly = np.diag([1.0, 1.0, 1.0 + 1e-10])
+    check_unitary("nearly", nearly, tol=1e-9)
+    with pytest.raises(ValueError, match=r"^nearly is not unitary, residual 2\.000e-10$"):
+        check_unitary("nearly", nearly)
+    with pytest.raises(ValueError, match="attack matrix is not unitary"):
+        AttackOperator(np.diag([1.0, 1.0, 1.0 + 1e-8]), "z")
 
 
 def test_hermitian_validation_rejects_asymmetric():
