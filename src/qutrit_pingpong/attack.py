@@ -145,13 +145,14 @@ def symmetric_column(d: float) -> AttackColumn:
     return AttackColumn(math.sqrt(1.0 - d), math.sqrt(d / 2.0), math.sqrt(d / 2.0))
 
 
-# Index groups whose squared moduli must agree for the attack to preserve
-# the complete mixedness of the travelling qutrit (broken diagonals).
-_MIXEDNESS_GROUPS = (
-    ((0, 0), (1, 1), (2, 2)),
-    ((0, 1), (1, 2), (2, 0)),
-    ((0, 2), (1, 0), (2, 1)),
-)
+# Entry [j, k] of a 3x3 circulant is its first column's entry (j - k) % 3.
+_CIRCULANT_INDEX = (np.arange(3)[:, None] - np.arange(3)[None, :]) % 3
+_CIRCULANT_INDEX.setflags(write=False)
+# Row g of m.take(_BROKEN_DIAGONALS) is broken diagonal g of m, the entries
+# (j, (j + g) % 3), whose squared moduli must agree for the attack to
+# preserve the complete mixedness of the travelling qutrit.
+_BROKEN_DIAGONALS = 3 * np.arange(3) + (np.arange(3)[None, :] + np.arange(3)[:, None]) % 3
+_BROKEN_DIAGONALS.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,14 +171,13 @@ class AttackOperator:
         arr = frozen_array(self.m, (3, 3), "attack matrix")
         check_basis(self.representation)
         check_unitary("attack matrix", arr, CONSTRAINT_TOL)
-        mods = np.abs(arr) ** 2
-        for group in _MIXEDNESS_GROUPS:
-            vals = [mods[idx] for idx in group]
-            if max(vals) - min(vals) > CONSTRAINT_TOL:
-                raise ValueError(
-                    "attack matrix does not preserve complete mixedness: "
-                    f"squared moduli {vals} differ along a broken diagonal"
-                )
+        diagonals = np.abs(arr.take(_BROKEN_DIAGONALS)) ** 2
+        spread = diagonals.max(axis=1) - diagonals.min(axis=1)
+        if spread.max() > CONSTRAINT_TOL:
+            raise ValueError(
+                "attack matrix does not preserve complete mixedness: "
+                f"squared moduli {diagonals[spread.argmax()].tolist()} differ along a broken diagonal"
+            )
         object.__setattr__(self, "m", arr)
 
     def column(self) -> AttackColumn:
@@ -187,8 +187,7 @@ class AttackOperator:
 
 def circulant(first_column) -> np.ndarray:
     """3x3 circulant matrix whose entry [j, k] is first_column[(j - k) % 3]."""
-    c = np.asarray(first_column, dtype=np.complex128)
-    return c[(np.arange(3)[:, None] - np.arange(3)[None, :]) % 3]
+    return np.asarray(first_column, dtype=np.complex128)[_CIRCULANT_INDEX]
 
 
 def complete_circulant(col: AttackColumn, representation: str = "z") -> AttackOperator:

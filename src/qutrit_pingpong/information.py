@@ -296,7 +296,11 @@ def info_curve(
         d = np.array(d_values)
     except (TypeError, ValueError):  # a ragged grid
         d = np.array(None)
-    if d.dtype.kind not in "iuf":  # not booleans or strings, though numpy casts them
+    # numpy casts booleans and strings to numbers, and a boolean among floats to a float
+    mixed_in = d.ndim == 1 and not isinstance(d_values, np.ndarray) and any(
+        isinstance(v, (bool, np.bool_)) for v in d_values
+    )
+    if d.dtype.kind not in "iuf" or mixed_in:
         raise ValueError("detection grid must be a sequence of numbers")
     d = d.astype(float, copy=False)
     if d.ndim != 1:

@@ -9,7 +9,9 @@ circulant unitary on the travelling qutrit alone or as an
 entangling-probe branching map. The post-attack state is the same every
 cycle, so each cycle is one draw from the exact Born distribution over 99
 outcome codes (a control pair in a basis, or a sent and a decoded
-bigram), computed once per run; runs sample it in numpy blocks by
+bigram), computed once per run by one product with a stacked (99, 9)
+amplitude map built at import; the run reads each basis's predicted
+detection from the same table and samples it in numpy blocks by
 inverting its cumulative table. A run keeps one outcome byte per cycle;
 the report's counts and the CSV transcript are both derived from those
 bytes. The transcript is written as byte rows in blocks of at most 2**12
@@ -55,6 +57,12 @@ from .qutrit import (
 ANCILLA_DIM = 9
 
 _STATE_NORM_TOL = 1e-10
+
+
+def _check_ancilla(mode) -> None:
+    """Raise ValueError unless the ancilla mode is "branch" or "none"."""
+    if mode not in ("branch", "none"):
+        raise ValueError(f"ancilla mode must be 'branch' or 'none', got {mode!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,30 +112,47 @@ def apply_branch_attack(state: JointState, e: np.ndarray, basis: str = "z") -> J
     return JointState(np.einsum("tm,mn,hn->htnm", m, e, ready).reshape(3, 3, ANCILLA_DIM))
 
 
+# The simulator mixes control rounds in the first two bases only.
+CONTROL_BASES = BASIS_LABELS[:2]
+_MESSAGE_CODE = 18
+_N_CODES = 99
+
+
 def _outcome_maps() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Amplitude maps from the (home, travel) pair h, t to each outcome, with the honest pairs.
 
     control[s, 3a + b, 3h + t] reads t as a in basis BASIS_LABELS[s] and h as
     b in its partner basis, and allowed[s, a, b] marks the pairs an honest
-    channel gives; decode[k, out, 3h + t] codes with bigram k, then reads out.
+    channel gives. outcome[c, 3h + t] is the (99, 9) map to outcome code c:
+    the control rows of CONTROL_BASES, then for each bigram k the nine rows
+    18 + 9k + out that code with k and read out.
     """
     pairs = [control_correlations(basis) for basis in BASIS_LABELS]
     alice = np.stack([mub(p.alice_basis) for p in pairs])
     bob = np.stack([mub(p.bob_basis) for p in pairs])
     control = np.einsum("sta,shb->sabht", alice.conj(), bob.conj()).reshape(len(pairs), 9, 9)
     allowed = np.array([[[(a, b) in p.allowed_pairs() for b in range(3)] for a in range(3)] for p in pairs])
-    decode = np.einsum("oht,kts->kohs", BELL_STATES.conj(), CODING_UNITARIES).reshape(9, 9, 9)
-    for arr in (control, allowed, decode):
+    decode = np.einsum("oht,kts->kohs", BELL_STATES.conj(), CODING_UNITARIES).reshape(81, 9)
+    outcome = np.vstack([control[: len(CONTROL_BASES)].reshape(_MESSAGE_CODE, 9), decode])
+    for arr in (control, allowed, outcome):
         arr.setflags(write=False)
-    return control, allowed, decode
+    return control, allowed, outcome
 
 
-_CONTROL_MAP, _ALLOWED, _DECODE_MAP = _outcome_maps()
+_CONTROL_MAP, _ALLOWED, _OUTCOME_MAP = _outcome_maps()
 
 
 def _born(amplitude_map: np.ndarray, state: JointState) -> np.ndarray:
     """Born probabilities of the outcomes a map's rows project on, summed over the ancilla."""
     return (np.abs(amplitude_map @ state.amps.reshape(9, ANCILLA_DIM)) ** 2).sum(axis=-1)
+
+
+def _detected(joint: np.ndarray, allowed: np.ndarray) -> float:
+    """Detection probability of a flat nine-entry control block: one minus its honest pairs' mass.
+
+    allowed is the flat mask of the pairs an honest channel gives.
+    """
+    return max(0.0, 1.0 - float(joint[allowed].sum()))
 
 
 def control_distribution(state: JointState, alice_basis: str) -> np.ndarray:
@@ -146,7 +171,7 @@ def detection_probability(state: JointState, alice_basis: str) -> float:
     One minus the mass of the outcome pairs an honest channel gives.
     """
     joint = control_distribution(state, alice_basis)
-    return max(0.0, 1.0 - float(joint[_ALLOWED[BASIS_LABELS.index(alice_basis)]].sum()))
+    return _detected(joint.ravel(), _ALLOWED[BASIS_LABELS.index(alice_basis)].ravel())
 
 
 def decode_distribution(state: JointState, bigram: tuple[int, int]) -> np.ndarray:
@@ -156,7 +181,8 @@ def decode_distribution(state: JointState, bigram: tuple[int, int]) -> np.ndarra
     (i, j), flattened as 3i + j. Without an attack the distribution is a
     point mass on the encoded bigram.
     """
-    return _born(_DECODE_MAP[_pair_index(*bigram)], state)
+    start = _MESSAGE_CODE + 9 * _pair_index(*bigram)
+    return _born(_OUTCOME_MAP[start : start + 9], state)
 
 
 @dataclass(frozen=True)
@@ -190,14 +216,13 @@ class ProtocolConfig:
             raise ValueError(f"q must be a number in [0, 1], got {self.q!r}")
         object.__setattr__(self, "q", float(self.q))
         object.__setattr__(self, "basis_weights", check_basis_weights(self.basis_weights))
-        if self.ancilla not in ("branch", "none"):
-            raise ValueError(f"ancilla mode must be 'branch' or 'none', got {self.ancilla!r}")
+        _check_ancilla(self.ancilla)
 
     def to_dict(self) -> dict:
         return {
             "cycles": self.cycles,
             "seed": self.seed,
-            "freq": {"p": [[float(x) for x in row] for row in self.freq.p]},
+            "freq": {"p": self.freq.p.tolist()},
             "attack": attack_to_dict(self.attack),
             "q": self.q,
             "basis_weights": list(self.basis_weights),
@@ -240,6 +265,7 @@ def load_protocol_config(path) -> ProtocolConfig:
 
 def attack_state(attack: AttackSpec, ancilla: str) -> JointState:
     """Joint state after the attack touches the travelling qutrit once, in ancilla mode "branch" or "none"."""
+    _check_ancilla(ancilla)
     if isinstance(attack, NoAttack):
         return initial_state()
     if isinstance(attack, SymmetricAttack):
@@ -253,14 +279,15 @@ def attack_state(attack: AttackSpec, ancilla: str) -> JointState:
     return apply_travel_unitary(initial_state(), m @ op.m @ m.conj().T)
 
 
-# The simulator mixes control rounds in the first two bases only.
-CONTROL_BASES = BASIS_LABELS[:2]
-_MESSAGE_CODE = 18
-_N_CODES = 99
-
 # Mask over the outcome codes: True for a control pair an honest channel never gives.
 _FORBIDDEN = np.append(~_ALLOWED[: len(CONTROL_BASES)], np.zeros(_N_CODES - _MESSAGE_CODE, dtype=bool))
 _FORBIDDEN.setflags(write=False)
+
+
+def _code_weights(config: ProtocolConfig) -> np.ndarray:
+    """Weight of each outcome code's block: q * basis_weights[s], then (1 - q) * f_k, each nine times."""
+    blocks = np.append(config.q * np.array(config.basis_weights), (1.0 - config.q) * config.freq.p)
+    return np.repeat(blocks, 9)
 
 
 def outcome_distribution(config: ProtocolConfig, state: JointState) -> np.ndarray:
@@ -270,11 +297,11 @@ def outcome_distribution(config: ProtocolConfig, state: JointState) -> np.ndarra
     results a and b, has probability q * basis_weights[s] * joint_s[a, b];
     code 18 + 9k + out, a message round that sent bigram k and decoded out,
     has probability (1 - q) * f_k * decode_k[out]. An outcome that a zero
-    q, basis weight or bigram frequency rules out is exactly zero.
+    q, basis weight or bigram frequency rules out is exactly zero. It is the
+    run's Born table (one product with the stacked 99-row outcome map)
+    weighted code by code.
     """
-    control = _born(_CONTROL_MAP[: len(CONTROL_BASES)], state)
-    weights = np.append(config.q * np.array(config.basis_weights), (1.0 - config.q) * config.freq.p)
-    return (weights[:, None] * np.vstack([control, _born(_DECODE_MAP, state)])).ravel()
+    return _code_weights(config) * _born(_OUTCOME_MAP, state)
 
 
 TRANSCRIPT_HEADER = "cycle,mode,basis,alice,bob,detected,sent,decoded"
@@ -437,15 +464,18 @@ def run(config: ProtocolConfig) -> RunReport:
     """Simulate the protocol and report its statistics.
 
     Each cycle is one draw from the exact 99-outcome distribution
-    (outcome_distribution), built once per run from the post-attack state.
-    Cycles are drawn in blocks of at most 2**16, one uniform per cycle
-    inverted through the cumulative table; each block's codes are counted
-    as they are drawn, so memory beyond one byte per cycle stays that of
-    one block. Identical configs reproduce identical reports.
+    (outcome_distribution), built once per run from the post-attack state:
+    one Born table from the stacked 99-row outcome map, weighted code by
+    code. Each basis's predicted detection is read from that table's
+    control block by the formula of detection_probability. Cycles are
+    drawn in blocks of at most 2**16, one uniform per cycle inverted
+    through the cumulative table; each block's codes are counted as they
+    are drawn, so memory beyond one byte per cycle stays that of one
+    block. Identical configs reproduce identical reports.
     """
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    state = attack_state(config.attack, config.ancilla)
-    cum = _cdf(outcome_distribution(config, state))
+    table = _born(_OUTCOME_MAP, attack_state(config.attack, config.ancilla))
+    cum = _cdf(_code_weights(config) * table)
 
     codes = np.empty(config.cycles, dtype=np.uint8)
     counts = np.zeros(_N_CODES, dtype=np.int64)
@@ -465,8 +495,8 @@ def run(config: ProtocolConfig) -> RunReport:
     confusion = counts[_MESSAGE_CODE:].reshape(9, 9)
 
     basis_stats = {}
-    for basis, n, hits in zip(CONTROL_BASES, rounds, caught):
-        p = detection_probability(state, basis)
+    for s, (basis, n, hits) in enumerate(zip(CONTROL_BASES, rounds, caught)):
+        p = _detected(table[9 * s : 9 * s + 9], _ALLOWED[s].ravel())
         if n > 0:
             emp = hits / n
             band = 3.0 * math.sqrt(p * (1.0 - p) / n)

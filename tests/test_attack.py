@@ -86,6 +86,13 @@ def test_attack_operator_rejects_uneven_moduli():
         AttackOperator(swap, "z")
 
 
+def test_attack_operator_names_the_worst_broken_diagonal_in_plain_floats():
+    # every broken diagonal of this permutation spreads by 1; the main one is named
+    perm = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)
+    with pytest.raises(ValueError, match=r"squared moduli \[1\.0, 0\.0, 0\.0\] differ along a broken diagonal$"):
+        AttackOperator(perm, "z")
+
+
 def test_attack_operator_rejects_unknown_basis():
     with pytest.raises(ValueError):
         AttackOperator(np.eye(3, dtype=complex), "q")

@@ -1,8 +1,9 @@
 """Golden outputs: simulator reports and transcript heads, and the leak curves.
 
 Each simulator directory under tests/golden holds a run config, the report
-JSON that `simulate` writes for it, and the header plus the first 200
-transcript rows; those are pinned byte for byte. tests/golden/curves holds
+JSON that `simulate` writes for it, the header plus the first 200
+transcript rows, and the sha256 of the whole transcript; those are pinned
+byte for byte, so every outcome of the run is. tests/golden/curves holds
 the default 67-point `curve_csv(info_curve(freq))` of each frequency preset;
 its detection column is pinned byte for byte and its information columns to
 1e-14. Any change to the random stream, the exact predictions or the leak
@@ -15,6 +16,7 @@ where NAME is a simulator case or `curves`.
 """
 
 import csv
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -31,20 +33,23 @@ TRANSCRIPT_ROWS = 200
 CURVE_TOL = 1e-14
 
 
-def simulate(case: str, workdir: Path) -> tuple[bytes, bytes]:
-    """Report bytes and transcript-head bytes of one fixture's config."""
+def simulate(case: str, workdir: Path) -> dict[str, bytes]:
+    """Each pinned file of one fixture's config: the report, the transcript head and the transcript's sha256."""
     report, transcript = workdir / "report.json", workdir / "transcript.csv"
     argv = ["simulate", "--config", str(GOLDEN / case / "config.json")]
     assert main(argv + ["--out", str(report), "--transcript", str(transcript)]) == 0
-    head = transcript.read_bytes().splitlines(keepends=True)[: TRANSCRIPT_ROWS + 1]
-    return report.read_bytes(), b"".join(head)
+    rows = transcript.read_bytes()
+    return {
+        "report.json": report.read_bytes(),
+        "transcript_head.csv": b"".join(rows.splitlines(keepends=True)[: TRANSCRIPT_ROWS + 1]),
+        "transcript.sha256": hashlib.sha256(rows).hexdigest().encode("ascii") + b"\n",
+    }
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_simulator_reproduces_golden_outputs(case, tmp_path):
-    report, head = simulate(case, tmp_path)
-    assert report == (GOLDEN / case / "report.json").read_bytes()
-    assert head == (GOLDEN / case / "transcript_head.csv").read_bytes()
+    for filename, data in simulate(case, tmp_path).items():
+        assert data == (GOLDEN / case / filename).read_bytes(), filename
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -116,6 +121,6 @@ if __name__ == "__main__":
                 (GOLDEN / "curves" / f"{preset}.csv").write_text(curve_csv(info_curve(freq)), encoding="utf-8")
             continue
         with tempfile.TemporaryDirectory() as tmp:
-            report, head = simulate(name, Path(tmp))
-        (GOLDEN / name / "report.json").write_bytes(report)
-        (GOLDEN / name / "transcript_head.csv").write_bytes(head)
+            outputs = simulate(name, Path(tmp))
+        for filename, data in outputs.items():
+            (GOLDEN / name / filename).write_bytes(data)

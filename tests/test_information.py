@@ -237,7 +237,8 @@ def test_curve_rejects_out_of_range_grid():
 def test_curve_rejects_grids_of_booleans_and_strings():
     # numpy would cast these to floats; the grid must hold numbers, as in JSON.
     uniform = FrequencyTable.uniform()
-    for grid in (["0.5"], [False], [True], np.array([True, False]), [None]):
+    grids = (["0.5"], [False], [True], np.array([True, False]), [None], [False, 0.5], [0.5, True], [np.True_, 0.1])
+    for grid in grids:
         with pytest.raises(ValueError, match="^detection grid must be a sequence of numbers$"):
             info_curve(uniform, grid)
     assert info_curve(uniform, [0]) == info_curve(uniform, np.array([0.0], dtype=np.float32))

@@ -39,7 +39,7 @@ from qutrit_pingpong.protocol import (
     _BLOCK,
     _cdf,
 )
-from qutrit_pingpong.qutrit import coding_unitary, control_correlations
+from qutrit_pingpong.qutrit import BELL_STATES, CODING_UNITARIES, coding_unitary, control_correlations, mub
 
 
 def test_initial_state_shape_and_support():
@@ -161,6 +161,14 @@ def test_swap_unitary_detection_in_computational_basis():
 def test_no_attack_state_is_initial():
     for ancilla in ("branch", "none"):
         assert np.abs(attack_state(NoAttack(), ancilla).amps - initial_state().amps).max() == 0.0
+
+
+def test_attack_state_rejects_an_unknown_ancilla_mode():
+    message = "^ancilla mode must be 'branch' or 'none', got 'brnach'$"
+    with pytest.raises(ValueError, match=message):
+        attack_state(SymmetricAttack(0.5), "brnach")
+    with pytest.raises(ValueError, match=message):
+        ProtocolConfig(cycles=1, seed=0, ancilla="brnach")
 
 
 @pytest.mark.parametrize(
@@ -452,6 +460,44 @@ def test_report_json_shape():
     assert set(data["basis_stats"]) == {"z", "x"}
     assert data["config"]["attack"] == {"type": "symmetric", "d_z": 0.2}
     assert len(data["confusion"]) == 9
+
+
+def _two_map_outcome_distribution(config: ProtocolConfig, state: JointState) -> np.ndarray:
+    """The control-map and decode-map table that the stacked 99-row map replaced, kept as its reference."""
+    pairs = [control_correlations(basis) for basis in CONTROL_BASES]
+    alice = np.stack([mub(p.alice_basis) for p in pairs])
+    bob = np.stack([mub(p.bob_basis) for p in pairs])
+    control_map = np.einsum("sta,shb->sabht", alice.conj(), bob.conj()).reshape(len(pairs), 9, 9)
+    decode_map = np.einsum("oht,kts->kohs", BELL_STATES.conj(), CODING_UNITARIES).reshape(9, 9, 9)
+
+    def born(amplitude_map):
+        return (np.abs(amplitude_map @ state.amps.reshape(9, ANCILLA_DIM)) ** 2).sum(axis=-1)
+
+    weights = np.append(config.q * np.array(config.basis_weights), (1.0 - config.q) * config.freq.p)
+    return (weights[:, None] * np.vstack([born(control_map), born(decode_map)])).ravel()
+
+
+_FEASIBLE_COLUMN = AttackColumn(math.sqrt(0.6), 0.5, 1j * math.sqrt(0.15))
+
+
+@pytest.mark.parametrize("ancilla", ["branch", "none"])
+@pytest.mark.parametrize(
+    "attack",
+    [NoAttack(), SymmetricAttack(0.4), ColumnAttack("z", _FEASIBLE_COLUMN), ColumnAttack("x", _FEASIBLE_COLUMN)],
+    ids=["none", "symmetric", "column-z", "column-x"],
+)
+def test_born_table_and_predictions_are_bit_identical_to_the_two_map_formula(attack, ancilla):
+    state = attack_state(attack, ancilla)
+    for freq in FREQUENCY_PRESETS.values():
+        for q in (0.0, 0.3, 1.0):
+            for weights in ((1.0, 0.0), (0.4, 0.6)):
+                cfg = ProtocolConfig(
+                    cycles=20, seed=5, freq=freq, attack=attack, q=q, basis_weights=weights, ancilla=ancilla
+                )
+                assert np.array_equal(outcome_distribution(cfg, state), _two_map_outcome_distribution(cfg, state))
+                report = run(cfg)
+                for basis in CONTROL_BASES:
+                    assert report.basis_stats[basis].predicted == detection_probability(state, basis)
 
 
 def test_cumulative_table_never_lands_on_a_zero_probability_code():
