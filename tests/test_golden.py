@@ -1,4 +1,5 @@
-"""Golden outputs: simulator reports and transcript heads, and the leak curves.
+"""Golden outputs: simulator reports and transcript heads, the leak curves
+and the comparison table.
 
 Each simulator directory under tests/golden holds a run config, the report
 JSON that `simulate` writes for it, the header plus the first 200
@@ -6,17 +7,20 @@ transcript rows, and the sha256 of the whole transcript; those are pinned
 byte for byte, so every outcome of the run is. tests/golden/curves holds
 the default 67-point `curve_csv(info_curve(freq))` of each frequency preset;
 its detection column is pinned byte for byte and its information columns to
-1e-14. Any change to the random stream, the exact predictions or the leak
-curve shows up here and must be deliberate. After such a change, rewrite
-the fixtures with
+1e-14. tests/golden/compare.json holds the output of `compare --json`, pinned
+byte for byte. Any change to the random stream, the exact predictions, the
+leak curve or the table shows up here and must be deliberate. After such a
+change, rewrite the fixtures with
 
     PYTHONPATH=src python tests/test_golden.py NAME [NAME ...]
 
-where NAME is a simulator case or `curves`.
+where NAME is a simulator case, `curves` or `compare`.
 """
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -31,6 +35,14 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = ("honest", "symmetric_branch", "column_x_branch", "column_x_none")
 TRANSCRIPT_ROWS = 200
 CURVE_TOL = 1e-14
+
+
+def compare_json() -> bytes:
+    """What `compare --json` prints."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["compare", "--json"]) == 0
+    return out.getvalue().encode("utf-8")
 
 
 def simulate(case: str, workdir: Path) -> dict[str, bytes]:
@@ -111,10 +123,17 @@ def test_leak_curve_matches_golden_csv(preset):
             assert abs(float(g[column]) - float(w[column])) <= CURVE_TOL, (preset, g[0], column)
 
 
+def test_compare_json_matches_golden():
+    assert compare_json() == (GOLDEN / "compare.json").read_bytes()
+
+
 if __name__ == "__main__":
     import tempfile
 
     for name in sys.argv[1:]:
+        if name == "compare":
+            (GOLDEN / "compare.json").write_bytes(compare_json())
+            continue
         if name == "curves":
             (GOLDEN / "curves").mkdir(exist_ok=True)
             for preset, freq in FREQUENCY_PRESETS.items():
