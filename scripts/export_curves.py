@@ -15,7 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from qutrit_pingpong.comparison import format_protocol_table, protocol_table_json
-from qutrit_pingpong.information import FREQUENCY_PRESETS, curve_csv, info_curve, source_entropy
+from qutrit_pingpong.information import (
+    FREQUENCY_PRESETS,
+    curve_csv,
+    frequency_table_to_dict,
+    info_curve,
+    source_entropy,
+)
 
 
 def main(argv=None) -> int:
@@ -34,9 +40,7 @@ def main(argv=None) -> int:
         curve_path = out / f"curve_{name}.csv"
         curve_path.write_text(curve_csv(info_curve(freq, grid)), encoding="utf-8")
         freq_path = out / f"freq_{name}.json"
-        freq_path.write_text(
-            json.dumps({"p": [[float(x) for x in row] for row in freq.p]}, indent=2) + "\n"
-        )
+        freq_path.write_text(json.dumps(frequency_table_to_dict(freq), indent=2) + "\n")
         h = source_entropy(freq).value
         print(f"{name:11s} H = {h:.5f} trit  ->  {curve_path}")
 

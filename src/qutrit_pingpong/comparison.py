@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .information import TRIT_TO_BIT
@@ -59,10 +59,7 @@ def protocol_table_json() -> str:
     """The compared variants as a JSON array; rationals become [numerator, denominator]."""
     rows = [
         {
-            "name": r.name,
-            "carrier_dim": r.carrier_dim,
-            "group_size": r.group_size,
-            "capacity_bits": r.capacity_bits,
+            **asdict(r),
             "d_max": [r.d_max.numerator, r.d_max.denominator],
             "d_min": [r.d_min.numerator, r.d_min.denominator],
         }

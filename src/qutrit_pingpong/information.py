@@ -14,6 +14,10 @@ bound and the factorized spectrum all go through it. The paper's
 closed-form cubics (cubic_coefficients) are the blocks' characteristic
 polynomials, and the dense 9x9 operator (assemble_rho) is kept so that
 each route can check the other.
+
+A frequency table's JSON form, in a --freq file and in a run config's freq
+field alike, is {"preset": name} or {"p": 3x3 rows}; it is read only by
+frequency_table_from_dict and written only by frequency_table_to_dict.
 """
 
 from __future__ import annotations
@@ -91,14 +95,6 @@ def frequency_table_from_rows(rows, where: str) -> FrequencyTable:
     return FrequencyTable(arr / total)
 
 
-def load_frequency_table(path) -> FrequencyTable:
-    """Read a frequency table from JSON: {"p": [[...], [...], [...]]} and no other field."""
-    data = read_json(path, "frequency file")
-    if not (isinstance(data, dict) and set(data) == {"p"}):
-        raise ValueError(f"frequency file {path}: expected an object with a 'p' field and no other")
-    return frequency_table_from_rows(data["p"], f"frequency file {path}: 'p'")
-
-
 FREQUENCY_PRESETS: dict[str, FrequencyTable] = {
     "uniform": FrequencyTable.uniform(),
     "tiered": FrequencyTable(
@@ -130,6 +126,33 @@ FREQUENCY_PRESETS: dict[str, FrequencyTable] = {
         ]
     ),
 }
+
+
+def frequency_table_from_dict(spec, where: str) -> FrequencyTable:
+    """A frequency table from its JSON form: {"preset": name} or {"p": 3x3 rows}, nothing else.
+
+    name must be a key of FREQUENCY_PRESETS; rows go through
+    frequency_table_from_rows, named f"{where}.p". where is the caller's
+    name for the object, e.g. "freq" for a run config's field.
+    """
+    if isinstance(spec, dict) and set(spec) == {"preset"}:
+        name = spec["preset"]
+        if not isinstance(name, str) or name not in FREQUENCY_PRESETS:
+            raise ValueError(f"unknown frequency preset {name!r}; choose from {sorted(FREQUENCY_PRESETS)}")
+        return FREQUENCY_PRESETS[name]
+    if isinstance(spec, dict) and set(spec) == {"p"}:
+        return frequency_table_from_rows(spec["p"], f"{where}.p")
+    raise ValueError(f"{where} must be {{'preset': name}} or {{'p': 3x3 array}}")
+
+
+def frequency_table_to_dict(freq: FrequencyTable) -> dict:
+    """The {"p": rows} JSON form of a table, which frequency_table_from_dict reads back."""
+    return {"p": freq.p.tolist()}
+
+
+def load_frequency_table(path) -> FrequencyTable:
+    """Read a frequency table JSON file, in either form frequency_table_from_dict accepts."""
+    return frequency_table_from_dict(read_json(path, "frequency file"), f"frequency file {path}: freq")
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .attack import (
     read_json,
     reject_extra_fields,
 )
-from .information import FREQUENCY_PRESETS, FrequencyTable, frequency_table_from_rows
+from .information import FrequencyTable, frequency_table_from_dict, frequency_table_to_dict
 from .qutrit import (
     BASIS_LABELS,
     BELL_STATES,
@@ -219,44 +219,28 @@ class ProtocolConfig:
         _check_ancilla(self.ancilla)
 
     def to_dict(self) -> dict:
+        """The config as JSON values, in field order; from_dict reads it back."""
         return {
-            "cycles": self.cycles,
-            "seed": self.seed,
-            "freq": {"p": self.freq.p.tolist()},
+            **vars(self),
+            "freq": frequency_table_to_dict(self.freq),
             "attack": attack_to_dict(self.attack),
-            "q": self.q,
             "basis_weights": list(self.basis_weights),
-            "ancilla": self.ancilla,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProtocolConfig":
         if not isinstance(data, dict):
             raise ValueError("config must be a JSON object")
-        known = {"cycles", "seed", "freq", "attack", "q", "basis_weights", "ancilla"}
-        reject_extra_fields(data, known, "config")
+        reject_extra_fields(data, {f.name for f in fields(cls)}, "config")
         for name in ("cycles", "seed"):
             if name not in data:
                 raise ValueError(f"config needs a {name!r} field")
-        freq = FrequencyTable.uniform()
+        kwargs = dict(data)
         if "freq" in data:
-            spec = data["freq"]
-            if isinstance(spec, dict) and set(spec) == {"preset"}:
-                name = spec["preset"]
-                if not isinstance(name, str) or name not in FREQUENCY_PRESETS:
-                    raise ValueError(
-                        f"unknown frequency preset {name!r}; choose from {sorted(FREQUENCY_PRESETS)}"
-                    )
-                freq = FREQUENCY_PRESETS[name]
-            elif isinstance(spec, dict) and set(spec) == {"p"}:
-                freq = frequency_table_from_rows(spec["p"], "freq.p")
-            else:
-                raise ValueError("freq must be {'preset': name} or {'p': 3x3 array}")
-        attack: AttackSpec = NoAttack()
+            kwargs["freq"] = frequency_table_from_dict(data["freq"], "freq")
         if "attack" in data:
-            attack = attack_from_dict(data["attack"])
-        kwargs = {name: data[name] for name in ("q", "basis_weights", "ancilla") if name in data}
-        return cls(cycles=data["cycles"], seed=data["seed"], freq=freq, attack=attack, **kwargs)
+            kwargs["attack"] = attack_from_dict(data["attack"])
+        return cls(**kwargs)
 
 
 def load_protocol_config(path) -> ProtocolConfig:
@@ -427,19 +411,14 @@ class RunReport:
     outcomes: np.ndarray
 
     def as_dict(self) -> dict:
-        stats = {basis: asdict(s) for basis, s in self.basis_stats.items()}
-        return {
-            "config": self.config,
-            "cycles": self.cycles,
-            "control_rounds": self.control_rounds,
-            "message_rounds": self.message_rounds,
-            "detections": self.detections,
-            "first_detection_cycle": self.first_detection_cycle,
-            "basis_stats": stats,
-            "confusion": [[int(x) for x in row] for row in self.confusion],
-            "correct_messages": self.correct_messages,
-            "rounds_to_detection": self.rounds_to_detection,
+        """Every field but outcomes, as JSON values."""
+        report = {
+            **vars(self),
+            "basis_stats": {basis: asdict(s) for basis, s in self.basis_stats.items()},
+            "confusion": self.confusion.tolist(),
         }
+        del report["outcomes"]
+        return report
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True, indent=2)

@@ -16,11 +16,16 @@ from qutrit_pingpong.cli import main
 from qutrit_pingpong.information import TRIT_TO_BIT
 
 
-def test_entropy_preset(capsys):
+def test_entropy_preset(tmp_path, capsys):
     assert main(["entropy", "--preset", "tiered"]) == 0
     out = capsys.readouterr().out
     assert "H = 1.9206 trit" in out
     assert "bit" in out
+    # A --freq file takes a preset name, as a run config's freq does.
+    path = tmp_path / "freq.json"
+    path.write_text(json.dumps({"preset": "tiered"}))
+    assert main(["entropy", "--freq", str(path)]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_entropy_single_unit(capsys):

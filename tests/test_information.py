@@ -115,6 +115,9 @@ def test_load_frequency_table_renormalizes_rounding(tmp_path):
         {"p": [[10**400, 0, 0], [0, 0, 0], [0, 0, 0]]},
         {"p": [[True, False, False], [False, False, False], [False, False, False]]},
         {"p": [["0.5", 0.5, 0], [0, 0, 0], [0, 0, 0]]},
+        {"preset": "nope"},
+        {"preset": 3},
+        {"preset": "tiered", "p": [[1 / 9] * 3] * 3},
     ],
 )
 def test_load_frequency_table_rejects_malformed(tmp_path, payload):
