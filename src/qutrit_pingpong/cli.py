@@ -183,15 +183,12 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return _DISPATCH[args.command](args)
-    except ValueError as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except (OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def entry() -> None:
