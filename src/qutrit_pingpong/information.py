@@ -15,9 +15,8 @@ closed-form cubics (cubic_coefficients) are the blocks' characteristic
 polynomials, and the dense 9x9 operator (assemble_rho) is kept so that
 each route can check the other.
 
-A frequency table's JSON form, in a --freq file and in a run config's freq
-field alike, is {"preset": name} or {"p": 3x3 rows}; it is read only by
-frequency_table_from_dict and written only by frequency_table_to_dict.
+A frequency table's JSON form, {"preset": name} or {"p": 3x3 rows} in a --freq file and a run
+config alike, is read by frequency_table_from_dict and written by frequency_table_to_dict.
 """
 
 from __future__ import annotations
@@ -131,9 +130,7 @@ FREQUENCY_PRESETS: dict[str, FrequencyTable] = {
 def frequency_table_from_dict(spec, where: str) -> FrequencyTable:
     """A frequency table from its JSON form: {"preset": name} or {"p": 3x3 rows}, nothing else.
 
-    name must be a key of FREQUENCY_PRESETS; rows go through
-    frequency_table_from_rows, named f"{where}.p". where is the caller's
-    name for the object, e.g. "freq" for a run config's field.
+    where names the object in errors, e.g. "freq"; rows go to frequency_table_from_rows as f"{where}.p".
     """
     if isinstance(spec, dict) and set(spec) == {"preset"}:
         name = spec["preset"]
