@@ -4,19 +4,19 @@ Tracks the complete 81-amplitude joint state of the home qutrit, the
 travelling qutrit and a 9-level probe ancilla. Message cycles apply a
 coding operation to the travelling qutrit and decode by projecting onto
 the entangled pair basis; control cycles measure both qutrits in paired
-bases and flag any disallowed outcome pair. Attacks enter either as a
-circulant unitary on the travelling qutrit alone or as an
-entangling-probe branching map. The post-attack state is the same every
-cycle, so each cycle is one draw from the exact Born distribution over 99
-outcome codes (a control pair in a basis, or a sent and a decoded
-bigram), computed once per run by one product with a stacked (99, 9)
-amplitude map built at import; the run reads each basis's predicted
-detection from the same table and samples it in numpy blocks by
-inverting its cumulative table. A run keeps one outcome byte per cycle;
-the report's counts and the CSV transcript are both derived from those
-bytes. The transcript is written as byte rows in blocks of at most 2**12
-cycles, each row its cycle number and one row of a 99-entry tail table
-built once, at import.
+bases and flag any disallowed outcome pair. One function, attack_state,
+builds the post-attack state, with the attack either a circulant unitary
+on the travelling qutrit alone or an entangling-probe branching map.
+That state is the same every cycle, so each cycle is one draw from the
+exact Born distribution over 99 outcome codes (a control pair in a
+basis, or a sent and a decoded bigram), computed once per run by one
+product with a stacked (99, 9) amplitude map built at import; the run
+reads each basis's predicted detection from the same table and samples
+it in numpy blocks by inverting its cumulative table. A run keeps one
+outcome byte per cycle; the report's counts and the CSV transcript are
+both derived from those bytes. The transcript is written as byte rows in
+blocks of at most 2**12 cycles, each row its cycle number and one row of
+a 99-entry tail table built once, at import.
 """
 
 from __future__ import annotations
@@ -90,26 +90,6 @@ def initial_state() -> JointState:
 def apply_travel_unitary(state: JointState, u: np.ndarray) -> JointState:
     """Apply the 3x3 unitary u to the travelling qutrit; JointState checks the result's norm."""
     return JointState(np.einsum("ts,hsn->htn", u, state.amps))
-
-
-def apply_branch_attack(state: JointState, e: np.ndarray, basis: str = "z") -> JointState:
-    """Entangling-probe attack, with its coefficients given in a measuring basis.
-
-    e[m, n] is the amplitude for rewriting vector n of the basis into
-    vector m; the probe remembers the (n, m) branch in pointer slot 3n + m.
-    Each column of e must be a unit vector (the map is then an isometry; e
-    itself need not be unitary). The ancilla must still be in its ready slot.
-    """
-    e = frozen_array(e, (3, 3), "branch coefficients")
-    col_norms = (np.abs(e) ** 2).sum(axis=0)
-    if np.abs(col_norms - 1.0).max() > 1e-9:
-        raise ValueError(f"branch columns must be unit vectors, squared norms {col_norms.tolist()}")
-    occupied = float((np.abs(state.amps[:, :, 1:]) ** 2).sum())
-    if occupied > _STATE_NORM_TOL:
-        raise ValueError("ancilla is no longer in its ready slot; cannot attack twice")
-    m = mub(basis)
-    ready = state.amps[:, :, 0] @ m.conj()
-    return JointState(np.einsum("tm,mn,hn->htnm", m, e, ready).reshape(3, 3, ANCILLA_DIM))
 
 
 # The simulator mixes control rounds in the first two bases only.
@@ -248,7 +228,16 @@ def load_protocol_config(path) -> ProtocolConfig:
 
 
 def attack_state(attack: AttackSpec, ancilla: str) -> JointState:
-    """Joint state after the attack touches the travelling qutrit once, in ancilla mode "branch" or "none"."""
+    """Joint state after the attack touches the travelling qutrit once, in ancilla mode "branch" or "none".
+
+    The attack acts in its column's measuring basis. "none" applies the
+    column's circulant unitary completion to the travelling qutrit alone.
+    "branch" is the entangling-probe attack: with e the circulant of the
+    column, e[m, n] is the amplitude for rewriting basis vector n into vector
+    m, and the probe remembers the (n, m) branch in pointer slot 3n + m. Each
+    column of e is the attack column permuted, so the map is an isometry.
+    JointState checks the norm of either result.
+    """
     _check_ancilla(ancilla)
     if isinstance(attack, NoAttack):
         return initial_state()
@@ -256,10 +245,12 @@ def attack_state(attack: AttackSpec, ancilla: str) -> JointState:
         column, basis = attack.column(), "z"
     else:
         column, basis = attack.column, attack.basis
-    if ancilla == "branch":
-        return apply_branch_attack(initial_state(), circulant(column.as_array()), basis)
-    op = complete_circulant(column, representation=basis)
     m = mub(basis)
+    if ancilla == "branch":
+        e = circulant(column.as_array())
+        ready = _READY.amps[:, :, 0] @ m.conj()
+        return JointState(np.einsum("tm,mn,hn->htnm", m, e, ready).reshape(3, 3, ANCILLA_DIM))
+    op = complete_circulant(column, representation=basis)
     return apply_travel_unitary(initial_state(), m @ op.m @ m.conj().T)
 
 

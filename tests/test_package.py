@@ -19,7 +19,6 @@ from qutrit_pingpong.attack import (
 from qutrit_pingpong.information import FrequencyTable, assemble_rho
 from qutrit_pingpong.protocol import (
     JointState,
-    apply_branch_attack,
     control_distribution,
     detection_probability,
     initial_state,
@@ -58,7 +57,6 @@ _TAKES_A_LABEL = {
     "ColumnAttack": lambda b: ColumnAttack(b, symmetric_column(0.3)),
     "control_distribution": lambda b: control_distribution(initial_state(), b),
     "detection_probability": lambda b: detection_probability(initial_state(), b),
-    "apply_branch_attack": lambda b: apply_branch_attack(initial_state(), np.eye(3), b),
 }
 
 

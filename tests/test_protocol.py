@@ -15,6 +15,7 @@ from qutrit_pingpong.attack import (
     NoAttack,
     SymmetricAttack,
     complete_circulant,
+    normalized_column,
     symmetric_column,
 )
 from qutrit_pingpong.information import FREQUENCY_PRESETS, holevo_information
@@ -24,7 +25,6 @@ from qutrit_pingpong.protocol import (
     TRANSCRIPT_HEADER,
     JointState,
     ProtocolConfig,
-    apply_branch_attack,
     apply_travel_unitary,
     attack_state,
     control_distribution,
@@ -73,29 +73,42 @@ def test_uncoded_decode_is_point_mass():
             assert abs(probs[3 * i + j] - 1.0) < 1e-12
 
 
-def test_branch_attack_requires_unit_columns():
-    with pytest.raises(ValueError):
-        apply_branch_attack(initial_state(), np.ones((3, 3)))
+def _branch_amps(e: np.ndarray, basis: str) -> np.ndarray:
+    """The entangling-probe map on the ready state as a standalone function once applied it, kept as
+    the reference for attack_state's "branch" mode: e[m, n] rewrites basis vector n into vector m and
+    the probe records the branch in pointer slot 3n + m."""
+    m = mub(basis)
+    ready = initial_state().amps[:, :, 0] @ m.conj()
+    return np.einsum("tm,mn,hn->htnm", m, e, ready).reshape(3, 3, ANCILLA_DIM)
 
 
-def _shifted():
-    # cyclic-shift coefficients of a mildly disturbing column
-    col = np.array([math.sqrt(0.8), math.sqrt(0.1), math.sqrt(0.1)])
+def _circulant_of(col: AttackColumn) -> np.ndarray:
+    values = col.as_array()
     e = np.empty((3, 3), dtype=complex)
     for n in range(3):
         for m in range(3):
-            e[m, n] = col[(m - n) % 3]
+            e[m, n] = values[(m - n) % 3]
     return e
 
 
-def test_branch_attack_cannot_run_twice():
-    once = apply_branch_attack(initial_state(), _shifted())
-    with pytest.raises(ValueError):
-        apply_branch_attack(once, _shifted())
+def _random_columns(count: int, seed: int) -> list[AttackColumn]:
+    rng = np.random.default_rng(seed)
+    return [normalized_column(*(rng.normal(size=3) + 1j * rng.normal(size=3))) for _ in range(count)]
+
+
+@pytest.mark.parametrize("basis", ["z", "x", "v", "t"])
+def test_branch_attack_state_is_bit_identical_to_the_reference_map(basis):
+    for col in _random_columns(20, seed=1 + "zxvt".index(basis)):
+        want = _branch_amps(_circulant_of(col), basis)
+        assert np.array_equal(attack_state(ColumnAttack(basis, col), "branch").amps, want)
+    for d in (0.0, 0.2, 0.5, 2.0 / 3.0):
+        want = _branch_amps(_circulant_of(symmetric_column(d)), "z")
+        assert np.array_equal(attack_state(SymmetricAttack(d), "branch").amps, want)
 
 
 def test_branch_attack_is_an_isometry():
-    out = apply_branch_attack(initial_state(), _shifted())
+    col = AttackColumn(math.sqrt(0.8), math.sqrt(0.1), math.sqrt(0.1))
+    out = attack_state(ColumnAttack("z", col), "branch")
     assert abs(float((np.abs(out.amps) ** 2).sum()) - 1.0) < 1e-12
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from qutrit_pingpong.attack import AttackOperator, normalized_column
 from qutrit_pingpong.information import DensityMatrix9, FrequencyTable
-from qutrit_pingpong.protocol import JointState, apply_branch_attack, initial_state
+from qutrit_pingpong.protocol import JointState
 from qutrit_pingpong.qutrit import (
     BASIS_LABELS,
     OMEGA,
@@ -148,7 +148,6 @@ _ARRAY_HOLDERS = [
     (lambda a: AttackOperator(a, "z"), "attack matrix", (3, 3)),
     (DensityMatrix9, "density matrix", (9, 9)),
     (FrequencyTable, "frequency table", (3, 3)),
-    (lambda a: apply_branch_attack(initial_state(), a), "branch coefficients", (3, 3)),
     (lambda a: normalized_column(*a), "column entries", (3,)),
 ]
 
