@@ -102,17 +102,21 @@ class AttackColumn:
             if not abs(c) <= 1.0 + CONSTRAINT_TOL:
                 raise ValueError(f"{name} must be finite with modulus at most 1, got {c!r}")
             object.__setattr__(self, name, c)
-        norm = abs(self.c0) ** 2 + abs(self.c1) ** 2 + abs(self.c2) ** 2
+        norm = self.squared_norm()
         if abs(norm - 1.0) > CONSTRAINT_TOL:
             raise ValueError(f"attack column must have unit norm, squared norm {norm!r}")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.c0, self.c1, self.c2], dtype=np.complex128)
 
+    def squared_norm(self) -> float:
+        """The sum of the squared moduli, within CONSTRAINT_TOL of 1."""
+        return abs(self.c0) ** 2 + abs(self.c1) ** 2 + abs(self.c2) ** 2
+
     def moduli_squared(self) -> tuple[float, float, float]:
         """The squared moduli over their sum, which absorbs the norm slack of up to CONSTRAINT_TOL."""
-        moduli = (abs(self.c0) ** 2, abs(self.c1) ** 2, abs(self.c2) ** 2)
-        return tuple(t / sum(moduli) for t in moduli)
+        norm = self.squared_norm()
+        return tuple(abs(c) ** 2 / norm for c in (self.c0, self.c1, self.c2))
 
 
 def normalized_column(c0, c1, c2) -> AttackColumn:

@@ -233,10 +233,13 @@ def attack_state(attack: AttackSpec, ancilla: str) -> JointState:
     The attack acts in its column's measuring basis. "none" applies the
     column's circulant unitary completion to the travelling qutrit alone.
     "branch" is the entangling-probe attack: with e the circulant of the
-    column, e[m, n] is the amplitude for rewriting basis vector n into vector
-    m, and the probe remembers the (n, m) branch in pointer slot 3n + m. Each
-    column of e is the attack column permuted, so the map is an isometry.
-    JointState checks the norm of either result.
+    column at unit norm, e[m, n] is the amplitude for rewriting basis vector
+    n into vector m, and the probe remembers the (n, m) branch in pointer
+    slot 3n + m. Each column of e is the attack column permuted, so the map
+    is an isometry. The column is divided by the square root of the sum
+    that AttackColumn.moduli_squared() divides by, so its norm slack stops
+    there, as on the "none" path. JointState checks the norm of either
+    result.
     """
     _check_ancilla(ancilla)
     if isinstance(attack, NoAttack):
@@ -247,7 +250,7 @@ def attack_state(attack: AttackSpec, ancilla: str) -> JointState:
         column, basis = attack.column, attack.basis
     m = mub(basis)
     if ancilla == "branch":
-        e = circulant(column.as_array())
+        e = circulant(column.as_array() / math.sqrt(column.squared_norm()))
         ready = _READY.amps[:, :, 0] @ m.conj()
         return JointState(np.einsum("tm,mn,hn->htnm", m, e, ready).reshape(3, 3, ANCILLA_DIM))
     op = complete_circulant(column, representation=basis)

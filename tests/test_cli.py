@@ -12,6 +12,7 @@ import pytest
 
 import qutrit_pingpong
 from qutrit_pingpong import cli
+from qutrit_pingpong.attack import AttackColumn
 from qutrit_pingpong.cli import main
 from qutrit_pingpong.information import TRIT_TO_BIT
 
@@ -194,6 +195,22 @@ def test_simulate_accepts_a_completion_at_the_flat_triangle(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert json.loads(captured.out)["basis_stats"]["z"]["predicted"] == pytest.approx(d, abs=1e-12)
+
+
+@pytest.mark.parametrize("ancilla", ["branch", "none"])
+@pytest.mark.parametrize("slack", [2e-10, 5e-10, 9e-10])
+def test_simulate_runs_a_column_with_norm_slack_in_both_modes(tmp_path, capsys, ancilla, slack):
+    # AttackColumn accepts a squared norm up to 1e-9 from 1; both attack
+    # realizations read the column at unit norm, so neither fails later.
+    scale = math.sqrt(1.0 + slack)
+    values = [[scale * math.sqrt(0.6), 0.0], [scale * 0.5, 0.0], [0.0, scale * math.sqrt(0.15)]]
+    cfg = {"cycles": 200, "seed": 3, "ancilla": ancilla, "attack": {"type": "column", "basis": "x", "values": values}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    column = AttackColumn(*(complex(re, im) for re, im in values))
+    predicted = json.loads(capsys.readouterr().out)["basis_stats"]["x"]["predicted"]
+    assert abs(predicted - (1.0 - column.moduli_squared()[0])) <= 1e-12
 
 
 def test_simulate_same_seed_repeats_exactly(tmp_path, capsys):

@@ -82,8 +82,9 @@ def _branch_amps(e: np.ndarray, basis: str) -> np.ndarray:
     return np.einsum("tm,mn,hn->htnm", m, e, ready).reshape(3, 3, ANCILLA_DIM)
 
 
-def _circulant_of(col: AttackColumn) -> np.ndarray:
-    values = col.as_array()
+def _unit_circulant_of(col: AttackColumn) -> np.ndarray:
+    """The circulant of the column at unit norm: each entry over the square root of its squared_norm()."""
+    values = col.as_array() / math.sqrt(col.squared_norm())
     e = np.empty((3, 3), dtype=complex)
     for n in range(3):
         for m in range(3):
@@ -92,17 +93,23 @@ def _circulant_of(col: AttackColumn) -> np.ndarray:
 
 
 def _random_columns(count: int, seed: int) -> list[AttackColumn]:
+    """Random columns, every other one off unit squared norm by up to 8e-10 (AttackColumn allows 1e-9)."""
     rng = np.random.default_rng(seed)
-    return [normalized_column(*(rng.normal(size=3) + 1j * rng.normal(size=3))) for _ in range(count)]
+    cols = []
+    for k in range(count):
+        unit = normalized_column(*(rng.normal(size=3) + 1j * rng.normal(size=3)))
+        scale = math.sqrt(1.0 + rng.uniform(-8e-10, 8e-10)) if k % 2 else 1.0
+        cols.append(AttackColumn(*(scale * unit.as_array()).tolist()))
+    return cols
 
 
 @pytest.mark.parametrize("basis", ["z", "x", "v", "t"])
 def test_branch_attack_state_is_bit_identical_to_the_reference_map(basis):
     for col in _random_columns(20, seed=1 + "zxvt".index(basis)):
-        want = _branch_amps(_circulant_of(col), basis)
+        want = _branch_amps(_unit_circulant_of(col), basis)
         assert np.array_equal(attack_state(ColumnAttack(basis, col), "branch").amps, want)
     for d in (0.0, 0.2, 0.5, 2.0 / 3.0):
-        want = _branch_amps(_circulant_of(symmetric_column(d)), "z")
+        want = _branch_amps(_unit_circulant_of(symmetric_column(d)), "z")
         assert np.array_equal(attack_state(SymmetricAttack(d), "branch").amps, want)
 
 
