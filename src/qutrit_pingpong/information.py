@@ -73,27 +73,6 @@ class FrequencyTable:
         return cls(np.full((3, 3), 1.0 / 9.0))
 
 
-def frequency_table_from_rows(rows, where: str) -> FrequencyTable:
-    """Validate a 3x3 frequency array read from JSON and renormalize it.
-
-    Each entry must be a finite, non-negative int or float; JSON booleans
-    and strings are rejected. Small rounding in the input is forgiven by
-    renormalizing, but sums more than 1e-9 away from one are rejected as
-    genuinely malformed. Error messages start with where, the caller's name
-    for the array.
-    """
-    rows_ok = isinstance(rows, list) and len(rows) == 3
-    if not (rows_ok and all(isinstance(row, list) and len(row) == 3 for row in rows)):
-        raise ValueError(f"{where} must be a 3x3 array of numbers")
-    if not all(is_finite_real(x) and x >= 0 for row in rows for x in row):
-        raise ValueError(f"{where} entries must be finite non-negative numbers")
-    arr = np.array(rows, dtype=float)
-    total = float(arr.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"{where} entries sum to {total!r}, not 1")
-    return FrequencyTable(arr / total)
-
-
 FREQUENCY_PRESETS: dict[str, FrequencyTable] = {
     "uniform": FrequencyTable.uniform(),
     "tiered": FrequencyTable(
@@ -130,16 +109,30 @@ FREQUENCY_PRESETS: dict[str, FrequencyTable] = {
 def frequency_table_from_dict(spec, where: str) -> FrequencyTable:
     """A frequency table from its JSON form: {"preset": name} or {"p": 3x3 rows}, nothing else.
 
-    where names the object in errors, e.g. "freq"; rows go to frequency_table_from_rows as f"{where}.p".
+    where names the object in errors, e.g. "freq", and every message starts
+    with it. Each entry of p must be a finite, non-negative int or float;
+    JSON booleans and strings are rejected. Small rounding in the input is
+    forgiven by renormalizing, but sums more than 1e-9 away from one are
+    rejected as genuinely malformed.
     """
     if isinstance(spec, dict) and set(spec) == {"preset"}:
         name = spec["preset"]
         if not isinstance(name, str) or name not in FREQUENCY_PRESETS:
-            raise ValueError(f"unknown frequency preset {name!r}; choose from {sorted(FREQUENCY_PRESETS)}")
+            raise ValueError(f"{where}.preset must be one of {sorted(FREQUENCY_PRESETS)}, got {name!r}")
         return FREQUENCY_PRESETS[name]
-    if isinstance(spec, dict) and set(spec) == {"p"}:
-        return frequency_table_from_rows(spec["p"], f"{where}.p")
-    raise ValueError(f"{where} must be {{'preset': name}} or {{'p': 3x3 array}}")
+    if not (isinstance(spec, dict) and set(spec) == {"p"}):
+        raise ValueError(f"{where} must be {{'preset': name}} or {{'p': 3x3 array}}")
+    rows = spec["p"]
+    rows_ok = isinstance(rows, list) and len(rows) == 3
+    if not (rows_ok and all(isinstance(row, list) and len(row) == 3 for row in rows)):
+        raise ValueError(f"{where}.p must be a 3x3 array of numbers")
+    if not all(is_finite_real(x) and x >= 0 for row in rows for x in row):
+        raise ValueError(f"{where}.p entries must be finite non-negative numbers")
+    arr = np.array(rows, dtype=float)
+    total = float(arr.sum())
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"{where}.p entries sum to {total!r}, not 1")
+    return FrequencyTable(arr / total)
 
 
 def frequency_table_to_dict(freq: FrequencyTable) -> dict:

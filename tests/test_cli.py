@@ -29,6 +29,17 @@ def test_entropy_preset(tmp_path, capsys):
     assert capsys.readouterr().out == out
 
 
+def test_unknown_preset_error_names_the_file_and_the_field(tmp_path, capsys):
+    choices = "['peaked', 'sparse', 'tiered', 'two-bigram', 'uniform']"
+    path = tmp_path / "freq.json"
+    path.write_text(json.dumps({"preset": "nope"}))
+    assert main(["entropy", "--freq", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: frequency file {path}: freq.preset must be one of {choices}, got 'nope'\n"
+    path.write_text(json.dumps({"cycles": 10, "seed": 1, "freq": {"preset": "nope"}}))
+    assert main(["simulate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: freq.preset must be one of {choices}, got 'nope'\n"
+
+
 def test_entropy_single_unit(capsys):
     assert main(["entropy", "--unit", "trit"]) == 0
     out = capsys.readouterr().out
