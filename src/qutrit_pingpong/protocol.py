@@ -230,16 +230,13 @@ def load_protocol_config(path) -> ProtocolConfig:
 def attack_state(attack: AttackSpec, ancilla: str) -> JointState:
     """Joint state after the attack touches the travelling qutrit once, in ancilla mode "branch" or "none".
 
-    The attack acts in its column's measuring basis. "none" applies the
+    Both act in the attack column's measuring basis. "none" applies the
     column's circulant unitary completion to the travelling qutrit alone.
-    "branch" is the entangling-probe attack: with e the circulant of the
-    column at unit norm, e[m, n] is the amplitude for rewriting basis vector
-    n into vector m, and the probe remembers the (n, m) branch in pointer
-    slot 3n + m. Each column of e is the attack column permuted, so the map
-    is an isometry. The column is divided by the square root of the sum
-    that AttackColumn.moduli_squared() divides by, so its norm slack stops
-    there, as on the "none" path. JointState checks the norm of either
-    result.
+    "branch" entangles a probe: with e the circulant of the column at unit
+    norm (divided by the root of its squared_norm()), e[m, n] is the
+    amplitude for rewriting basis vector n into vector m, and the probe
+    records the (n, m) branch in pointer slot 3n + m. The columns of e are
+    the attack column permuted, so the map is an isometry.
     """
     _check_ancilla(ancilla)
     if isinstance(attack, NoAttack):
@@ -251,7 +248,7 @@ def attack_state(attack: AttackSpec, ancilla: str) -> JointState:
     m = mub(basis)
     if ancilla == "branch":
         e = circulant(column.as_array() / math.sqrt(column.squared_norm()))
-        ready = _READY.amps[:, :, 0] @ m.conj()
+        ready = initial_state().amps[:, :, 0] @ m.conj()
         return JointState(np.einsum("tm,mn,hn->htnm", m, e, ready).reshape(3, 3, ANCILLA_DIM))
     op = complete_circulant(column, representation=basis)
     return apply_travel_unitary(initial_state(), m @ op.m @ m.conj().T)

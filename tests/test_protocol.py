@@ -74,9 +74,11 @@ def test_uncoded_decode_is_point_mass():
 
 
 def _branch_amps(e: np.ndarray, basis: str) -> np.ndarray:
-    """The entangling-probe map on the ready state as a standalone function once applied it, kept as
-    the reference for attack_state's "branch" mode: e[m, n] rewrites basis vector n into vector m and
-    the probe records the branch in pointer slot 3n + m."""
+    """The entangling-probe map on the ready state, kept as the reference for attack_state's "branch" mode.
+
+    e[m, n] rewrites basis vector n into vector m, and the probe records the
+    branch in pointer slot 3n + m.
+    """
     m = mub(basis)
     ready = initial_state().amps[:, :, 0] @ m.conj()
     return np.einsum("tm,mn,hn->htnm", m, e, ready).reshape(3, 3, ANCILLA_DIM)
