@@ -4,7 +4,9 @@ Tracks the complete 81-amplitude joint state of the home qutrit, the
 travelling qutrit and a 9-level probe ancilla. Message cycles apply a
 coding operation to the travelling qutrit and decode by projecting onto
 the entangled pair basis; control cycles measure both qutrits in paired
-bases and flag any disallowed outcome pair. One function, attack_state,
+bases and flag any outcome pair an honest channel never gives, reading
+the control maps and honest pairs from qutrit (CONTROL_MAPS,
+HONEST_PAIRS). One function, attack_state,
 builds the post-attack state, with the attack either a circulant unitary
 on the travelling qutrit alone or an entangling-probe branching map.
 That state is the same every cycle, so each cycle is one draw from the
@@ -46,10 +48,11 @@ from .qutrit import (
     BASIS_LABELS,
     BELL_STATES,
     CODING_UNITARIES,
+    CONTROL_MAPS,
+    HONEST_PAIRS,
     _pair_index,
     bell_state,
     check_basis,
-    control_correlations,
     frozen_array,
     mub,
 )
@@ -97,29 +100,16 @@ CONTROL_BASES = BASIS_LABELS[:2]
 _MESSAGE_CODE = 18
 _N_CODES = 99
 
-
-def _outcome_maps() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Amplitude maps from the (home, travel) pair h, t to each outcome, with the honest pairs.
-
-    control[s, 3a + b, 3h + t] reads t as a in basis BASIS_LABELS[s] and h as
-    b in its partner basis, and allowed[s, a, b] marks the pairs an honest
-    channel gives. outcome[c, 3h + t] is the (99, 9) map to outcome code c:
-    the control rows of CONTROL_BASES, then for each bigram k the nine rows
-    18 + 9k + out that code with k and read out.
-    """
-    pairs = [control_correlations(basis) for basis in BASIS_LABELS]
-    alice = np.stack([mub(p.alice_basis) for p in pairs])
-    bob = np.stack([mub(p.bob_basis) for p in pairs])
-    control = np.einsum("sta,shb->sabht", alice.conj(), bob.conj()).reshape(len(pairs), 9, 9)
-    allowed = np.array([[[(a, b) in p.allowed_pairs() for b in range(3)] for a in range(3)] for p in pairs])
-    decode = np.einsum("oht,kts->kohs", BELL_STATES.conj(), CODING_UNITARIES).reshape(81, 9)
-    outcome = np.vstack([control[: len(CONTROL_BASES)].reshape(_MESSAGE_CODE, 9), decode])
-    for arr in (control, allowed, outcome):
-        arr.setflags(write=False)
-    return control, allowed, outcome
-
-
-_CONTROL_MAP, _ALLOWED, _OUTCOME_MAP = _outcome_maps()
+# outcome[c, 3h + t] maps the (home, travel) pair to outcome code c: the
+# control rows of CONTROL_BASES, then for each bigram k the nine rows
+# 18 + 9k + out that code with k and read out.
+_OUTCOME_MAP = np.vstack(
+    [
+        CONTROL_MAPS[: len(CONTROL_BASES)].reshape(_MESSAGE_CODE, 9),
+        np.einsum("oht,kts->kohs", BELL_STATES.conj(), CODING_UNITARIES).reshape(81, 9),
+    ]
+)
+_OUTCOME_MAP.setflags(write=False)
 
 
 def _born(amplitude_map: np.ndarray, state: JointState) -> np.ndarray:
@@ -127,12 +117,12 @@ def _born(amplitude_map: np.ndarray, state: JointState) -> np.ndarray:
     return (np.abs(amplitude_map @ state.amps.reshape(9, ANCILLA_DIM)) ** 2).sum(axis=-1)
 
 
-def _detected(joint: np.ndarray, allowed: np.ndarray) -> float:
-    """Detection probability of a flat nine-entry control block: one minus its honest pairs' mass.
+def _detected(joint: np.ndarray, s: int) -> float:
+    """Detection probability of a nine-entry control block in basis BASIS_LABELS[s].
 
-    allowed is the flat mask of the pairs an honest channel gives.
+    One minus the mass of the pairs an honest channel gives (HONEST_PAIRS[s]).
     """
-    return max(0.0, 1.0 - float(joint[allowed].sum()))
+    return max(0.0, 1.0 - float(joint[HONEST_PAIRS[s]].sum()))
 
 
 def control_distribution(state: JointState, alice_basis: str) -> np.ndarray:
@@ -140,9 +130,9 @@ def control_distribution(state: JointState, alice_basis: str) -> np.ndarray:
 
     joint[a, b] is the probability that the receiver sees a on the
     travelling qutrit and the sender sees b on the home qutrit, measured
-    in the partner basis of control_correlations(alice_basis).
+    in the partner basis (CONTROL_MAPS).
     """
-    return _born(_CONTROL_MAP[BASIS_LABELS.index(check_basis(alice_basis))], state).reshape(3, 3)
+    return _born(CONTROL_MAPS[BASIS_LABELS.index(check_basis(alice_basis))], state).reshape(3, 3)
 
 
 def detection_probability(state: JointState, alice_basis: str) -> float:
@@ -150,8 +140,8 @@ def detection_probability(state: JointState, alice_basis: str) -> float:
 
     One minus the mass of the outcome pairs an honest channel gives.
     """
-    joint = control_distribution(state, alice_basis)
-    return _detected(joint.ravel(), _ALLOWED[BASIS_LABELS.index(alice_basis)].ravel())
+    s = BASIS_LABELS.index(check_basis(alice_basis))
+    return _detected(_born(CONTROL_MAPS[s], state), s)
 
 
 def decode_distribution(state: JointState, bigram: tuple[int, int]) -> np.ndarray:
@@ -255,7 +245,7 @@ def attack_state(attack: AttackSpec, ancilla: str) -> JointState:
 
 
 # Mask over the outcome codes: True for a control pair an honest channel never gives.
-_FORBIDDEN = np.append(~_ALLOWED[: len(CONTROL_BASES)], np.zeros(_N_CODES - _MESSAGE_CODE, dtype=bool))
+_FORBIDDEN = np.append(~HONEST_PAIRS[: len(CONTROL_BASES)], np.zeros(_N_CODES - _MESSAGE_CODE, dtype=bool))
 _FORBIDDEN.setflags(write=False)
 
 
@@ -466,7 +456,7 @@ def run(config: ProtocolConfig) -> RunReport:
 
     basis_stats = {}
     for s, (basis, n, hits) in enumerate(zip(CONTROL_BASES, rounds, caught)):
-        p = _detected(table[9 * s : 9 * s + 9], _ALLOWED[s].ravel())
+        p = _detected(table[9 * s : 9 * s + 9], s)
         if n > 0:
             emp = hits / n
             band = 3.0 * math.sqrt(p * (1.0 - p) / n)

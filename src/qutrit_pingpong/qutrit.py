@@ -2,11 +2,15 @@
 
 The nine dense coding unitaries |k> -> omega^(ik) |k+j>, the Bell states
 of two qutrits, the four mutually unbiased bases with their lower-case
-labels (z, x, v, t) and the control-pair decompositions, all plain numpy,
-built and checked once at import; the accessors return these read-only
-values. Only the coding unitaries write out the phase-and-shift
-convention: the Bell states and Eve's probe states in `information` come
-from their stack, CODING_UNITARIES. The one check of each kind: check_basis
+labels (z, x, v, t) and the control-round rules, all plain numpy, built and
+checked once at import; the accessors return these read-only values. Only
+the coding unitaries write out the phase-and-shift convention: the Bell
+states and Eve's probe states in `information` come from their stack,
+CODING_UNITARIES. This is the one module that knows which control pairs an
+honest channel gives: CONTROL_MAPS holds each basis's amplitude map from a
+(home, travel) pair to the control outcome pairs, HONEST_PAIRS marks the
+pairs bell_state(0, 0) reaches, and the simulator and control_correlations
+both read these two arrays. The one check of each kind: check_basis
 of a basis label, frozen_array of an array a value type holds (its shape,
 finiteness and read-only copy), check_unitary of unitarity at a tolerance
 the caller gives. solve_cubic, a real-cubic root solver, is the analytic
@@ -164,19 +168,27 @@ class BasisPairDecomposition:
         return frozenset((a, b) for a, b, _ in self.terms)
 
 
-def _decompose(lbl: str) -> BasisPairDecomposition:
-    partner = PARTNER_BASIS[lbl]
-    alice, bob, psi = _MUBS[lbl], _MUBS[partner], BELL_STATES[0]
-    terms = []
-    for a in range(3):
-        for b in range(3):
-            amp = complex(np.einsum("h,ht,t->", bob[:, b].conj(), psi, alice[:, a].conj()))
-            if abs(amp) > 1e-9:
-                terms.append((a, b, amp))
-    return BasisPairDecomposition(lbl, partner, tuple(terms))
+# The control-round amplitude maps, one (9, 9) block per basis: row 3a + b of
+# block s reads the travel qutrit t as a in basis BASIS_LABELS[s] and the home
+# qutrit h as b in its partner basis; column 3h + t is the (home, travel) pair.
+CONTROL_MAPS = np.einsum(
+    "sta,shb->sabht",
+    np.stack([_MUBS[label] for label in BASIS_LABELS]).conj(),
+    np.stack([_MUBS[PARTNER_BASIS[label]] for label in BASIS_LABELS]).conj(),
+).reshape(len(BASIS_LABELS), 9, 9)
+CONTROL_MAPS.setflags(write=False)
+# Amplitude of each control pair in bell_state(0, 0); HONEST_PAIRS[s, 3a + b]
+# marks the pairs an honest channel gives, every other pair flags tampering.
+_HONEST_AMPS = CONTROL_MAPS @ BELL_STATES[0].reshape(9)
+HONEST_PAIRS = np.abs(_HONEST_AMPS) > 1e-9
+HONEST_PAIRS.setflags(write=False)
 
-
-_CONTROL_CORRELATIONS = {label: _decompose(label) for label in BASIS_LABELS}
+_CONTROL_CORRELATIONS = {
+    label: BasisPairDecomposition(
+        label, PARTNER_BASIS[label], tuple((*divmod(int(k), 3), complex(amps[k])) for k in np.flatnonzero(honest))
+    )
+    for label, amps, honest in zip(BASIS_LABELS, _HONEST_AMPS, HONEST_PAIRS)
+}
 
 
 def control_correlations(alice_basis: str) -> BasisPairDecomposition:
@@ -185,7 +197,8 @@ def control_correlations(alice_basis: str) -> BasisPairDecomposition:
     Alice reads the travel qutrit in alice_basis; Bob reads home in the
     partner basis (z with z, x with x, v with t and t with v). The shared
     state bell_state(0, 0) then splits into three product terms of amplitude
-    1/sqrt(3); the pairs are computed from the stored bases, not hardcoded.
+    1/sqrt(3); the pairs and amplitudes are read from CONTROL_MAPS and
+    HONEST_PAIRS, computed from the stored bases, not hardcoded.
     """
     return _CONTROL_CORRELATIONS[check_basis(alice_basis)]
 

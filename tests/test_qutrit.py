@@ -11,6 +11,8 @@ from qutrit_pingpong.information import DensityMatrix9, FrequencyTable
 from qutrit_pingpong.protocol import JointState
 from qutrit_pingpong.qutrit import (
     BASIS_LABELS,
+    CONTROL_MAPS,
+    HONEST_PAIRS,
     OMEGA,
     PARTNER_BASIS,
     NumericalError,
@@ -121,7 +123,7 @@ def test_base_pair_reduces_to_maximally_mixed():
         assert np.abs(rho - np.eye(3) / 3.0).max() < 1e-14
 
 
-@pytest.mark.parametrize("array", [mub("x"), bell_state(1, 2), coding_unitary(1, 2)])
+@pytest.mark.parametrize("array", [mub("x"), bell_state(1, 2), coding_unitary(1, 2), CONTROL_MAPS, HONEST_PAIRS])
 def test_stored_arrays_are_read_only(array):
     with pytest.raises(ValueError):
         array[0, 0] = 0.0
