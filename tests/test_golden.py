@@ -7,14 +7,15 @@ transcript rows, and the sha256 of the whole transcript; those are pinned
 byte for byte, so every outcome of the run is. tests/golden/curves holds
 the default 67-point `curve_csv(info_curve(freq))` of each frequency preset;
 its detection column is pinned byte for byte and its information columns to
-1e-14. tests/golden/compare.json holds the output of `compare --json`, pinned
-byte for byte. Any change to the random stream, the exact predictions, the
-leak curve or the table shows up here and must be deliberate. After such a
-change, rewrite the fixtures with
+1e-14. tests/golden/compare.json holds the output of `compare --json` and
+tests/golden/attack_verify.txt that of `attack-verify`, both pinned byte for
+byte. Any change to the random stream, the exact predictions, the leak
+curve, the table or the reference-row check shows up here and must be
+deliberate. After such a change, rewrite the fixtures with
 
     PYTHONPATH=src python tests/test_golden.py NAME [NAME ...]
 
-where NAME is a simulator case, `curves` or `compare`.
+where NAME is a simulator case, `curves`, `compare` or `attack-verify`.
 """
 
 import contextlib
@@ -37,12 +38,19 @@ TRANSCRIPT_ROWS = 200
 CURVE_TOL = 1e-14
 
 
-def compare_json() -> bytes:
-    """What `compare --json` prints."""
+def printed(argv: list[str]) -> bytes:
+    """What the command line argv prints."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert main(["compare", "--json"]) == 0
+        assert main(argv) == 0
     return out.getvalue().encode("utf-8")
+
+
+# Each pinned command output: writer name -> (argv, golden file).
+PRINTED = {
+    "compare": (["compare", "--json"], "compare.json"),
+    "attack-verify": (["attack-verify"], "attack_verify.txt"),
+}
 
 
 def simulate(case: str, workdir: Path) -> dict[str, bytes]:
@@ -124,15 +132,22 @@ def test_leak_curve_matches_golden_csv(preset):
 
 
 def test_compare_json_matches_golden():
-    assert compare_json() == (GOLDEN / "compare.json").read_bytes()
+    argv, filename = PRINTED["compare"]
+    assert printed(argv) == (GOLDEN / filename).read_bytes()
+
+
+def test_attack_verify_matches_golden():
+    argv, filename = PRINTED["attack-verify"]
+    assert printed(argv) == (GOLDEN / filename).read_bytes()
 
 
 if __name__ == "__main__":
     import tempfile
 
     for name in sys.argv[1:]:
-        if name == "compare":
-            (GOLDEN / "compare.json").write_bytes(compare_json())
+        if name in PRINTED:
+            argv, filename = PRINTED[name]
+            (GOLDEN / filename).write_bytes(printed(argv))
             continue
         if name == "curves":
             (GOLDEN / "curves").mkdir(exist_ok=True)
