@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from qutrit_pingpong.attack import AttackColumn, ColumnAttack, column_z_from_x
+from qutrit_pingpong.attack import AttackColumn, ColumnAttack, column_z_from_x, detection_from_column
 from qutrit_pingpong.protocol import attack_state, detection_probability
 from qutrit_pingpong.qutrit import mub
 
@@ -59,7 +59,7 @@ def main(argv=None) -> int:
     rows = []
     for _ in range(args.samples):
         col = random_circulant_column(rng)
-        own = 1.0 - abs(col.c0) ** 2
+        own = detection_from_column(col)
         m0, _, _ = column_z_from_x(col)
         relation_dz = 1.0 - m0
         row = [own, relation_dz]

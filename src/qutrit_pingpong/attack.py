@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,7 +48,7 @@ def read_json(path, what: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
             raise ValueError(f"{what} {path}: invalid JSON ({exc})") from exc
 
 
@@ -131,9 +131,10 @@ def normalized_column(c0, c1, c2) -> AttackColumn:
 def detection_from_column(col: AttackColumn) -> float:
     """Probability a control round in the column's own basis flags the attack.
 
-    Equals one minus the weight the attack leaves on the unperturbed output.
+    Equals one minus the weight the attack leaves on the unperturbed output,
+    read from the column at unit norm (moduli_squared()).
     """
-    return max(0.0, 1.0 - abs(col.c0) ** 2)
+    return 1.0 - col.moduli_squared()[0]
 
 
 def symmetric_column(d: float) -> AttackColumn:
@@ -247,9 +248,10 @@ def column_z_from_x(col_x: AttackColumn) -> tuple[float, float, float]:
     """Squared moduli of the computational-basis column implied by an x-basis column.
 
     The z moduli are the squared moduli of the column's Fourier transform,
-    mub("x") @ col_x; the triple always sums to one.
+    mub("x") @ col_x, over the column's squared_norm(); the triple always
+    sums to one.
     """
-    m0, m1, m2 = (np.abs(mub("x") @ col_x.as_array()) ** 2).tolist()
+    m0, m1, m2 = (np.abs(mub("x") @ col_x.as_array()) ** 2 / col_x.squared_norm()).tolist()
     return (m0, m1, m2)
 
 
@@ -347,15 +349,17 @@ class NoAttack:
 
 @dataclass(frozen=True)
 class SymmetricAttack:
-    """Symmetric attack expressed in the computational basis."""
+    """Symmetric attack expressed in the computational basis.
+
+    column is symmetric_column(d_z), built once, which also checks d_z's range.
+    """
 
     d_z: float
+    column: AttackColumn = field(init=False, compare=False, repr=False)
+    basis = "z"
 
     def __post_init__(self):
-        symmetric_column(self.d_z)  # validates the range
-
-    def column(self) -> AttackColumn:
-        return symmetric_column(self.d_z)
+        object.__setattr__(self, "column", symmetric_column(self.d_z))
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,7 @@ import numpy as np
 
 from .attack import (
     AttackSpec,
-    ColumnAttack,
     NoAttack,
-    SymmetricAttack,
     attack_from_dict,
     attack_to_dict,
     check_basis_weights,
@@ -180,7 +178,7 @@ class ProtocolConfig:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not isinstance(self.freq, FrequencyTable):
             raise ValueError("freq must be a FrequencyTable")
-        if not isinstance(self.attack, (NoAttack, SymmetricAttack, ColumnAttack)):
+        if not isinstance(self.attack, AttackSpec):
             raise ValueError(f"not an attack specification: {self.attack!r}")
         if not (is_finite_real(self.q) and 0.0 <= self.q <= 1.0):
             raise ValueError(f"q must be a number in [0, 1], got {self.q!r}")
@@ -231,10 +229,7 @@ def attack_state(attack: AttackSpec, ancilla: str) -> JointState:
     _check_ancilla(ancilla)
     if isinstance(attack, NoAttack):
         return initial_state()
-    if isinstance(attack, SymmetricAttack):
-        column, basis = attack.column(), "z"
-    else:
-        column, basis = attack.column, attack.basis
+    column, basis = attack.column, attack.basis
     m = mub(basis)
     if ancilla == "branch":
         e = circulant(column.as_array() / math.sqrt(column.squared_norm()))

@@ -2,15 +2,12 @@
 
 The nine dense coding unitaries |k> -> omega^(ik) |k+j>, the Bell states
 of two qutrits, the four mutually unbiased bases with their lower-case
-labels (z, x, v, t) and the control-round rules, all plain numpy, built and
-checked once at import; the accessors return these read-only values. Only
-the coding unitaries write out the phase-and-shift convention: the Bell
-states and Eve's probe states in `information` come from their stack,
-CODING_UNITARIES. This is the one module that knows which control pairs an
-honest channel gives: CONTROL_MAPS holds each basis's amplitude map from a
-(home, travel) pair to the control outcome pairs, HONEST_PAIRS marks the
-pairs bell_state(0, 0) reaches, and the simulator and control_correlations
-both read these two arrays. The one check of each kind: check_basis
+labels (z, x, v, t) and the control-round rules (CONTROL_MAPS and the
+HONEST_PAIRS mask, which the simulator and control_correlations read), all
+plain numpy, built and checked once at import; the accessors return these
+read-only values. Only the coding unitaries write out the phase-and-shift
+convention: the Bell states and Eve's probe states in `information` come
+from their stack, CODING_UNITARIES. The one check of each kind: check_basis
 of a basis label, frozen_array of an array a value type holds (its shape,
 finiteness and read-only copy), check_unitary of unitarity at a tolerance
 the caller gives. solve_cubic, a real-cubic root solver, is the analytic

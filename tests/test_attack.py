@@ -343,6 +343,14 @@ def test_symmetric_attack_validates_range():
         SymmetricAttack(0.9)
 
 
+def test_symmetric_attack_holds_its_z_column():
+    attack = SymmetricAttack(0.3)
+    assert attack.column == symmetric_column(0.3) and attack.basis == "z"
+    assert repr(attack) == "SymmetricAttack(d_z=0.3)"
+    assert attack == SymmetricAttack(0.3) and hash(attack) == hash(SymmetricAttack(0.3))
+    assert attack_to_dict(attack) == {"type": "symmetric", "d_z": 0.3}
+
+
 def test_column_attack_validates_basis():
     with pytest.raises(ValueError):
         ColumnAttack("q", symmetric_column(0.1))

@@ -313,11 +313,19 @@ def test_malformed_input_exits_2_with_an_error_line(tmp_path, capsys, command, p
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        # Written by hand: json.dumps itself cannot nest this deep.
+        pytest.param(("[" * 200_000 + "]" * 200_000).encode("ascii"), id="nested"),
+        # UTF-16 with its byte-order mark \xff\xfe, which is not UTF-8.
+        pytest.param('{"cycles": 1}'.encode("utf-16"), id="utf-16"),
+    ],
+)
 @pytest.mark.parametrize("command,option", [("entropy", "--freq"), ("simulate", "--config")])
-def test_deeply_nested_json_exits_2_with_an_error_line(tmp_path, capsys, command, option):
-    # Written by hand: json.dumps itself cannot nest this deep.
-    path = tmp_path / "nested.json"
-    path.write_text("[" * 200_000 + "]" * 200_000)
+def test_deeply_nested_json_exits_2_with_an_error_line(tmp_path, capsys, command, option, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
     assert main([command, option, str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -14,7 +14,9 @@ from qutrit_pingpong.attack import (
     ColumnAttack,
     NoAttack,
     SymmetricAttack,
+    column_z_from_x,
     complete_circulant,
+    detection_from_column,
     normalized_column,
     symmetric_column,
 )
@@ -121,6 +123,20 @@ def test_branch_attack_is_an_isometry():
     assert abs(float((np.abs(out.amps) ** 2).sum()) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("slack", [2e-10, 5e-10, 9e-10])
+def test_closed_form_detections_read_the_column_at_unit_norm(slack):
+    # AttackColumn accepts a squared norm up to 1e-9 from 1; the closed forms
+    # must read such a column at unit norm, as the simulator does.
+    scale = math.sqrt(1.0 + slack)
+    col = AttackColumn(scale * math.sqrt(0.6), scale * 0.5, 1j * scale * math.sqrt(0.15))
+    attack = ColumnAttack("x", col)
+    for ancilla in ("branch", "none"):
+        assert abs(detection_from_column(col) - detection_probability(attack_state(attack, ancilla), "x")) <= 1e-12
+        report = run(ProtocolConfig(cycles=1, seed=0, attack=attack, ancilla=ancilla))
+        assert abs(detection_from_column(col) - report.basis_stats["x"].predicted) <= 1e-12
+    assert abs(sum(column_z_from_x(col)) - 1.0) <= 1e-15
+
+
 def test_honest_control_tables():
     st0 = initial_state()
     for basis in ("z", "x", "v", "t"):
@@ -205,6 +221,7 @@ def test_attack_state_rejects_an_unknown_ancilla_mode():
         {"cycles": True, "seed": 1},
         {"cycles": 1, "seed": 0, "basis_weights": 5},
         {"cycles": 1, "seed": 0, "basis_weights": None},
+        {"cycles": 1, "seed": 0, "attack": symmetric_column(0.2)},
     ],
 )
 def test_config_validation(kwargs):
