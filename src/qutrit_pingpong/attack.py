@@ -7,8 +7,9 @@ in that basis. This module provides the column and operator types, the
 circulant completion of a column, the cross-representation moduli relation,
 the check and blend of control-basis weights, bundled reference attack rows
 with known detection probabilities, and the JSON input checks the file
-loaders share. The completion and the information bounds take a column's
-squared moduli from AttackColumn.moduli_squared(), at unit sum.
+loaders share. The completion, the closed-form detections and the
+information bounds read a column at unit norm (AttackColumn.moduli_squared()
+or squared_norm()); every spec but NoAttack holds its column and basis.
 """
 
 from __future__ import annotations
@@ -349,10 +350,7 @@ class NoAttack:
 
 @dataclass(frozen=True)
 class SymmetricAttack:
-    """Symmetric attack expressed in the computational basis.
-
-    column is symmetric_column(d_z), built once, which also checks d_z's range.
-    """
+    """Symmetric attack in the computational basis; column is symmetric_column(d_z), built once."""
 
     d_z: float
     column: AttackColumn = field(init=False, compare=False, repr=False)

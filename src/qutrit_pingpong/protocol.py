@@ -4,11 +4,10 @@ Tracks the complete 81-amplitude joint state of the home qutrit, the
 travelling qutrit and a 9-level probe ancilla. Message cycles apply a
 coding operation to the travelling qutrit and decode by projecting onto
 the entangled pair basis; control cycles measure both qutrits in paired
-bases and flag any outcome pair an honest channel never gives, reading
-the control maps and honest pairs from qutrit (CONTROL_MAPS,
-HONEST_PAIRS). One function, attack_state,
-builds the post-attack state, with the attack either a circulant unitary
-on the travelling qutrit alone or an entangling-probe branching map.
+bases (qutrit.CONTROL_MAPS) and flag any pair outside qutrit.HONEST_PAIRS.
+One function, attack_state, builds the post-attack state, with the attack
+either a circulant unitary on the travelling qutrit alone or an
+entangling-probe branching map.
 That state is the same every cycle, so each cycle is one draw from the
 exact Born distribution over 99 outcome codes (a control pair in a
 basis, or a sent and a decoded bigram), computed once per run by one
@@ -116,10 +115,7 @@ def _born(amplitude_map: np.ndarray, state: JointState) -> np.ndarray:
 
 
 def _detected(joint: np.ndarray, s: int) -> float:
-    """Detection probability of a nine-entry control block in basis BASIS_LABELS[s].
-
-    One minus the mass of the pairs an honest channel gives (HONEST_PAIRS[s]).
-    """
+    """Detection probability of a nine-entry control block of basis s: one minus its HONEST_PAIRS[s] mass."""
     return max(0.0, 1.0 - float(joint[HONEST_PAIRS[s]].sum()))
 
 
