@@ -1,5 +1,5 @@
-"""Golden outputs: simulator reports and transcript heads, the leak curves
-and the comparison table.
+"""Golden outputs: simulator reports and transcript heads, the leak curves,
+the comparison table and the reference-row check.
 
 Each simulator directory under tests/golden holds a run config, the report
 JSON that `simulate` writes for it, the header plus the first 200
