@@ -7,15 +7,17 @@ transcript rows, and the sha256 of the whole transcript; those are pinned
 byte for byte, so every outcome of the run is. tests/golden/curves holds
 the default 67-point `curve_csv(info_curve(freq))` of each frequency preset;
 its detection column is pinned byte for byte and its information columns to
-1e-14. tests/golden/compare.json holds the output of `compare --json` and
-tests/golden/attack_verify.txt that of `attack-verify`, both pinned byte for
-byte. Any change to the random stream, the exact predictions, the leak
+1e-14. tests/golden/compare.json holds the output of `compare --json`,
+tests/golden/attack_verify.txt that of `attack-verify` and
+tests/golden/entropy.txt that of `entropy --preset tiered`, all pinned byte
+for byte. Any change to the random stream, the exact predictions, the leak
 curve, the table or the reference-row check shows up here and must be
 deliberate. After such a change, rewrite the fixtures with
 
     PYTHONPATH=src python tests/test_golden.py NAME [NAME ...]
 
-where NAME is a simulator case, `curves`, `compare` or `attack-verify`.
+where NAME is a simulator case, `curves`, `compare`, `attack-verify` or
+`entropy`.
 """
 
 import contextlib
@@ -50,6 +52,7 @@ def printed(argv: list[str]) -> bytes:
 PRINTED = {
     "compare": (["compare", "--json"], "compare.json"),
     "attack-verify": (["attack-verify"], "attack_verify.txt"),
+    "entropy": (["entropy", "--preset", "tiered"], "entropy.txt"),
 }
 
 
@@ -138,6 +141,11 @@ def test_compare_json_matches_golden():
 
 def test_attack_verify_matches_golden():
     argv, filename = PRINTED["attack-verify"]
+    assert printed(argv) == (GOLDEN / filename).read_bytes()
+
+
+def test_entropy_matches_golden():
+    argv, filename = PRINTED["entropy"]
     assert printed(argv) == (GOLDEN / filename).read_bytes()
 
 
