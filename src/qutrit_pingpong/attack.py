@@ -144,8 +144,8 @@ def symmetric_column(d: float) -> AttackColumn:
     The two disturbed outputs share the leaked weight equally; d may range
     from 0 (no attack) to 2/3 (maximal extraction).
     """
-    if not math.isfinite(d):
-        raise ValueError("d must be finite")
+    if not is_finite_real(d):
+        raise ValueError(f"symmetric attack needs a finite number d, got {d!r}")
     if not 0.0 <= d <= 2.0 / 3.0:
         raise ValueError(f"symmetric attack needs 0 <= d <= 2/3, got {d!r}")
     return AttackColumn(math.sqrt(1.0 - d), math.sqrt(d / 2.0), math.sqrt(d / 2.0))
@@ -350,7 +350,7 @@ class NoAttack:
 
 @dataclass(frozen=True)
 class SymmetricAttack:
-    """Symmetric attack in the computational basis; column is symmetric_column(d_z), built once."""
+    """Symmetric attack in the computational basis; keeps float(d_z) and its column, symmetric_column(d_z)."""
 
     d_z: float
     column: AttackColumn = field(init=False, compare=False, repr=False)
@@ -358,6 +358,7 @@ class SymmetricAttack:
 
     def __post_init__(self):
         object.__setattr__(self, "column", symmetric_column(self.d_z))
+        object.__setattr__(self, "d_z", float(self.d_z))
 
 
 @dataclass(frozen=True)
@@ -386,10 +387,7 @@ def attack_from_dict(data: dict) -> AttackSpec:
         reject_extra_fields(data, {"type", "d_z"}, "attack")
         if "d_z" not in data:
             raise ValueError("symmetric attack needs a d_z field")
-        d_z = data["d_z"]
-        if not is_finite_real(d_z):
-            raise ValueError("d_z must be a finite number")
-        return SymmetricAttack(float(d_z))
+        return SymmetricAttack(data["d_z"])
     if kind == "column":
         reject_extra_fields(data, {"type", "basis", "values"}, "attack")
         basis = data.get("basis")

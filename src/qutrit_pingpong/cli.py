@@ -63,7 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_entropy = sub.add_parser("entropy", help="Shannon entropy of a bigram source")
     _add_freq_options(p_entropy)
-    p_entropy.add_argument("--unit", choices=["trit", "bit", "both"], default="both")
 
     p_curve = sub.add_parser("curve", help="information vs detection for the symmetric attack")
     _add_freq_options(p_curve)
@@ -90,10 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_entropy(args) -> int:
     h = source_entropy(_resolve_freq(args)).value
-    if args.unit in ("trit", "both"):
-        print(f"H = {h:.4f} trit")
-    if args.unit in ("bit", "both"):
-        print(f"H = {h * TRIT_TO_BIT:.4f} bit")
+    print(f"H = {h:.4f} trit")
+    print(f"H = {h * TRIT_TO_BIT:.4f} bit")
     return 0
 
 

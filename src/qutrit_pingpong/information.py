@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attack import AttackColumn, is_finite_real, read_json
-from .qutrit import ALGEBRAIC_TOL, CODING_UNITARIES, OMEGA, NumericalError, frozen_array
+from .qutrit import ALGEBRAIC_TOL, CODING_UNITARIES, NumericalError, frozen_array
 
 TRIT_TO_BIT = math.log2(3.0)
 
@@ -219,9 +219,10 @@ def cubic_coefficients(
 
 
 # Entry [l, 3*i + k] is omega^(l (k - i)): the phase that squared modulus l
-# puts on the overlap of the probe states of phase indices i and k.
-_GRAM_PHASES = np.array(
-    [[OMEGA ** (l * (k - i) % 3) for i in range(3) for k in range(3)] for l in range(3)]
+# puts on the overlap of the probe states of phase indices i and k, entry l
+# of the diagonal of coding unitary ((k - i) % 3, 0).
+_GRAM_PHASES = np.ascontiguousarray(
+    CODING_UNITARIES[[3 * ((k - i) % 3) for i in range(3) for k in range(3)]].diagonal(axis1=1, axis2=2).T
 )
 _GRAM_PHASES.setflags(write=False)
 

@@ -351,6 +351,16 @@ def test_symmetric_attack_holds_its_z_column():
     assert attack_to_dict(attack) == {"type": "symmetric", "d_z": 0.3}
 
 
+@pytest.mark.parametrize("d_z", [False, np.False_, "0.1", None])
+def test_symmetric_attack_takes_only_a_finite_number(d_z):
+    message = f"symmetric attack needs a finite number d, got {d_z!r}"
+    with pytest.raises(ValueError) as built:
+        SymmetricAttack(d_z)
+    with pytest.raises(ValueError) as parsed:
+        attack_from_dict({"type": "symmetric", "d_z": d_z})
+    assert str(built.value) == str(parsed.value) == message
+
+
 def test_column_attack_validates_basis():
     with pytest.raises(ValueError):
         ColumnAttack("q", symmetric_column(0.1))

@@ -40,17 +40,18 @@ def test_unknown_preset_error_names_the_file_and_the_field(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: freq.preset must be one of {choices}, got 'nope'\n"
 
 
-def test_entropy_single_unit(capsys):
-    assert main(["entropy", "--unit", "trit"]) == 0
-    out = capsys.readouterr().out
-    assert out.strip() == "H = 2.0000 trit"
+def test_entropy_prints_trits_then_bits(capsys):
+    assert main(["entropy"]) == 0
+    trits, bits = capsys.readouterr().out.splitlines()
+    assert trits == "H = 2.0000 trit"
+    assert bits == f"H = {2.0 * TRIT_TO_BIT:.4f} bit"
 
 
 def test_entropy_from_file(tmp_path, capsys):
     path = tmp_path / "freq.json"
     path.write_text(json.dumps({"p": [[1 / 9] * 3] * 3}))
-    assert main(["entropy", "--freq", str(path), "--unit", "trit"]) == 0
-    assert "2.0000" in capsys.readouterr().out
+    assert main(["entropy", "--freq", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "H = 2.0000 trit"
 
 
 def test_entropy_missing_file_fails(capsys):
@@ -77,8 +78,8 @@ def test_curve_to_file(tmp_path, capsys):
 
 
 def test_entropy_two_bigram_value(capsys):
-    assert main(["entropy", "--preset", "two-bigram", "--unit", "trit"]) == 0
-    assert capsys.readouterr().out.strip() == "H = 0.5794 trit"
+    assert main(["entropy", "--preset", "two-bigram"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "H = 0.5794 trit"
 
 
 def test_curve_endpoint_values(capsys):

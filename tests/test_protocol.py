@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from qutrit_pingpong import protocol
 from qutrit_pingpong.attack import (
     AttackColumn,
     ColumnAttack,
@@ -246,6 +247,13 @@ def test_config_round_trip():
     assert again.ancilla == "none"
     assert np.abs(again.freq.p - cfg.freq.p).max() < 1e-15
     assert isinstance(again.attack, SymmetricAttack)
+
+
+@pytest.mark.parametrize("d_z", [0, 0.3])
+def test_symmetric_config_round_trips_with_a_float_d_z(d_z):
+    cfg = ProtocolConfig(cycles=1, seed=0, attack=SymmetricAttack(d_z))
+    assert type(cfg.to_dict()["attack"]["d_z"]) is float
+    assert ProtocolConfig.from_dict(cfg.to_dict()) == cfg
 
 
 def test_equal_configs_compare_equal_and_hash_alike():
@@ -620,6 +628,37 @@ def test_run_memory_is_one_byte_per_cycle_plus_one_block():
     assert report.outcomes.nbytes == cfg.cycles
     # the block's float64 uniforms and its searchsorted indices, with slack
     assert peak < cfg.cycles + 24 * _BLOCK
+
+
+@pytest.mark.parametrize(
+    "config,first_detection",
+    [
+        # first detected in the sixth block of 7 cycles
+        (ProtocolConfig(cycles=3000, seed=1, attack=SymmetricAttack(0.05), q=0.1), 40),
+        (
+            ProtocolConfig(
+                cycles=3000,
+                seed=3,
+                freq=FREQUENCY_PRESETS["tiered"],
+                attack=ColumnAttack("x", AttackColumn(math.sqrt(0.6), 0.5, 1j * math.sqrt(0.15))),
+                q=0.3,
+                ancilla="none",
+            ),
+            20,
+        ),
+        (ProtocolConfig(cycles=3000, seed=2), None),
+    ],
+    ids=["symmetric", "column-x-none", "honest"],
+)
+def test_outputs_do_not_depend_on_the_block_size(config, first_detection, monkeypatch, tmp_path):
+    outputs = []
+    for block in (1, 7, 2**12, 2**16):
+        monkeypatch.setattr(protocol, "_BLOCK", block)
+        report = run(config)
+        assert report.first_detection_cycle == first_detection
+        write_transcript(report.outcomes, tmp_path / "transcript.csv")
+        outputs.append((report.outcomes.tobytes(), report.to_json(), (tmp_path / "transcript.csv").read_bytes()))
+    assert all(out == outputs[0] for out in outputs[1:])
 
 
 def _von_neumann_trits(rho: np.ndarray) -> float:
