@@ -7,7 +7,8 @@ transcript rows, and the sha256 of the whole transcript; those are pinned
 byte for byte, so every outcome of the run is. tests/golden/curves holds
 the default 67-point `curve_csv(info_curve(freq))` of each frequency preset;
 its detection column is pinned byte for byte and its information columns to
-1e-14. tests/golden/compare.json holds the output of `compare --json`,
+1e-14. tests/golden/compare.txt holds the output of `compare`,
+tests/golden/compare.json that of `compare --json`,
 tests/golden/attack_verify.txt that of `attack-verify` and
 tests/golden/entropy.txt that of `entropy --preset tiered`, all pinned byte
 for byte. Any change to the random stream, the exact predictions, the leak
@@ -16,8 +17,8 @@ deliberate. After such a change, rewrite the fixtures with
 
     PYTHONPATH=src python tests/test_golden.py NAME [NAME ...]
 
-where NAME is a simulator case, `curves`, `compare`, `attack-verify` or
-`entropy`.
+where NAME is a simulator case, `curves`, `compare-text`, `compare`,
+`attack-verify` or `entropy`.
 """
 
 import contextlib
@@ -50,6 +51,7 @@ def printed(argv: list[str]) -> bytes:
 
 # Each pinned command output: writer name -> (argv, golden file).
 PRINTED = {
+    "compare-text": (["compare"], "compare.txt"),
     "compare": (["compare", "--json"], "compare.json"),
     "attack-verify": (["attack-verify"], "attack_verify.txt"),
     "entropy": (["entropy", "--preset", "tiered"], "entropy.txt"),
@@ -132,6 +134,11 @@ def test_leak_curve_matches_golden_csv(preset):
     for g, w in zip(got[1:], want[1:]):
         for column in (1, 2):
             assert abs(float(g[column]) - float(w[column])) <= CURVE_TOL, (preset, g[0], column)
+
+
+def test_compare_text_matches_golden():
+    argv, filename = PRINTED["compare-text"]
+    assert printed(argv) == (GOLDEN / filename).read_bytes()
 
 
 def test_compare_json_matches_golden():
