@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,6 +84,13 @@ def check_basis_weights(weights) -> tuple[float, float]:
     return q_z, q_x
 
 
+def _column_entry(name: str, value) -> complex:
+    """value as a complex number; ValueError naming the entry for a bool, str, bytes or other non-number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Number):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return complex(value)
+
+
 @dataclass(frozen=True)
 class AttackColumn:
     """First column of an attack coefficient matrix in some measuring basis.
@@ -97,7 +105,7 @@ class AttackColumn:
 
     def __post_init__(self):
         for name in ("c0", "c1", "c2"):
-            c = complex(getattr(self, name))
+            c = _column_entry(name, getattr(self, name))
             # No entry of a unit column exceeds modulus one; rejecting larger
             # ones also keeps the squared moduli below from overflowing.
             if not abs(c) <= 1.0 + CONSTRAINT_TOL:
@@ -122,7 +130,9 @@ class AttackColumn:
 
 def normalized_column(c0, c1, c2) -> AttackColumn:
     """Build an AttackColumn from unnormalized entries by rescaling."""
-    v = frozen_array([c0, c1, c2], (3,), "column entries")
+    # An array entry is left to frozen_array, whose shape check rejects it.
+    entries = [c if np.ndim(c) else _column_entry(name, c) for name, c in zip(("c0", "c1", "c2"), (c0, c1, c2))]
+    v = frozen_array(entries, (3,), "column entries")
     norm = float(np.linalg.norm(v))
     if norm < 1e-6:
         raise ValueError("column entries are too close to zero to normalize")
@@ -272,14 +282,18 @@ def blended_detection(rates, weights) -> float:
 @dataclass(frozen=True)
 class ReferenceAttack:
     """One bundled reference parameter row: an x-basis column (possibly given
-    unnormalized at six digits) and its tabulated detection probabilities."""
+    unnormalized at six digits) and its tabulated detection probabilities.
+    A row is symmetric when its two disturbed entries agree, b == c."""
 
     a: complex
     b: complex
     c: complex
     d_x: float
     d_z: float
-    symmetric: bool
+
+    @property
+    def symmetric(self) -> bool:
+        return self.b == self.c
 
 
 # Reference attack parameter sets. Entries are carried verbatim at their
@@ -289,57 +303,59 @@ class ReferenceAttack:
 # value stored here is the six-digit one implied by that row's exact
 # d_x = 2/3 together with its printed real part.
 REFERENCE_ATTACKS: tuple[ReferenceAttack, ...] = (
-    ReferenceAttack(-0.910684 + 0.0j, 0.244017 + 0.0j, -0.333333 + 0.0j, 0.170655, 0.666667, False),
-    ReferenceAttack(-0.807162 + 0.0j, 0.309719 + 0.0j, -0.502558 + 0.0j, 0.348490, 0.666667, False),
-    ReferenceAttack(-0.709081 + 0.0j, 0.331451 + 0.0j, -0.622370 + 0.0j, 0.497204, 0.666667, False),
-    ReferenceAttack(-0.666667 + 0.0j, 0.333333 + 0.0j, -0.666667 + 0.0j, 0.555556, 0.666667, False),
-    ReferenceAttack(-0.577406 + 0.0j, 0.325969 + 0.0j, -0.748563 + 0.0j, 0.666603, 0.666667, False),
-    ReferenceAttack(0.530210 - 0.8j, 0.169304 - 0.1j, 0.014630 + 0.2j, 0.078878, 0.666667, False),
-    ReferenceAttack(-0.909127 + 0.1j, -0.133042 - 0.2j, 0.125653 - 0.3j, 0.163489, 0.666667, False),
-    ReferenceAttack(0.204236 + 0.83j, 0.026660 - 0.3j, 0.136663 + 0.4j, 0.269388, 0.666667, False),
-    ReferenceAttack(0.737034 + 0.3j, -0.031581 - 0.5j, 0.160573 - 0.3j, 0.366781, 0.666667, False),
-    ReferenceAttack(0.674712 + 0.3j, 0.525520 + 0.2j, -0.220436 - 0.3j, 0.454764, 0.666667, False),
-    ReferenceAttack(-0.531662 + 0.3j, 0.463325 + 0.2j, -0.531662 + 0.3j, 0.627335, 0.666667, False),
-    ReferenceAttack(-0.497557 + 0.292866j, 0.459068 + 0.2j, -0.570890 + 0.3j, 0.666667, 0.666667, False),
-    ReferenceAttack(-0.953939 + 0.1j, -0.2j, -0.2j, 0.080000, 0.666667, True),
-    ReferenceAttack(0.305505 + 0.8j, 0.305505 - 0.2j, 0.305505 - 0.2j, 0.266667, 0.666667, True),
-    ReferenceAttack(0.027387 + 0.7j, 0.463276 - 0.2j, 0.463276 - 0.2j, 0.509250, 0.666667, True),
-    ReferenceAttack(0.577350 + 0.0j, -0.288675 + 0.5j, -0.288675 + 0.5j, 0.666667, 0.666667, True),
-    ReferenceAttack(0.577350j, 0.5 - 0.288675j, 0.5 - 0.288675j, 0.666667, 0.666667, True),
-    ReferenceAttack(0.577350 + 0.0j, 0.288675 + 0.5j, 0.288675 + 0.5j, 0.666667, 0.222222, True),
+    ReferenceAttack(-0.910684 + 0.0j, 0.244017 + 0.0j, -0.333333 + 0.0j, 0.170655, 0.666667),
+    ReferenceAttack(-0.807162 + 0.0j, 0.309719 + 0.0j, -0.502558 + 0.0j, 0.348490, 0.666667),
+    ReferenceAttack(-0.709081 + 0.0j, 0.331451 + 0.0j, -0.622370 + 0.0j, 0.497204, 0.666667),
+    ReferenceAttack(-0.666667 + 0.0j, 0.333333 + 0.0j, -0.666667 + 0.0j, 0.555556, 0.666667),
+    ReferenceAttack(-0.577406 + 0.0j, 0.325969 + 0.0j, -0.748563 + 0.0j, 0.666603, 0.666667),
+    ReferenceAttack(0.530210 - 0.8j, 0.169304 - 0.1j, 0.014630 + 0.2j, 0.078878, 0.666667),
+    ReferenceAttack(-0.909127 + 0.1j, -0.133042 - 0.2j, 0.125653 - 0.3j, 0.163489, 0.666667),
+    ReferenceAttack(0.204236 + 0.83j, 0.026660 - 0.3j, 0.136663 + 0.4j, 0.269388, 0.666667),
+    ReferenceAttack(0.737034 + 0.3j, -0.031581 - 0.5j, 0.160573 - 0.3j, 0.366781, 0.666667),
+    ReferenceAttack(0.674712 + 0.3j, 0.525520 + 0.2j, -0.220436 - 0.3j, 0.454764, 0.666667),
+    ReferenceAttack(-0.531662 + 0.3j, 0.463325 + 0.2j, -0.531662 + 0.3j, 0.627335, 0.666667),
+    ReferenceAttack(-0.497557 + 0.292866j, 0.459068 + 0.2j, -0.570890 + 0.3j, 0.666667, 0.666667),
+    ReferenceAttack(-0.953939 + 0.1j, -0.2j, -0.2j, 0.080000, 0.666667),
+    ReferenceAttack(0.305505 + 0.8j, 0.305505 - 0.2j, 0.305505 - 0.2j, 0.266667, 0.666667),
+    ReferenceAttack(0.027387 + 0.7j, 0.463276 - 0.2j, 0.463276 - 0.2j, 0.509250, 0.666667),
+    ReferenceAttack(0.577350 + 0.0j, -0.288675 + 0.5j, -0.288675 + 0.5j, 0.666667, 0.666667),
+    ReferenceAttack(0.577350j, 0.5 - 0.288675j, 0.5 - 0.288675j, 0.666667, 0.666667),
+    ReferenceAttack(0.577350 + 0.0j, 0.288675 + 0.5j, 0.288675 + 0.5j, 0.666667, 0.222222),
 )
-
-
-@dataclass(frozen=True)
-class ReferenceCheck:
-    """Result of recomputing one reference row's detection probabilities."""
-
-    row: ReferenceAttack
-    d_x: float
-    d_z: float
-    deviation: float
-    passed: bool
 
 
 # The reference rows are tabulated to six digits.
 REFERENCE_TOL = 5e-5
 
 
+@dataclass(frozen=True)
+class ReferenceCheck:
+    """One reference row with its recomputed detection probabilities; deviation,
+    the larger absolute error against the table, passes within REFERENCE_TOL."""
+
+    row: ReferenceAttack
+    d_x: float
+    d_z: float
+
+    @property
+    def deviation(self) -> float:
+        return max(abs(self.d_x - self.row.d_x), abs(self.d_z - self.row.d_z))
+
+    @property
+    def passed(self) -> bool:
+        return self.deviation <= REFERENCE_TOL
+
+
 def verify_reference_attacks() -> list[ReferenceCheck]:
     """Recompute (d_x, d_z) for every bundled reference row.
 
     d_x follows from the column directly, d_z from the cross-representation
-    moduli relation. The deviation is the larger of the two absolute errors
-    against the tabulated values; a row passes within REFERENCE_TOL.
+    moduli relation.
     """
     checks = []
     for row in REFERENCE_ATTACKS:
         col = normalized_column(row.a, row.b, row.c)
-        d_x = detection_from_column(col)
-        m0, _, _ = column_z_from_x(col)
-        d_z = 1.0 - m0
-        deviation = max(abs(d_x - row.d_x), abs(d_z - row.d_z))
-        checks.append(ReferenceCheck(row, d_x, d_z, deviation, deviation <= REFERENCE_TOL))
+        checks.append(ReferenceCheck(row, detection_from_column(col), 1.0 - column_z_from_x(col)[0]))
     return checks
 
 

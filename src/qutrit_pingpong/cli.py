@@ -51,7 +51,7 @@ def _resolve_freq(args) -> FrequencyTable:
         return load_frequency_table(args.freq)
     if args.preset:
         return FREQUENCY_PRESETS[args.preset]
-    return FrequencyTable.uniform()
+    return FREQUENCY_PRESETS["uniform"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -116,18 +116,15 @@ def _cmd_curve(args) -> int:
 
 def _cmd_attack_verify(args) -> int:
     checks = verify_reference_attacks()
-    worst = 0.0
-    failed = 0
     for idx, chk in enumerate(checks, start=1):
-        worst = max(worst, chk.deviation)
-        failed += 0 if chk.passed else 1
         tag = "ok" if chk.passed else "FAIL"
         kind = "symmetric" if chk.row.symmetric else "general"
         print(
             f"row {idx:2d} [{kind:9s}] d_x = {chk.d_x:.6f} (table {chk.row.d_x:.6f})  "
             f"d_z = {chk.d_z:.6f} (table {chk.row.d_z:.6f})  dev = {chk.deviation:.2e}  {tag}"
         )
-    print(f"max deviation {worst:.2e} over {len(checks)} rows")
+    print(f"max deviation {max(chk.deviation for chk in checks):.2e} over {len(checks)} rows")
+    failed = sum(not chk.passed for chk in checks)
     if failed:
         print(f"{failed} row(s) exceeded tolerance", file=sys.stderr)
         return 3

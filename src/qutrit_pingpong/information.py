@@ -68,13 +68,9 @@ class FrequencyTable:
     def __hash__(self):
         return hash(self.p.tobytes())
 
-    @classmethod
-    def uniform(cls) -> "FrequencyTable":
-        return cls(np.full((3, 3), 1.0 / 9.0))
-
 
 FREQUENCY_PRESETS: dict[str, FrequencyTable] = {
-    "uniform": FrequencyTable.uniform(),
+    "uniform": FrequencyTable(np.full((3, 3), 1.0 / 9.0)),
     "tiered": FrequencyTable(
         [
             [1 / 6, 1 / 6, 1 / 18],

@@ -40,7 +40,7 @@ from .attack import (
     read_json,
     reject_extra_fields,
 )
-from .information import FrequencyTable, frequency_table_from_dict, frequency_table_to_dict
+from .information import FREQUENCY_PRESETS, FrequencyTable, frequency_table_from_dict, frequency_table_to_dict
 from .qutrit import (
     BASIS_LABELS,
     BELL_STATES,
@@ -161,7 +161,7 @@ class ProtocolConfig:
 
     cycles: int
     seed: int
-    freq: FrequencyTable = field(default_factory=FrequencyTable.uniform)
+    freq: FrequencyTable = FREQUENCY_PRESETS["uniform"]
     attack: AttackSpec = field(default_factory=NoAttack)
     q: float = 0.25
     basis_weights: tuple[float, float] = (0.5, 0.5)
@@ -350,14 +350,23 @@ def rounds_for_confidence(d: float, target: float = 0.99) -> int:
 
 @dataclass(frozen=True)
 class BasisStats:
-    """Control statistics for one basis, with the exact prediction attached."""
+    """Control statistics for one basis, with the exact prediction attached. The
+    empirical rate, its 3-sigma band and within_band derive; None without rounds."""
 
     rounds: int
     detections: int
     predicted: float
-    empirical: float | None
-    three_sigma: float | None
-    within_band: bool | None
+    empirical: float | None = field(init=False, default=None)
+    three_sigma: float | None = field(init=False, default=None)
+    within_band: bool | None = field(init=False, default=None)
+
+    def __post_init__(self):
+        if self.rounds > 0:
+            emp = self.detections / self.rounds
+            band = 3.0 * math.sqrt(self.predicted * (1.0 - self.predicted) / self.rounds)
+            object.__setattr__(self, "empirical", emp)
+            object.__setattr__(self, "three_sigma", band)
+            object.__setattr__(self, "within_band", abs(emp - self.predicted) <= band)
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,21 +376,34 @@ class RunReport:
     outcomes is a read-only uint8 array with one code per cycle: 9s + 3a + b
     for a control round in basis CONTROL_BASES[s] with results a and b,
     18 + 9k + out for a message round that sent bigram k and decoded out.
-    Every count here derives from it, write_transcript turns it into the
-    CSV transcript, and as_dict and to_json leave it out.
+    Every count derives from it: the run passes the per-basis statistics and
+    the confusion matrix, and the report sums them into its totals.
+    write_transcript turns outcomes into the CSV transcript, and as_dict
+    and to_json leave it out.
     """
 
     config: dict
-    cycles: int
-    control_rounds: int
-    message_rounds: int
-    detections: int
     first_detection_cycle: int | None
     basis_stats: dict
     confusion: np.ndarray
-    correct_messages: int
-    rounds_to_detection: int | None
     outcomes: np.ndarray
+    cycles: int = field(init=False)
+    control_rounds: int = field(init=False)
+    message_rounds: int = field(init=False)
+    detections: int = field(init=False)
+    correct_messages: int = field(init=False)
+    rounds_to_detection: int | None = field(init=False)
+
+    def __post_init__(self):
+        control = sum(s.rounds for s in self.basis_stats.values())
+        detections = sum(s.detections for s in self.basis_stats.values())
+        object.__setattr__(self, "cycles", self.outcomes.size)
+        object.__setattr__(self, "control_rounds", control)
+        object.__setattr__(self, "message_rounds", self.outcomes.size - control)
+        object.__setattr__(self, "detections", detections)
+        object.__setattr__(self, "correct_messages", int(np.trace(self.confusion)))
+        rtd = rounds_for_confidence(detections / control) if detections else None
+        object.__setattr__(self, "rounds_to_detection", rtd)
 
     def as_dict(self) -> dict:
         """Every field but outcomes, as JSON values."""
@@ -447,29 +469,8 @@ def run(config: ProtocolConfig) -> RunReport:
     caught = (control * _FORBIDDEN[:_MESSAGE_CODE].reshape(2, 9)).sum(axis=1).tolist()
     confusion = counts[_MESSAGE_CODE:].reshape(9, 9)
 
-    basis_stats = {}
-    for s, (basis, n, hits) in enumerate(zip(CONTROL_BASES, rounds, caught)):
-        p = _detected(table[9 * s : 9 * s + 9], s)
-        if n > 0:
-            emp = hits / n
-            band = 3.0 * math.sqrt(p * (1.0 - p) / n)
-            basis_stats[basis] = BasisStats(n, hits, p, emp, band, abs(emp - p) <= band)
-        else:
-            basis_stats[basis] = BasisStats(0, 0, p, None, None, None)
-
-    total_control, detections = sum(rounds), sum(caught)
-    rtd = rounds_for_confidence(detections / total_control) if detections else None
-
-    return RunReport(
-        config=config.to_dict(),
-        cycles=config.cycles,
-        control_rounds=total_control,
-        message_rounds=config.cycles - total_control,
-        detections=detections,
-        first_detection_cycle=first_detection,
-        basis_stats=basis_stats,
-        confusion=confusion,
-        correct_messages=int(np.trace(confusion)),
-        rounds_to_detection=rtd,
-        outcomes=codes,
-    )
+    basis_stats = {
+        basis: BasisStats(n, hits, _detected(table[9 * s : 9 * s + 9], s))
+        for s, (basis, n, hits) in enumerate(zip(CONTROL_BASES, rounds, caught))
+    }
+    return RunReport(config.to_dict(), first_detection, basis_stats, confusion, codes)

@@ -75,7 +75,7 @@ def check_unitary(name: str, m: np.ndarray, tol: float = ALGEBRAIC_TOL) -> None:
 
 def _pair_index(i: int, j: int) -> int:
     for name, value in (("i", i), ("j", j)):
-        if value not in (0, 1, 2):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value not in (0, 1, 2):
             raise ValueError(f"{name} must be 0, 1 or 2, got {value!r}")
     return 3 * int(i) + int(j)
 

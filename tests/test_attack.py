@@ -34,6 +34,23 @@ def test_column_requires_unit_norm():
         AttackColumn(float("nan"), 0.0, 0.0)
 
 
+_BUILDS_A_COLUMN = {"AttackColumn": AttackColumn, "normalized_column": normalized_column}
+
+
+@pytest.mark.parametrize("build", _BUILDS_A_COLUMN.values(), ids=_BUILDS_A_COLUMN.keys())
+@pytest.mark.parametrize(
+    "entry", ["1", b"1", True, np.True_, None, object()], ids=["str", "bytes", "bool", "np.bool_", "None", "object"]
+)
+def test_column_entries_must_be_numbers(build, entry):
+    with pytest.raises(ValueError) as first:
+        build(entry, 0.0, 0.0)
+    assert str(first.value) == f"c0 must be a number, got {entry!r}"
+    with pytest.raises(ValueError) as last:
+        build(0.0, 0.0, entry)
+    assert str(last.value) == f"c2 must be a number, got {entry!r}"
+    assert build(np.float64(1.0), np.int64(0), 0j) == AttackColumn(1.0, 0.0, 0.0)
+
+
 def test_normalized_column_rescales():
     col = normalized_column(3.0, 4.0, 0.0)
     assert abs(col.c0 - 0.6) < 1e-15

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from qutrit_pingpong.comparison import ProtocolDescriptor, format_protocol_table, protocol_table
-from qutrit_pingpong.information import TRIT_TO_BIT, FrequencyTable, info_curve
+from qutrit_pingpong.comparison import format_protocol_table, protocol_table
+from qutrit_pingpong.information import FREQUENCY_PRESETS, TRIT_TO_BIT, info_curve
 
 
 def test_table_has_four_variants():
@@ -48,19 +48,9 @@ def test_qutrit_pair_beats_qubit_pair_before_ghz_catches_up():
     assert rows["GHZ quadruples of qubits"].capacity_bits > rows["Bell pairs of qutrits"].capacity_bits
 
 
-def test_descriptor_enforces_half_ratio():
-    with pytest.raises(ValueError):
-        ProtocolDescriptor("bad", 2, 2, 1.0, Fraction(1, 2), Fraction(1, 3))
-
-
-def test_descriptor_rejects_nonpositive_capacity():
-    with pytest.raises(ValueError):
-        ProtocolDescriptor("bad", 2, 2, 0.0, Fraction(1, 2), Fraction(1, 4))
-
-
 def _qutrit_curve_bits():
     # the qutrit variant's leak curve on the comparison's common axis of bits
-    return [(d, trits * TRIT_TO_BIT) for d, trits in info_curve(FrequencyTable.uniform())]
+    return [(d, trits * TRIT_TO_BIT) for d, trits in info_curve(FREQUENCY_PRESETS["uniform"])]
 
 
 def test_curve_data_tops_out_at_full_capacity():

@@ -50,7 +50,7 @@ def test_frequency_table_validation():
 
 
 def test_frequency_tables_compare_by_value():
-    uniform = FrequencyTable.uniform()
+    uniform = FREQUENCY_PRESETS["uniform"]
     assert FREQUENCY_PRESETS["uniform"] == uniform
     assert hash(FREQUENCY_PRESETS["uniform"]) == hash(uniform)
     assert FREQUENCY_PRESETS["tiered"] != uniform
@@ -69,7 +69,7 @@ def test_preset_entropies(name):
 
 
 def test_uniform_entropy_is_two_trits_exactly():
-    assert source_entropy(FrequencyTable.uniform()).value == pytest.approx(2.0, abs=1e-14)
+    assert source_entropy(FREQUENCY_PRESETS["uniform"]).value == pytest.approx(2.0, abs=1e-14)
 
 
 def test_deterministic_source_gives_positive_zero():
@@ -226,7 +226,7 @@ def test_two_bigram_curve_is_flat():
 
 
 def test_curve_rejects_out_of_range_grid():
-    uniform = FrequencyTable.uniform()
+    uniform = FREQUENCY_PRESETS["uniform"]
     for grid in ([0.0, 0.8], [0.1, -1e-9], [0.2, float("nan")], [float("inf")], [0.1, -float("inf")]):
         with pytest.raises(ValueError, match=r"detection grid value .* outside \[0, 2/3\]"):
             info_curve(uniform, grid)
@@ -239,7 +239,7 @@ def test_curve_rejects_out_of_range_grid():
 
 def test_curve_rejects_grids_of_booleans_and_strings():
     # numpy would cast these to floats; the grid must hold numbers, as in JSON.
-    uniform = FrequencyTable.uniform()
+    uniform = FREQUENCY_PRESETS["uniform"]
     grids = (["0.5"], [False], [True], np.array([True, False]), [None], [False, 0.5], [0.5, True], [np.True_, 0.1])
     for grid in grids:
         with pytest.raises(ValueError, match="^detection grid must be a sequence of numbers$"):
@@ -248,7 +248,7 @@ def test_curve_rejects_grids_of_booleans_and_strings():
 
 
 def test_curve_clamps_the_slack_and_returns_plain_floats():
-    uniform = FrequencyTable.uniform()
+    uniform = FREQUENCY_PRESETS["uniform"]
     points = info_curve(uniform, [-1e-13, 0.25, 2.0 / 3.0 + 1e-13])
     assert [d for d, _ in points] == [0.0, 0.25, 2.0 / 3.0]
     assert all(type(d) is float and type(v) is float for d, v in points)
@@ -262,7 +262,7 @@ def test_batched_spectrum_checks_name_the_first_bad_point(monkeypatch):
     clamped = np.r_[-5e-11, np.full(8, 1.0 / 8.0)]  # within the floor: counts as zero
     negative = np.r_[-5e-10, flat[1:]]
     heavy = flat * 1.1
-    uniform = FrequencyTable.uniform()
+    uniform = FREQUENCY_PRESETS["uniform"]
 
     def curve_over(*rows):
         monkeypatch.setattr(information, "_class_spectra", lambda moduli, freq: np.array(rows))

@@ -1,8 +1,12 @@
 """The package's public surface."""
 
+import inspect
+import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,16 +16,22 @@ import qutrit_pingpong
 from qutrit_pingpong.attack import (
     AttackOperator,
     ColumnAttack,
+    ReferenceAttack,
+    ReferenceCheck,
     attack_from_dict,
     complete_circulant,
     symmetric_column,
 )
-from qutrit_pingpong.information import FrequencyTable, assemble_rho
+from qutrit_pingpong.comparison import ProtocolDescriptor
+from qutrit_pingpong.information import FREQUENCY_PRESETS, assemble_rho
 from qutrit_pingpong.protocol import (
+    BasisStats,
     JointState,
+    RunReport,
     control_distribution,
     detection_probability,
     initial_state,
+    rounds_for_confidence,
 )
 from qutrit_pingpong.qutrit import BASIS_LABELS, control_correlations, mub
 
@@ -80,7 +90,7 @@ def test_config_basis_is_lower_cased_once():
     "make",
     [
         lambda: complete_circulant(symmetric_column(0.3)),
-        lambda: assemble_rho(symmetric_column(0.3), FrequencyTable.uniform()),
+        lambda: assemble_rho(symmetric_column(0.3), FREQUENCY_PRESETS["uniform"]),
         lambda: JointState(initial_state().amps),
     ],
     ids=["AttackOperator", "DensityMatrix9", "JointState"],
@@ -93,3 +103,49 @@ def test_array_holding_values_compare_and_hash(make):
     assert (a != b) is True
     assert hash(a) == hash(a)
     assert len({a, b}) == 2
+
+
+# Each record's constructor takes only its facts; every other field derives from them.
+_RECORD_FACTS = {
+    ProtocolDescriptor: ["name", "carrier_dim", "group_size", "d_max"],
+    ReferenceAttack: ["a", "b", "c", "d_x", "d_z"],
+    ReferenceCheck: ["row", "d_x", "d_z"],
+    BasisStats: ["rounds", "detections", "predicted"],
+    RunReport: ["config", "first_detection_cycle", "basis_stats", "confusion", "outcomes"],
+}
+
+
+def test_records_derive_their_totals_and_verdicts_from_their_facts():
+    for record, facts in _RECORD_FACTS.items():
+        assert list(inspect.signature(record).parameters) == facts, record.__name__
+
+    row = ProtocolDescriptor("Bell pairs of qutrits", 3, 2, Fraction(2, 3))
+    assert (row.capacity_bits, row.d_min) == (2 * math.log2(3), Fraction(1, 3))
+    assert list(asdict(row)) == ["name", "carrier_dim", "group_size", "capacity_bits", "d_max", "d_min"]
+    for d_max in (0.5, Fraction(3, 2), Fraction(-1, 2), 1):
+        with pytest.raises(ValueError, match=r"d_max must be a Fraction in \[0, 1\]"):
+            ProtocolDescriptor("bad", 2, 2, d_max)
+
+    general = ReferenceAttack(0.6, 0.8, 0.0, 0.5, 0.25)
+    assert not general.symmetric and ReferenceAttack(0.6, 0.4j, 0.4j, 0.5, 0.25).symmetric
+    near = ReferenceCheck(general, 0.5 + 1e-5, 0.25 - 4e-5)
+    assert near.deviation == max(abs(near.d_x - 0.5), abs(near.d_z - 0.25)) and near.passed
+    assert not ReferenceCheck(general, 0.5, 0.25 + 1e-4).passed
+
+    z = BasisStats(100, 30, 0.25)
+    assert (z.empirical, z.three_sigma, z.within_band) == (0.3, 3.0 * math.sqrt(0.25 * 0.75 / 100), True)
+    assert BasisStats(100, 50, 0.25).within_band is False
+    idle = BasisStats(0, 0, 0.5)
+    assert (idle.empirical, idle.three_sigma, idle.within_band) == (None, None, None)
+
+    confusion = np.diag([2, 1, 0, 0, 0, 0, 0, 0, 1])
+    confusion[0, 1] = 1
+    stats = {"z": BasisStats(4, 1, 0.25), "x": BasisStats(2, 1, 0.5)}
+    report = RunReport({}, 3, stats, confusion, np.zeros(11, dtype=np.uint8))
+    totals = (report.cycles, report.control_rounds, report.message_rounds, report.detections)
+    assert totals == (11, 6, 5, 2)
+    assert report.correct_messages == 4
+    assert report.rounds_to_detection == rounds_for_confidence(2 / 6)
+    assert "outcomes" not in report.as_dict() and report.as_dict()["message_rounds"] == 5
+    quiet = RunReport({}, None, {"z": BasisStats(3, 0, 0.0), "x": idle}, confusion, np.zeros(8, dtype=np.uint8))
+    assert (quiet.detections, quiet.rounds_to_detection) == (0, None)

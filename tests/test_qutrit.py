@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from qutrit_pingpong.attack import AttackOperator, normalized_column
 from qutrit_pingpong.information import DensityMatrix9, FrequencyTable
-from qutrit_pingpong.protocol import JointState
+from qutrit_pingpong.protocol import JointState, decode_distribution, initial_state
 from qutrit_pingpong.qutrit import (
     BASIS_LABELS,
     CONTROL_MAPS,
@@ -42,6 +42,26 @@ def test_bell_state_rejects_bad_indices():
         bell_state(3, 0)
     with pytest.raises(ValueError):
         bell_state(0, -1)
+
+
+_TAKES_A_BIGRAM = {
+    "bell_state": bell_state,
+    "coding_unitary": coding_unitary,
+    "decode_distribution": lambda i, j: decode_distribution(initial_state(), (i, j)),
+}
+
+
+@pytest.mark.parametrize("call", _TAKES_A_BIGRAM.values(), ids=_TAKES_A_BIGRAM.keys())
+@pytest.mark.parametrize("index", [True, np.True_, 1.0, "1", None], ids=["bool", "np.bool_", "float", "str", "None"])
+def test_bigram_indices_must_be_integers(call, index):
+    # Each value compares equal to 0, 1 or 2 or is not a number; none is an index.
+    with pytest.raises(ValueError) as first:
+        call(index, 0)
+    assert str(first.value) == f"i must be 0, 1 or 2, got {index!r}"
+    with pytest.raises(ValueError) as second:
+        call(0, index)
+    assert str(second.value) == f"j must be 0, 1 or 2, got {index!r}"
+    assert np.array_equal(call(np.int64(2), np.int64(1)), call(2, 1))
 
 
 def test_coding_unitaries_are_unitary():
