@@ -2,15 +2,12 @@
 
 import json
 import math
-import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
-import qutrit_pingpong
 from qutrit_pingpong import cli
 from qutrit_pingpong.attack import AttackColumn
 from qutrit_pingpong.cli import main
@@ -20,8 +17,6 @@ from qutrit_pingpong.information import TRIT_TO_BIT
 def test_entropy_preset(tmp_path, capsys):
     assert main(["entropy", "--preset", "tiered"]) == 0
     out = capsys.readouterr().out
-    assert "H = 1.9206 trit" in out
-    assert "bit" in out
     # A --freq file takes a preset name, as a run config's freq does.
     path = tmp_path / "freq.json"
     path.write_text(json.dumps({"preset": "tiered"}))
@@ -120,13 +115,6 @@ def test_deterministic_source_prints_no_negative_zero(tmp_path, capsys):
 def test_curve_rejects_single_point(capsys):
     assert main(["curve", "--points", "1"]) == 2
     assert "at least 2" in capsys.readouterr().err
-
-
-def test_attack_verify_passes(capsys):
-    assert main(["attack-verify"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS" in out
-    assert out.count("row ") == 18
 
 
 def test_rounds(capsys):
@@ -334,20 +322,6 @@ def test_deeply_nested_json_exits_2_with_an_error_line(tmp_path, capsys, command
     assert f"{path}: invalid JSON (" in captured.err
 
 
-def test_compare_text(capsys):
-    assert main(["compare"]) == 0
-    out = capsys.readouterr().out
-    assert "Bell pairs of qutrits" in out
-    assert "2/3" in out
-
-
-def test_compare_json(capsys):
-    assert main(["compare", "--json"]) == 0
-    rows = json.loads(capsys.readouterr().out)
-    assert len(rows) == 4
-    assert rows[0]["d_max"] == [2, 3]
-
-
 def test_compare_keeps_only_the_table(tmp_path, capsys):
     path = tmp_path / "cmp.csv"
     assert main(["compare", "--curve-out", str(path)]) == 2
@@ -359,15 +333,12 @@ def test_unknown_command_exits_with_usage_error():
     assert main(["frobnicate"]) == 2
 
 
-def test_module_entry_point_runs():
-    # The child must import the same package, installed or not.
-    src = str(Path(qutrit_pingpong.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+def test_module_entry_point_runs(package_env):
     proc = subprocess.run(
         [sys.executable, "-m", "qutrit_pingpong", "rounds", "0.5"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=package_env,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "7"

@@ -1,24 +1,24 @@
-"""Golden outputs: simulator reports and transcript heads, the leak curves,
-the comparison table and the reference-row check.
+"""Golden outputs: every pinned file under tests/golden.
 
-Each simulator directory under tests/golden holds a run config, the report
-JSON that `simulate` writes for it, the header plus the first 200
-transcript rows, and the sha256 of the whole transcript; those are pinned
-byte for byte, so every outcome of the run is. tests/golden/curves holds
-the default 67-point `curve_csv(info_curve(freq))` of each frequency preset;
-its detection column is pinned byte for byte and its information columns to
-1e-14. tests/golden/compare.txt holds the output of `compare`,
-tests/golden/compare.json that of `compare --json`,
-tests/golden/attack_verify.txt that of `attack-verify` and
-tests/golden/entropy.txt that of `entropy --preset tiered`, all pinned byte
-for byte. Any change to the random stream, the exact predictions, the leak
-curve, the table or the reference-row check shows up here and must be
-deliberate. After such a change, rewrite the fixtures with
+The fixtures are exactly the files these tables name, and
+`test_every_golden_file_is_checked` keeps it so:
+
+- each CASES entry is a directory holding a run config, the report JSON
+  that `simulate` writes for it, the header plus the first TRANSCRIPT_ROWS
+  transcript rows, and the sha256 of the whole transcript, all pinned byte
+  for byte, so every outcome of the run is;
+- each FREQUENCY_PRESETS key has curves/<preset>.csv, the default
+  `curve_csv(info_curve(freq))`, whose detection column is pinned byte for
+  byte and whose information columns are pinned to CURVE_TOL;
+- each PRINTED entry is what one command line prints, pinned byte for byte.
+
+Any change to the random stream, the exact predictions, the leak curve, the
+table or the reference-row check shows up here and must be deliberate.
+After such a change, rewrite the fixtures with
 
     PYTHONPATH=src python tests/test_golden.py NAME [NAME ...]
 
-where NAME is a simulator case, `curves`, `compare-text`, `compare`,
-`attack-verify` or `entropy`.
+where NAME is a CASES entry, a PRINTED key or `curves` (every preset).
 """
 
 import contextlib
@@ -26,6 +26,7 @@ import csv
 import hashlib
 import io
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -136,29 +137,42 @@ def test_leak_curve_matches_golden_csv(preset):
             assert abs(float(g[column]) - float(w[column])) <= CURVE_TOL, (preset, g[0], column)
 
 
-def test_compare_text_matches_golden():
-    argv, filename = PRINTED["compare-text"]
+@pytest.mark.parametrize(("argv", "filename"), PRINTED.values(), ids=list(PRINTED))
+def test_printed_output_matches_golden(argv, filename):
     assert printed(argv) == (GOLDEN / filename).read_bytes()
 
 
-def test_compare_json_matches_golden():
-    argv, filename = PRINTED["compare"]
-    assert printed(argv) == (GOLDEN / filename).read_bytes()
+def test_every_golden_file_is_checked():
+    named = {Path(filename) for _, filename in PRINTED.values()}
+    named |= {Path("curves", f"{preset}.csv") for preset in FREQUENCY_PRESETS}
+    simulated = ("config.json", "report.json", "transcript_head.csv", "transcript.sha256")
+    named |= {Path(case, filename) for case in CASES for filename in simulated}
+    assert {path.relative_to(GOLDEN) for path in GOLDEN.rglob("*") if path.is_file()} == named
 
 
-def test_attack_verify_matches_golden():
-    argv, filename = PRINTED["attack-verify"]
-    assert printed(argv) == (GOLDEN / filename).read_bytes()
-
-
-def test_entropy_matches_golden():
-    argv, filename = PRINTED["entropy"]
-    assert printed(argv) == (GOLDEN / filename).read_bytes()
+def test_fixture_writer_rejects_an_unknown_name_before_writing(package_env):
+    entropy = GOLDEN / PRINTED["entropy"][1]
+    written = entropy.stat().st_mtime_ns
+    proc = subprocess.run(
+        [sys.executable, __file__, "entropy", "bogus"],
+        capture_output=True,
+        text=True,
+        env=package_env,
+    )
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr
+    assert "bogus" in proc.stderr
+    assert all(name in proc.stderr for name in [*PRINTED, "curves", *CASES])
+    assert entropy.stat().st_mtime_ns == written
 
 
 if __name__ == "__main__":
     import tempfile
 
+    valid = [*PRINTED, "curves", *CASES]
+    unknown = [name for name in sys.argv[1:] if name not in valid]
+    if unknown:
+        sys.exit(f"unknown fixture name {', '.join(unknown)}; valid names: {', '.join(valid)}")
     for name in sys.argv[1:]:
         if name in PRINTED:
             argv, filename = PRINTED[name]

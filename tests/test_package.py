@@ -2,17 +2,14 @@
 
 import inspect
 import math
-import os
 import subprocess
 import sys
 from dataclasses import asdict
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import qutrit_pingpong
 from qutrit_pingpong.attack import (
     AttackOperator,
     ColumnAttack,
@@ -36,10 +33,7 @@ from qutrit_pingpong.protocol import (
 from qutrit_pingpong.qutrit import BASIS_LABELS, control_correlations, mub
 
 
-def test_importing_information_loads_only_what_it_needs():
-    # The child must import the same package, installed or not.
-    src = str(Path(qutrit_pingpong.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+def test_importing_information_loads_only_what_it_needs(package_env):
     code = (
         "import sys, qutrit_pingpong.information\n"
         "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'qutrit_pingpong'))"
@@ -48,7 +42,7 @@ def test_importing_information_loads_only_what_it_needs():
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=package_env,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [

@@ -1,31 +1,26 @@
 """The scripts under scripts/, each run once as a subprocess."""
 
 import csv
-import os
 import subprocess
 import sys
 from pathlib import Path
 
-import qutrit_pingpong
 from qutrit_pingpong.information import FREQUENCY_PRESETS
 
 _SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def _run_script(name: str, *args: str) -> subprocess.CompletedProcess:
-    # The child must import the same package, installed or not.
-    src = str(Path(qutrit_pingpong.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+def _run_script(env: dict[str, str], name: str, *args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, str(_SCRIPTS / name), *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=env,
     )
 
 
-def test_export_curves_writes_every_product(tmp_path):
-    proc = _run_script("export_curves.py", "--out-dir", str(tmp_path), "--points", "5")
+def test_export_curves_writes_every_product(tmp_path, package_env):
+    proc = _run_script(package_env, "export_curves.py", "--out-dir", str(tmp_path), "--points", "5")
     assert proc.returncode == 0, proc.stderr
     expected = {"protocol_table.json"}
     for name in FREQUENCY_PRESETS:
@@ -36,9 +31,9 @@ def test_export_curves_writes_every_product(tmp_path):
     assert {p.name for p in tmp_path.iterdir()} == expected
 
 
-def test_basis_tradeoff_scan_rows_show_the_dephased_rates(tmp_path):
+def test_basis_tradeoff_scan_rows_show_the_dephased_rates(tmp_path, package_env):
     out = tmp_path / "scan.csv"
-    proc = _run_script("basis_tradeoff_scan.py", "--full", "--samples", "3", "--out", str(out))
+    proc = _run_script(package_env, "basis_tradeoff_scan.py", "--full", "--samples", "3", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     with open(out, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
