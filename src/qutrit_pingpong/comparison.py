@@ -3,11 +3,12 @@
 Each variant is summarized by its carrier dimension, how many carriers a
 message block uses, the block capacity in bits, and the best and worst
 detection probabilities a single control round offers against a maximally
-extracting attack. A row holds only its facts; the capacity,
-group_size * log2(carrier_dim), and d_min = d_max / 2 derive from them.
-The qubit-based rows' d_max are fixed reference parameters of the
-published variants, not recomputed here; the qutrit variant's leak curve in
-bits is the I0_bits column of information.curve_csv (the `curve` command).
+extracting attack. A row holds only its facts, carrier_dim D and
+group_size n; the capacity n log2(D), d_max = 1 - 1/D^(n - 1) and
+d_min = d_max / 2 derive from them. Full extraction leaves the n - 1
+travelling carriers uncorrelated with the home carrier, so only one of the
+D^(n - 1) equally likely travel readings is honest. The qutrit variant's
+leak curve in bits is the I0_bits column of information.curve_csv.
 """
 
 from __future__ import annotations
@@ -21,31 +22,31 @@ from fractions import Fraction
 @dataclass(frozen=True)
 class ProtocolDescriptor:
     """Headline numbers of one ping-pong protocol variant, built from its
-    name, carrier_dim, group_size and d_max; capacity_bits and d_min derive."""
+    name, carrier_dim and group_size; capacity_bits, d_max and d_min derive."""
 
     name: str
     carrier_dim: int
     group_size: int
     capacity_bits: float = field(init=False)
-    d_max: Fraction
+    d_max: Fraction = field(init=False)
     d_min: Fraction = field(init=False)
 
     def __post_init__(self):
         if self.carrier_dim < 2 or self.group_size < 1:
             raise ValueError("carrier dimension and group size must be at least 2 and 1")
-        if not isinstance(self.d_max, Fraction) or not 0 <= self.d_max <= 1:
-            raise ValueError(f"d_max must be a Fraction in [0, 1], got {self.d_max!r}")
+        d_max = 1 - Fraction(1, self.carrier_dim ** (self.group_size - 1))
         object.__setattr__(self, "capacity_bits", self.group_size * math.log2(self.carrier_dim))
-        object.__setattr__(self, "d_min", self.d_max / 2)
+        object.__setattr__(self, "d_max", d_max)
+        object.__setattr__(self, "d_min", d_max / 2)
 
 
 def protocol_table() -> tuple[ProtocolDescriptor, ...]:
     """The four compared variants, strongest carrier first."""
     return (
-        ProtocolDescriptor("Bell pairs of qutrits", 3, 2, Fraction(2, 3)),
-        ProtocolDescriptor("Bell pairs of qubits", 2, 2, Fraction(1, 2)),
-        ProtocolDescriptor("GHZ triplets of qubits", 2, 3, Fraction(3, 4)),
-        ProtocolDescriptor("GHZ quadruples of qubits", 2, 4, Fraction(7, 8)),
+        ProtocolDescriptor("Bell pairs of qutrits", 3, 2),
+        ProtocolDescriptor("Bell pairs of qubits", 2, 2),
+        ProtocolDescriptor("GHZ triplets of qubits", 2, 3),
+        ProtocolDescriptor("GHZ quadruples of qubits", 2, 4),
     )
 
 

@@ -66,7 +66,7 @@ class FrequencyTable:
         return bool(np.array_equal(self.p, other.p))
 
     def __hash__(self):
-        return hash(self.p.tobytes())
+        return hash(tuple(self.p.ravel().tolist()))
 
 
 FREQUENCY_PRESETS: dict[str, FrequencyTable] = {

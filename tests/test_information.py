@@ -18,6 +18,7 @@ from qutrit_pingpong.information import (
     assemble_rho,
     cubic_coefficients,
     factorized_eigenvalues,
+    frequency_table_from_dict,
     holevo_information,
     info_curve,
     load_frequency_table,
@@ -54,6 +55,12 @@ def test_frequency_tables_compare_by_value():
     assert FREQUENCY_PRESETS["uniform"] == uniform
     assert hash(FREQUENCY_PRESETS["uniform"]) == hash(uniform)
     assert FREQUENCY_PRESETS["tiered"] != uniform
+    # -0.0 equals 0.0, so tables that differ only in the sign of a zero hash alike.
+    plain, signed = (
+        frequency_table_from_dict({"p": [[0.5, 0.5, zero], [0, 0, 0], [0, 0, 0]]}, "table") for zero in (0.0, -0.0)
+    )
+    assert plain == signed and hash(plain) == hash(signed)
+    assert len({plain, signed}) == 1
 
 
 def test_presets_are_well_formed():

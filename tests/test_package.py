@@ -101,7 +101,7 @@ def test_array_holding_values_compare_and_hash(make):
 
 # Each record's constructor takes only its facts; every other field derives from them.
 _RECORD_FACTS = {
-    ProtocolDescriptor: ["name", "carrier_dim", "group_size", "d_max"],
+    ProtocolDescriptor: ["name", "carrier_dim", "group_size"],
     ReferenceAttack: ["a", "b", "c", "d_x", "d_z"],
     ReferenceCheck: ["row", "d_x", "d_z"],
     BasisStats: ["rounds", "detections", "predicted"],
@@ -113,12 +113,12 @@ def test_records_derive_their_totals_and_verdicts_from_their_facts():
     for record, facts in _RECORD_FACTS.items():
         assert list(inspect.signature(record).parameters) == facts, record.__name__
 
-    row = ProtocolDescriptor("Bell pairs of qutrits", 3, 2, Fraction(2, 3))
-    assert (row.capacity_bits, row.d_min) == (2 * math.log2(3), Fraction(1, 3))
+    row = ProtocolDescriptor("Bell pairs of qutrits", 3, 2)
+    assert (row.capacity_bits, row.d_max, row.d_min) == (2 * math.log2(3), Fraction(2, 3), Fraction(1, 3))
     assert list(asdict(row)) == ["name", "carrier_dim", "group_size", "capacity_bits", "d_max", "d_min"]
-    for d_max in (0.5, Fraction(3, 2), Fraction(-1, 2), 1):
-        with pytest.raises(ValueError, match=r"d_max must be a Fraction in \[0, 1\]"):
-            ProtocolDescriptor("bad", 2, 2, d_max)
+    for dim, group in ((1, 2), (2, 0)):
+        with pytest.raises(ValueError, match="carrier dimension and group size must be at least 2 and 1"):
+            ProtocolDescriptor("bad", dim, group)
 
     general = ReferenceAttack(0.6, 0.8, 0.0, 0.5, 0.25)
     assert not general.symmetric and ReferenceAttack(0.6, 0.4j, 0.4j, 0.5, 0.25).symmetric

@@ -176,6 +176,21 @@ def test_phase_basis_attack_rates():
     assert detection_probability(state, "z") < 1e-12
 
 
+def test_circulant_x_columns_are_dephased_in_every_foreign_basis():
+    # A circulant-completable x-basis column is unit eigenphases sent through
+    # mub("x"). Its z relation always gives 2/3; the branch probe shows 2/3 in
+    # z, v and t, while the unitary completion never fires in z.
+    rng = np.random.default_rng(20240601)
+    for _ in range(12):
+        eig = np.exp(1j * np.append(0.0, rng.uniform(-math.pi, math.pi, size=2)))
+        attack = ColumnAttack("x", AttackColumn(*(mub("x") @ eig / math.sqrt(3.0)).tolist()))
+        assert abs(1.0 - column_z_from_x(attack.column)[0] - 2.0 / 3.0) < 1e-12
+        branch = attack_state(attack, "branch")
+        for basis in ("z", "v", "t"):
+            assert abs(detection_probability(branch, basis) - 2.0 / 3.0) < 1e-12
+        assert detection_probability(attack_state(attack, "none"), "z") < 1e-12
+
+
 @pytest.mark.parametrize("basis", ["z", "x"])
 @pytest.mark.parametrize("excess", [1e-12, 1e-11, 4e-11])
 def test_runs_every_completion_that_complete_circulant_accepts(basis, excess):
