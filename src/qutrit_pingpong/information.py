@@ -10,10 +10,12 @@ alphabet, and each block has the spectrum of the Gram matrix of its three
 weighted probe states, which depends only on the column's squared moduli.
 One private batched routine builds these blocks for N columns at once and
 diagonalizes them in a single eigvalsh call; the leak curve, the Holevo
-bound and the factorized spectrum all go through it. The paper's
-closed-form cubics (cubic_coefficients) are the blocks' characteristic
-polynomials, and the dense 9x9 operator (assemble_rho) is kept so that
-each route can check the other.
+bound and the factorized spectrum all go through it. On the symmetric
+attack family (t1 = t2) the blocks are real symmetric and go to LAPACK's
+real symmetric eigensolver; general columns keep the Hermitian one. The
+paper's closed-form cubics (cubic_coefficients) are the blocks'
+characteristic polynomials, and the dense 9x9 operator (assemble_rho) is
+kept so that each route can check the other.
 
 A frequency table's JSON form, {"preset": name} or {"p": 3x3 rows} in a --freq file and a run
 config alike, is read by frequency_table_from_dict and written by frequency_table_to_dict.
@@ -221,6 +223,10 @@ _GRAM_PHASES = np.ascontiguousarray(
     CODING_UNITARIES[[3 * ((k - i) % 3) for i in range(3) for k in range(3)]].diagonal(axis1=1, axis2=2).T
 )
 _GRAM_PHASES.setflags(write=False)
+# The imaginary part of sum_l t_l omega^(l (k - i)) is (t1 - t2) sin(2 pi (k - i) / 3),
+# so when t1 == t2 the cosines alone give the whole block.
+_GRAM_COSINES = np.ascontiguousarray(_GRAM_PHASES.real)
+_GRAM_COSINES.setflags(write=False)
 
 
 def _class_blocks(moduli: np.ndarray, freq: FrequencyTable) -> np.ndarray:
@@ -230,8 +236,12 @@ def _class_blocks(moduli: np.ndarray, freq: FrequencyTable) -> np.ndarray:
     sum_l t_l omega^(l (k - i)) for the squared moduli t = moduli[n]: the
     Gram matrix of the class-j probe states, whose eigenvalues are the
     class's share of the ensemble spectrum; the column's phases drop out.
+    When every row has t1 == t2, as on the symmetric attack family, the
+    blocks are real symmetric and come out float64, so eigvalsh takes
+    LAPACK's real symmetric driver; otherwise they are complex Hermitian.
     """
-    return (moduli @ _GRAM_PHASES).reshape(-1, 1, 3, 3) * freq._gram_weights
+    phases = _GRAM_COSINES if (moduli[:, 1] == moduli[:, 2]).all() else _GRAM_PHASES
+    return (moduli @ phases).reshape(-1, 1, 3, 3) * freq._gram_weights
 
 
 def _class_spectra(moduli: np.ndarray, freq: FrequencyTable) -> np.ndarray:

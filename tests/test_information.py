@@ -362,6 +362,46 @@ def test_class_blocks_carry_the_paper_cubic():
             assert abs(np.linalg.det(g) + c0) < 1e-12
 
 
+def test_class_blocks_are_real_exactly_when_every_row_has_t1_equal_t2():
+    uniform = FREQUENCY_PRESETS["uniform"]
+    d = np.linspace(0.0, 2.0 / 3.0, 5)
+    symmetric = np.column_stack((1.0 - d, d / 2.0, d / 2.0))
+    general = np.array([[0.5, 0.3, 0.2]])
+    assert _class_blocks(symmetric, uniform).dtype == np.float64
+    empty = _class_blocks(np.empty((0, 3)), uniform)
+    assert empty.shape == (0, 3, 3, 3) and empty.dtype == np.float64
+    assert _class_blocks(general, uniform).dtype == np.complex128
+    assert _class_blocks(np.vstack((symmetric, general)), uniform).dtype == np.complex128
+
+
+@pytest.mark.parametrize("name", sorted(FREQUENCY_PRESETS))
+def test_real_symmetric_curve_matches_the_hermitian_route(monkeypatch, name):
+    freq = FREQUENCY_PRESETS[name]
+    grid = np.linspace(0.0, 2.0 / 3.0, 801)
+    real = np.array(info_curve(freq, grid))
+    monkeypatch.setattr(information, "_GRAM_COSINES", information._GRAM_PHASES)
+    assert _class_blocks(np.array([[0.5, 0.25, 0.25]]), freq).dtype == np.complex128
+    hermitian = np.array(info_curve(freq, grid))
+    assert np.array_equal(real[:, 0], hermitian[:, 0])
+    assert np.abs(real[:, 1] - hermitian[:, 1]).max() < 1e-14
+
+
+def test_column_phases_do_not_matter_on_the_real_route(monkeypatch):
+    # Equal moduli on c1 and c2 but different phases: the blocks are real,
+    # and the spectrum is still that of the dense operator.
+    c1 = math.sqrt(0.2) * complex(math.cos(0.7), math.sin(0.7))
+    col = AttackColumn(math.sqrt(0.6), c1, c1.conjugate())
+    moduli = col.moduli_squared()
+    assert moduli[1] == moduli[2]
+    for freq in FREQUENCY_PRESETS.values():
+        assert _class_blocks(np.array([moduli]), freq).dtype == np.float64
+        _assert_spectrum_matches_dense(col, freq)
+    real = [holevo_information(col, freq).value for freq in FREQUENCY_PRESETS.values()]
+    monkeypatch.setattr(information, "_GRAM_COSINES", information._GRAM_PHASES)
+    hermitian = [holevo_information(col, freq).value for freq in FREQUENCY_PRESETS.values()]
+    assert np.abs(np.subtract(real, hermitian)).max() < 1e-14
+
+
 def _assert_spectrum_matches_dense(col, freq):
     lam_fact = factorized_eigenvalues(col, freq)
     lam_dense = np.sort(np.linalg.eigvalsh(assemble_rho(col, freq).m))[::-1]
