@@ -7,9 +7,11 @@ in that basis. This module provides the column and operator types, the
 circulant completion of a column, the cross-representation moduli relation,
 the check and blend of control-basis weights, bundled reference attack rows
 with known detection probabilities, and the JSON input checks the file
-loaders share. The completion, the closed-form detections and the
-information bounds read a column at unit norm (AttackColumn.moduli_squared()
-or squared_norm()); every spec but NoAttack holds its column and basis.
+loaders share. An AttackColumn may miss unit squared norm by up to
+CONSTRAINT_TOL; it alone absorbs that slack, and every reader takes the
+column at unit norm, through as_array() for the entries or moduli_squared()
+for the unit-sum squared moduli. Every spec but NoAttack holds its column
+and basis.
 """
 
 from __future__ import annotations
@@ -96,7 +98,8 @@ class AttackColumn:
     """First column of an attack coefficient matrix in some measuring basis.
 
     Entries are the amplitudes the attack leaves on outputs 0, 1, 2 for
-    input 0; they must carry unit total weight.
+    input 0; they must carry unit total weight within CONSTRAINT_TOL, and
+    as_array() and moduli_squared() read them at exactly unit weight.
     """
 
     c0: complex
@@ -116,7 +119,8 @@ class AttackColumn:
             raise ValueError(f"attack column must have unit norm, squared norm {norm!r}")
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.c0, self.c1, self.c2], dtype=np.complex128)
+        """The entries at unit norm: each over the square root of squared_norm(), which absorbs the norm slack."""
+        return np.array([self.c0, self.c1, self.c2], dtype=np.complex128) / math.sqrt(self.squared_norm())
 
     def squared_norm(self) -> float:
         """The sum of the squared moduli, within CONSTRAINT_TOL of 1."""
@@ -258,11 +262,11 @@ def complete_circulant(col: AttackColumn, representation: str = "z") -> AttackOp
 def column_z_from_x(col_x: AttackColumn) -> tuple[float, float, float]:
     """Squared moduli of the computational-basis column implied by an x-basis column.
 
-    The z moduli are the squared moduli of the column's Fourier transform,
-    mub("x") @ col_x, over the column's squared_norm(); the triple always
-    sums to one.
+    The z moduli are the squared moduli of the Fourier transform
+    mub("x") @ col_x.as_array() of the column at unit norm; the triple
+    always sums to one.
     """
-    m0, m1, m2 = (np.abs(mub("x") @ col_x.as_array()) ** 2 / col_x.squared_norm()).tolist()
+    m0, m1, m2 = (np.abs(mub("x") @ col_x.as_array()) ** 2).tolist()
     return (m0, m1, m2)
 
 
@@ -428,7 +432,8 @@ def attack_to_dict(attack: AttackSpec) -> dict:
     if isinstance(attack, SymmetricAttack):
         return {"type": "symmetric", "d_z": attack.d_z}
     if isinstance(attack, ColumnAttack):
-        vals = [[c.real, c.imag] for c in attack.column.as_array()]
+        column = attack.column
+        vals = [[c.real, c.imag] for c in (column.c0, column.c1, column.c2)]
         return {"type": "column", "basis": attack.basis, "values": vals}
     raise ValueError(f"not an attack specification: {attack!r}")
 

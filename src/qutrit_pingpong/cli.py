@@ -49,9 +49,17 @@ def _add_freq_options(parser: argparse.ArgumentParser) -> None:
 def _resolve_freq(args) -> FrequencyTable:
     if args.freq:
         return load_frequency_table(args.freq)
-    if args.preset:
-        return FREQUENCY_PRESETS[args.preset]
-    return FREQUENCY_PRESETS["uniform"]
+    return FREQUENCY_PRESETS[args.preset or "uniform"]
+
+
+def _write_output(text: str, path, what: str) -> None:
+    """Write text to path and print "wrote WHAT to PATH", or write it to stdout when path is None."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        print(f"wrote {what} to {path}")
+    else:
+        sys.stdout.write(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -98,14 +106,12 @@ def _cmd_curve(args) -> int:
     freq = _resolve_freq(args)
     if args.points < 2:
         raise ValueError(f"curve needs at least 2 points, got {args.points}")
+    # The bound rounds_for_confidence applies too. Above it np.linspace rounds
+    # the count through a float, and near 2**63 it fails with an IndexError.
+    if args.points > 2**53:
+        raise ValueError(f"curve needs at most 2**53 points, got {args.points}")
     rows = info_curve(freq, np.linspace(0.0, 2.0 / 3.0, args.points))
-    text = curve_csv(rows)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {len(rows)} points to {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write_output(curve_csv(rows), args.out, f"{len(rows)} points")
     h = source_entropy(freq).value
     print(
         f"endpoints: I(0) = {rows[0][1]:.4f}, I(2/3) = {rows[-1][1]:.4f}, source H = {h:.4f} (trits)",
@@ -139,13 +145,7 @@ def _cmd_simulate(args) -> int:
     report = run(config)
     if args.transcript:
         write_transcript(report.outcomes, args.transcript)
-    text = report.to_json() + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote report to {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write_output(report.to_json() + "\n", args.out, "report")
     return 0
 
 

@@ -216,11 +216,11 @@ def attack_state(attack: AttackSpec, ancilla: str) -> JointState:
 
     Both act in the attack column's measuring basis. "none" applies the
     column's circulant unitary completion to the travelling qutrit alone.
-    "branch" entangles a probe: with e the circulant of the column at unit
-    norm (divided by the root of its squared_norm()), e[m, n] is the
-    amplitude for rewriting basis vector n into vector m, and the probe
-    records the (n, m) branch in pointer slot 3n + m. The columns of e are
-    the attack column permuted, so the map is an isometry.
+    "branch" entangles a probe: with e the circulant of column.as_array(),
+    the column at unit norm, e[m, n] is the amplitude for rewriting basis
+    vector n into vector m, and the probe records the (n, m) branch in
+    pointer slot 3n + m. The columns of e are the unit column permuted, so
+    the map is an isometry.
     """
     _check_ancilla(ancilla)
     if isinstance(attack, NoAttack):
@@ -228,7 +228,7 @@ def attack_state(attack: AttackSpec, ancilla: str) -> JointState:
     column, basis = attack.column, attack.basis
     m = mub(basis)
     if ancilla == "branch":
-        e = circulant(column.as_array() / math.sqrt(column.squared_norm()))
+        e = circulant(column.as_array())
         ready = initial_state().amps[:, :, 0] @ m.conj()
         return JointState(np.einsum("tm,mn,hn->htnm", m, e, ready).reshape(3, 3, ANCILLA_DIM))
     op = complete_circulant(column, representation=basis)

@@ -117,6 +117,15 @@ def test_curve_rejects_single_point(capsys):
     assert "at least 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("points", [2**53 + 1, 2**63 - 1, 2**63])
+def test_curve_rejects_a_grid_above_2_to_the_53(capsys, points):
+    # Checked before np.linspace, which fails with an IndexError near 2**63.
+    assert main(["curve", "--points", str(points)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: curve needs at most 2**53 points, got {points}\n"
+    assert captured.out == ""
+
+
 def test_rounds(capsys):
     assert main(["rounds", "0.3333333333"]) == 0
     assert capsys.readouterr().out.strip() == "12"

@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qutrit_pingpong.attack import AttackColumn, complete_circulant, normalized_column, symmetric_column
+from qutrit_pingpong.attack import (
+    AttackColumn,
+    ColumnAttack,
+    attack_from_dict,
+    attack_to_dict,
+    complete_circulant,
+    normalized_column,
+    symmetric_column,
+)
 from qutrit_pingpong import information
 from qutrit_pingpong.information import (
     FREQUENCY_PRESETS,
@@ -287,16 +295,22 @@ def test_batched_spectrum_checks_name_the_first_bad_point(monkeypatch):
             curve_over(*[flat] * len(values))
 
 
-def test_norm_slack_of_an_accepted_column_stays_out_of_the_spectrum():
-    # AttackColumn accepts a squared norm within 1e-9 of one; the spectrum is
-    # that of the normalized column, so the 1e-9 sum check never sees the slack.
-    slack = AttackColumn(math.sqrt(0.5 + 1e-9), math.sqrt(0.3), math.sqrt(0.2))
+@pytest.mark.parametrize("excess", [1e-9, 9e-10, 5e-10, 2e-10, -9e-10])
+def test_norm_slack_of_an_accepted_column_stays_out_of_the_spectrum(excess):
+    # AttackColumn accepts a squared norm within 1e-9 of one and is read at
+    # unit norm, so neither the spectrum's 1e-9 sum check nor the dense
+    # operator's 1e-10 trace check sees the slack, and the echo keeps it.
+    slack = AttackColumn(math.sqrt(0.5 + excess), math.sqrt(0.3), math.sqrt(0.2))
     unit = normalized_column(slack.c0, slack.c1, slack.c2)
+    assert abs(float(np.sum(np.abs(slack.as_array()) ** 2)) - 1.0) <= 1e-15
     for freq in FREQUENCY_PRESETS.values():
         lams = factorized_eigenvalues(slack, freq)
         assert abs(float(lams.sum()) - 1.0) < 1e-14
         assert np.abs(lams - factorized_eigenvalues(unit, freq)).max() < 1e-15
         assert abs(holevo_information(slack, freq).value - holevo_information(unit, freq).value) < 1e-13
+        _assert_spectrum_matches_dense(slack, freq)
+    echoed = attack_from_dict(attack_to_dict(ColumnAttack("x", slack))).column
+    assert (echoed.c0, echoed.c1, echoed.c2) == (slack.c0, slack.c1, slack.c2)
 
 
 @pytest.mark.parametrize("excess", [0.999e-9, -0.999e-9])

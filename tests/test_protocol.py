@@ -88,8 +88,8 @@ def _branch_amps(e: np.ndarray, basis: str) -> np.ndarray:
 
 
 def _unit_circulant_of(col: AttackColumn) -> np.ndarray:
-    """The circulant of the column at unit norm: each entry over the square root of its squared_norm()."""
-    values = col.as_array() / math.sqrt(col.squared_norm())
+    """The circulant of the column at unit norm: each stored entry over the square root of its squared_norm()."""
+    values = np.array([col.c0, col.c1, col.c2], dtype=complex) / math.sqrt(col.squared_norm())
     e = np.empty((3, 3), dtype=complex)
     for n in range(3):
         for m in range(3):
