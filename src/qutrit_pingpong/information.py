@@ -8,9 +8,13 @@ applied to the attack-weighted pointer state. The 9x9 ensemble density
 operator is block diagonal, one 3x3 block per shift class of the bigram
 alphabet, and each block has the spectrum of the Gram matrix of its three
 weighted probe states, which depends only on the column's squared moduli.
-One private batched routine builds these blocks for N columns at once and
-diagonalizes them in a single eigvalsh call; the leak curve, the Holevo
-bound and the factorized spectrum all go through it. On the symmetric
+That spectrum is the root set of the paper's class cubic, which is symmetric
+in the class's three frequencies, so classes holding the same frequencies in
+any order share one spectrum and a class with none adds only zeros: a table
+keeps one block per distinct non-empty class and a count of the classes it
+stands for. One private batched routine builds these blocks for N columns at
+once and diagonalizes them in a single eigvalsh call; the leak curve, the
+Holevo bound and the factorized spectrum all go through it. On the symmetric
 attack family (t1 = t2) the blocks are real symmetric and go to LAPACK's
 real symmetric eigensolver; general columns keep the Hermitian one. The
 paper's closed-form cubics (cubic_coefficients) are the blocks'
@@ -46,9 +50,13 @@ class FrequencyTable:
     """
 
     p: np.ndarray
-    # _gram_weights[j, i, k] = sqrt(p[i][j] p[k][j]), the scale of the shift-class
-    # Gram blocks, kept C-contiguous so a single spectrum does not rebuild it.
+    # _gram_weights[u, i, k] = sqrt(p[i][j] p[k][j]) for the first shift class j
+    # of distinct class u, the scale of its Gram block, kept C-contiguous so a
+    # single spectrum does not rebuild it; _class_counts[u] is how many of the
+    # three classes hold the same frequencies in some order. A class whose
+    # frequencies are all zero has no entry.
     _gram_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    _class_counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = frozen_array(self.p, (3, 3), "frequency table", dtype=float)
@@ -58,9 +66,14 @@ class FrequencyTable:
         if abs(total - 1.0) > _FREQ_SUM_TOL:
             raise ValueError(f"frequencies must sum to 1, got {total!r}")
         object.__setattr__(self, "p", arr)
-        weights = np.ascontiguousarray(np.sqrt(arr.T[:, :, None] * arr.T[:, None, :]))
-        weights.setflags(write=False)
-        object.__setattr__(self, "_gram_weights", weights)
+        keys = [tuple(sorted(group)) for group in arr.T.tolist()]
+        distinct = [j for j, key in enumerate(keys) if any(key) and key not in keys[:j]]
+        classes = arr.T[distinct]
+        weights = np.ascontiguousarray(np.sqrt(classes[:, :, None] * classes[:, None, :]))
+        counts = np.array([keys.count(keys[j]) for j in distinct])
+        for name, value in (("_gram_weights", weights), ("_class_counts", counts)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if not isinstance(other, FrequencyTable):
@@ -230,12 +243,16 @@ _GRAM_COSINES.setflags(write=False)
 
 
 def _class_blocks(moduli: np.ndarray, freq: FrequencyTable) -> np.ndarray:
-    """Gram blocks of the three shift classes, shape (N, 3, 3, 3).
+    """Gram blocks of the table's U distinct non-empty shift classes, shape (N, U, 3, 3).
 
-    moduli has shape (N, 3). Block [n, j] is G_ik = sqrt(p_ij p_kj)
-    sum_l t_l omega^(l (k - i)) for the squared moduli t = moduli[n]: the
-    Gram matrix of the class-j probe states, whose eigenvalues are the
-    class's share of the ensemble spectrum; the column's phases drop out.
+    moduli has shape (N, 3). Block [n, u] is G_ik = sqrt(p_ij p_kj)
+    sum_l t_l omega^(l (k - i)) for the squared moduli t = moduli[n] and the
+    first class j of distinct class u: the Gram matrix of the class-j probe
+    states, whose eigenvalues are the class's share of the ensemble spectrum;
+    the column's phases drop out. Relabeling the phase indices by a shift
+    conjugates the block by a permutation and by a reflection complex-
+    conjugates it, so every class with the same frequencies in any order
+    has this spectrum.
     When every row has t1 == t2, as on the symmetric attack family, the
     blocks are real symmetric and come out float64, so eigvalsh takes
     LAPACK's real symmetric driver; otherwise they are complex Hermitian.
@@ -245,8 +262,8 @@ def _class_blocks(moduli: np.ndarray, freq: FrequencyTable) -> np.ndarray:
 
 
 def _class_spectra(moduli: np.ndarray, freq: FrequencyTable) -> np.ndarray:
-    """All nine ensemble eigenvalues of each row of moduli, shape (N, 9)."""
-    return np.linalg.eigvalsh(_class_blocks(moduli, freq)).reshape(-1, 9)
+    """Eigenvalues of each distinct class block of each row of moduli, shape (N, U, 3)."""
+    return np.linalg.eigvalsh(_class_blocks(moduli, freq))
 
 
 def _first(values: np.ndarray, bad: np.ndarray) -> float:
@@ -260,21 +277,22 @@ def _holevo_trits(moduli: np.ndarray, freq: FrequencyTable) -> np.ndarray:
     Eigenvalues in [-1e-10, 0) are clamped to zero; anything lower or any
     spectrum total off from one by more than 1e-9 raises NumericalError,
     and a value outside [0, 2] trits raises ValueError, each naming the
-    first offending point.
+    first offending point. Each distinct class's total and entropy count
+    once per class it stands for.
     """
     lams = _class_spectra(moduli, freq)
     # Each check is one reduction over the batch; only a failure looks for
     # the first offending point.
     if lams.min(initial=0.0) < _EIGENVALUE_FLOOR:
-        low = lams.min(axis=1)
+        low = lams.min(axis=(1, 2))
         first = _first(low, low < _EIGENVALUE_FLOOR)
         raise NumericalError(f"spectrum has negative eigenvalue {first!r}")
     lams = np.maximum(lams, 0.0)
-    totals = np.add.reduce(lams, axis=1)
+    totals = np.add.reduce(lams, axis=2) @ freq._class_counts
     errors = np.abs(totals - 1.0)
     if errors.max(initial=0.0) > 1e-9:
         raise NumericalError(f"spectrum sums to {_first(totals, errors > 1e-9)!r}, expected 1")
-    info = _entropy_trits(lams)
+    info = _entropy_trits(lams) @ freq._class_counts
     # [-1e-9, 2 + 1e-9] is the band of half-width 1 + 1e-9 around 1; NaN fails too.
     offsets = np.abs(info - 1.0)
     if not offsets.max(initial=0.0) <= 1.0 + 1e-9:
@@ -284,8 +302,14 @@ def _holevo_trits(moduli: np.ndarray, freq: FrequencyTable) -> np.ndarray:
 
 
 def factorized_eigenvalues(col: AttackColumn, freq: FrequencyTable) -> np.ndarray:
-    """All nine ensemble eigenvalues from the three shift-class blocks, descending."""
-    return np.sort(_class_spectra(np.array([col.moduli_squared()]), freq)[0])[::-1]
+    """All nine ensemble eigenvalues from the distinct shift-class blocks, descending.
+
+    Each distinct class's three eigenvalues appear once per class it stands
+    for, and each all-zero class gives three zeros.
+    """
+    spectra = _class_spectra(np.array([col.moduli_squared()]), freq)[0]
+    lams = np.repeat(spectra, freq._class_counts, axis=0).ravel()
+    return np.sort(np.concatenate((lams, np.zeros(9 - lams.size))))[::-1]
 
 
 def holevo_information(col: AttackColumn, freq: FrequencyTable) -> InfoResult:

@@ -1,5 +1,6 @@
 """Frequency tables, entropies, ensemble spectra, leak curves."""
 
+import itertools
 import json
 import math
 
@@ -277,11 +278,12 @@ def test_batched_spectrum_checks_name_the_first_bad_point(monkeypatch):
     clamped = np.r_[-5e-11, np.full(8, 1.0 / 8.0)]  # within the floor: counts as zero
     negative = np.r_[-5e-10, flat[1:]]
     heavy = flat * 1.1
-    uniform = FREQUENCY_PRESETS["uniform"]
+    sparse = FREQUENCY_PRESETS["sparse"]  # three distinct classes, each counted once
+    assert sparse._class_counts.tolist() == [1, 1, 1]
 
     def curve_over(*rows):
-        monkeypatch.setattr(information, "_class_spectra", lambda moduli, freq: np.array(rows))
-        return info_curve(uniform, np.linspace(0.0, 0.5, len(rows)))
+        monkeypatch.setattr(information, "_class_spectra", lambda moduli, freq: np.array(rows).reshape(-1, 3, 3))
+        return info_curve(sparse, np.linspace(0.0, 0.5, len(rows)))
 
     values = [v for _, v in curve_over(flat, clamped)]
     assert values == pytest.approx([2.0, math.log(8.0) / math.log(3.0)], abs=1e-12)
@@ -290,7 +292,9 @@ def test_batched_spectrum_checks_name_the_first_bad_point(monkeypatch):
     with pytest.raises(NumericalError, match=r"spectrum sums to 1\.1"):
         curve_over(flat, heavy, heavy * 1.1)
     for values, named in (([0.5, 2.1, -1.0], "2.1"), ([-2e-9, 0.5], "-2e-09"), ([0.5, np.nan], "nan")):
-        monkeypatch.setattr(information, "_entropy_trits", lambda lams, v=values: np.array(v))
+        # per-class entropies whose count-weighted sum is the point's value
+        per_class = lambda lams, v=values: np.column_stack((v, np.zeros((len(v), 2))))
+        monkeypatch.setattr(information, "_entropy_trits", per_class)
         with pytest.raises(ValueError, match=rf"information value {named} outside \[0, 2\.0\]"):
             curve_over(*[flat] * len(values))
 
@@ -383,7 +387,7 @@ def test_class_blocks_are_real_exactly_when_every_row_has_t1_equal_t2():
     general = np.array([[0.5, 0.3, 0.2]])
     assert _class_blocks(symmetric, uniform).dtype == np.float64
     empty = _class_blocks(np.empty((0, 3)), uniform)
-    assert empty.shape == (0, 3, 3, 3) and empty.dtype == np.float64
+    assert empty.shape == (0, 1, 3, 3) and empty.dtype == np.float64
     assert _class_blocks(general, uniform).dtype == np.complex128
     assert _class_blocks(np.vstack((symmetric, general)), uniform).dtype == np.complex128
 
@@ -414,6 +418,53 @@ def test_column_phases_do_not_matter_on_the_real_route(monkeypatch):
     monkeypatch.setattr(information, "_GRAM_COSINES", information._GRAM_PHASES)
     hermitian = [holevo_information(col, freq).value for freq in FREQUENCY_PRESETS.values()]
     assert np.abs(np.subtract(real, hermitian)).max() < 1e-14
+
+
+def test_spectrum_depends_only_on_each_class_frequency_multiset():
+    # Relabeling a class's phase indices is a shift, a reflection or both:
+    # the block is conjugated by a permutation or complex-conjugated, so the
+    # spectrum stays, whatever the column and whichever class is relabeled.
+    relabelings = list(itertools.permutations(range(3)))
+    rng = np.random.default_rng(2718)
+    columns = [_random_column(rng) for _ in range(3)] + [symmetric_column(0.0), symmetric_column(2.0 / 3.0)]
+    repeated = rng.random(3)
+    tables = [rng.random((3, 3)) for _ in range(2)]
+    tables.append(np.column_stack((repeated, repeated, np.zeros(3))))  # two equal classes, one empty
+    for base in tables:
+        base = base / base.sum()
+        freq = FrequencyTable(base)
+        want = [holevo_information(col, freq).value for col in columns]
+        for n, relabel in enumerate(itertools.product(relabelings, repeat=3)):
+            p = np.column_stack([base[list(sigma), j] for j, sigma in enumerate(relabel)])
+            table = FrequencyTable(p[:, list(relabelings[n % 6])])
+            for col, value in zip(columns, want):
+                assert abs(holevo_information(col, table).value - value) < 1e-14
+                lam_dense = np.sort(np.linalg.eigvalsh(assemble_rho(col, table).m))[::-1]
+                assert np.abs(factorized_eigenvalues(col, table) - lam_dense).max() < 1e-10
+
+
+def _all_class_curve(freq, d):
+    """Leak curve from all three shift-class blocks built straight from freq.p, kept as the reference."""
+    t = np.column_stack((1.0 - d, d / 2.0, d / 2.0))
+    lag = np.subtract.outer(np.arange(3), np.arange(3)).T % 3  # lag[i, k] = (k - i) % 3
+    circulant = np.einsum("nl,lik->nik", t, np.exp(2j * np.pi / 3.0 * np.multiply.outer(np.arange(3), lag)))
+    scale = np.sqrt(np.einsum("ij,kj->jik", freq.p, freq.p))
+    lams = np.maximum(np.linalg.eigvalsh(circulant[:, None] * scale).reshape(-1, 9), 0.0)
+    logs = np.log(lams, out=np.zeros(lams.shape), where=lams > 0.0)
+    return -(lams * logs).sum(axis=1) / math.log(3.0)
+
+
+def test_presets_keep_one_block_per_distinct_nonempty_class():
+    counts = {name: len(freq._class_counts) for name, freq in FREQUENCY_PRESETS.items()}
+    assert counts == {"uniform": 1, "tiered": 1, "sparse": 3, "peaked": 1, "two-bigram": 2}
+
+
+@pytest.mark.parametrize("name", sorted(FREQUENCY_PRESETS))
+def test_distinct_class_curve_matches_all_three_blocks(name):
+    freq = FREQUENCY_PRESETS[name]
+    grid = np.linspace(0.0, 2.0 / 3.0, 801)
+    got = np.array([v for _, v in info_curve(freq, grid)])
+    assert np.abs(got - _all_class_curve(freq, grid)).max() < 1e-14
 
 
 def _assert_spectrum_matches_dense(col, freq):
