@@ -10,8 +10,8 @@ with known detection probabilities, and the JSON input checks the file
 loaders share. An AttackColumn may miss unit squared norm by up to
 CONSTRAINT_TOL; it alone absorbs that slack, and every reader takes the
 column at unit norm, through as_array() for the entries or moduli_squared()
-for the unit-sum squared moduli. Every spec but NoAttack holds its column
-and basis.
+for the unit-sum squared moduli. Every spec holds a basis, every spec but
+NoAttack its column, and isometry() gives any spec as one array.
 """
 
 from __future__ import annotations
@@ -29,6 +29,9 @@ from .qutrit import NumericalError, check_basis, check_unitary, frozen_array, mu
 # Attack-operator constraints (normalization, unitarity, moduli pattern)
 # are enforced at this scale; reference data is only six digits deep.
 CONSTRAINT_TOL = 1e-9
+
+# Levels of the probe ancilla an attack may write to.
+ANCILLA_DIM = 9
 
 # A circulant completion is accepted when its chain links miss closing into
 # a triangle by at most this much; that miss is the completion's unitarity
@@ -84,6 +87,12 @@ def check_basis_weights(weights) -> tuple[float, float]:
     if abs(q_z + q_x - 1.0) > 1e-12:
         raise ValueError(f"basis_weights must sum to 1, got {(q_z, q_x)!r}")
     return q_z, q_x
+
+
+def check_ancilla(mode) -> None:
+    """Raise ValueError unless the ancilla mode is "branch" or "none"."""
+    if mode not in ("branch", "none"):
+        raise ValueError(f"ancilla mode must be 'branch' or 'none', got {mode!r}")
 
 
 def _column_entry(name: str, value) -> complex:
@@ -173,6 +182,10 @@ _CIRCULANT_INDEX.setflags(write=False)
 # preserve the complete mixedness of the travelling qutrit.
 _BROKEN_DIAGONALS = 3 * np.arange(3) + (np.arange(3)[None, :] + np.arange(3)[:, None]) % 3
 _BROKEN_DIAGONALS.setflags(write=False)
+# Entry 3m + n of this index is the flat position of [m, 3n + m, n] in a
+# (3, ANCILLA_DIM, 3) array: 27m + 3(3n + m) + n = 30m + 10n.
+_BRANCH_SLOTS = (30 * np.arange(3)[:, None] + 10 * np.arange(3)[None, :]).ravel()
+_BRANCH_SLOTS.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,7 +378,9 @@ def verify_reference_attacks() -> list[ReferenceCheck]:
 
 @dataclass(frozen=True)
 class NoAttack:
-    """The channel is untouched."""
+    """The channel is untouched; its basis is z, as every spec has one."""
+
+    basis = "z"
 
 
 @dataclass(frozen=True)
@@ -393,6 +408,28 @@ class ColumnAttack:
 
 
 AttackSpec = NoAttack | SymmetricAttack | ColumnAttack
+
+
+def isometry(attack: AttackSpec, ancilla: str) -> np.ndarray:
+    """The attack as a (3, ANCILLA_DIM, 3) isometry V[m_out, slot, n_in] in its own basis, attack.basis.
+
+    V sends basis vector n of the travelling qutrit, the probe in slot 0, to
+    the sum over m and slot of V[m, slot, n] |m>|slot>. In slot 0, NoAttack
+    is the identity and a column attack in ancilla mode "none" its circulant
+    completion's matrix. In mode "branch", with e the circulant of
+    column.as_array(), V[m, 3n + m, n] = e[m, n] and every other entry is 0:
+    slot 3n + m records the branch that rewrote n into m. The columns of e
+    are the unit column permuted, so V is an isometry.
+    """
+    check_ancilla(ancilla)
+    v = np.zeros((3, ANCILLA_DIM, 3), dtype=np.complex128)
+    if isinstance(attack, NoAttack):
+        v[:, 0, :] = np.eye(3)
+    elif ancilla == "none":
+        v[:, 0, :] = complete_circulant(attack.column, attack.basis).m
+    else:
+        v.flat[_BRANCH_SLOTS] = circulant(attack.column.as_array()).ravel()
+    return v
 
 
 def attack_from_dict(data: dict) -> AttackSpec:

@@ -5,9 +5,8 @@ travelling qutrit and a 9-level probe ancilla. Message cycles apply a
 coding operation to the travelling qutrit and decode by projecting onto
 the entangled pair basis; control cycles measure both qutrits in paired
 bases (qutrit.CONTROL_MAPS) and flag any pair outside qutrit.HONEST_PAIRS.
-One function, attack_state, builds the post-attack state, with the attack
-either a circulant unitary on the travelling qutrit alone or an
-entangling-probe branching map.
+One function, attack_state, builds the post-attack state as one
+contraction of the ready state with the attack's isometry (attack.isometry).
 That state is the same every cycle, so each cycle is one draw from the
 exact Born distribution over 99 outcome codes (a control pair in a
 basis, or a sent and a decoded bigram), computed once per run by one
@@ -29,14 +28,15 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .attack import (
+    ANCILLA_DIM,
     AttackSpec,
     NoAttack,
     attack_from_dict,
     attack_to_dict,
+    check_ancilla,
     check_basis_weights,
-    circulant,
-    complete_circulant,
     is_finite_real,
+    isometry,
     read_json,
     reject_extra_fields,
 )
@@ -54,15 +54,7 @@ from .qutrit import (
     mub,
 )
 
-ANCILLA_DIM = 9
-
 _STATE_NORM_TOL = 1e-10
-
-
-def _check_ancilla(mode) -> None:
-    """Raise ValueError unless the ancilla mode is "branch" or "none"."""
-    if mode not in ("branch", "none"):
-        raise ValueError(f"ancilla mode must be 'branch' or 'none', got {mode!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,11 +77,6 @@ _READY = JointState(np.multiply.outer(bell_state(0, 0), np.eye(ANCILLA_DIM)[0]))
 def initial_state() -> JointState:
     """Shared entangled pair with the probe ancilla parked in its ready slot (built once, at import)."""
     return _READY
-
-
-def apply_travel_unitary(state: JointState, u: np.ndarray) -> JointState:
-    """Apply the 3x3 unitary u to the travelling qutrit; JointState checks the result's norm."""
-    return JointState(np.einsum("ts,hsn->htn", u, state.amps))
 
 
 # The simulator mixes control rounds in the first two bases only.
@@ -180,7 +167,7 @@ class ProtocolConfig:
             raise ValueError(f"q must be a number in [0, 1], got {self.q!r}")
         object.__setattr__(self, "q", float(self.q))
         object.__setattr__(self, "basis_weights", check_basis_weights(self.basis_weights))
-        _check_ancilla(self.ancilla)
+        check_ancilla(self.ancilla)
 
     def to_dict(self) -> dict:
         """The config as JSON values, in field order; from_dict reads it back."""
@@ -214,25 +201,14 @@ def load_protocol_config(path) -> ProtocolConfig:
 def attack_state(attack: AttackSpec, ancilla: str) -> JointState:
     """Joint state after the attack touches the travelling qutrit once, in ancilla mode "branch" or "none".
 
-    Both act in the attack column's measuring basis. "none" applies the
-    column's circulant unitary completion to the travelling qutrit alone.
-    "branch" entangles a probe: with e the circulant of column.as_array(),
-    the column at unit norm, e[m, n] is the amplitude for rewriting basis
-    vector n into vector m, and the probe records the (n, m) branch in
-    pointer slot 3n + m. The columns of e are the unit column permuted, so
-    the map is an isometry.
+    One contraction for every attack, with M = mub(attack.basis) and
+    V = isometry(attack, ancilla): amplitude (h, t, slot) is the sum over m
+    and n of M[t, m] V[m, slot, n] ready[h, n], where ready[h, n] is the
+    ready state's amplitude on home h and travel basis vector n of M.
     """
-    _check_ancilla(ancilla)
-    if isinstance(attack, NoAttack):
-        return initial_state()
-    column, basis = attack.column, attack.basis
-    m = mub(basis)
-    if ancilla == "branch":
-        e = circulant(column.as_array())
-        ready = initial_state().amps[:, :, 0] @ m.conj()
-        return JointState(np.einsum("tm,mn,hn->htnm", m, e, ready).reshape(3, 3, ANCILLA_DIM))
-    op = complete_circulant(column, representation=basis)
-    return apply_travel_unitary(initial_state(), m @ op.m @ m.conj().T)
+    m = mub(attack.basis)
+    ready = initial_state().amps[:, :, 0] @ m.conj()
+    return JointState(np.einsum("tm,man,hn->hta", m, isometry(attack, ancilla), ready))
 
 
 # Mask over the outcome codes: True for a control pair an honest channel never gives.

@@ -18,6 +18,7 @@ from qutrit_pingpong.attack import (
     column_z_from_x,
     complete_circulant,
     detection_from_column,
+    isometry,
     normalized_column,
     symmetric_column,
 )
@@ -28,7 +29,6 @@ from qutrit_pingpong.protocol import (
     TRANSCRIPT_HEADER,
     JointState,
     ProtocolConfig,
-    apply_travel_unitary,
     attack_state,
     control_distribution,
     decode_distribution,
@@ -42,7 +42,14 @@ from qutrit_pingpong.protocol import (
     _BLOCK,
     _cdf,
 )
-from qutrit_pingpong.qutrit import BELL_STATES, CODING_UNITARIES, coding_unitary, control_correlations, mub
+from qutrit_pingpong.qutrit import (
+    BELL_STATES,
+    CODING_UNITARIES,
+    NumericalError,
+    coding_unitary,
+    control_correlations,
+    mub,
+)
 
 
 def test_initial_state_shape_and_support():
@@ -58,6 +65,11 @@ def test_joint_state_validation():
         JointState(np.zeros((3, 3, ANCILLA_DIM), dtype=complex))
     with pytest.raises(ValueError):
         JointState(np.zeros((3, 3, 3), dtype=complex))
+
+
+def apply_travel_unitary(state: JointState, u: np.ndarray) -> JointState:
+    """Apply the 3x3 unitary u to the travelling qutrit; JointState checks the result's norm."""
+    return JointState(np.einsum("ts,hsn->htn", u, state.amps))
 
 
 def test_travel_unitary_preserves_norm_and_decode():
@@ -118,9 +130,40 @@ def test_branch_attack_state_is_bit_identical_to_the_reference_map(basis):
         assert np.array_equal(attack_state(SymmetricAttack(d), "branch").amps, want)
 
 
-def test_branch_attack_is_an_isometry():
-    col = AttackColumn(math.sqrt(0.8), math.sqrt(0.1), math.sqrt(0.1))
-    out = attack_state(ColumnAttack("z", col), "branch")
+def _none_amps(col: AttackColumn, basis: str) -> np.ndarray:
+    """The circulant completion applied in travel coordinates to the ready state, kept as the reference for
+    attack_state's "none" mode."""
+    m = mub(basis)
+    op = complete_circulant(col, representation=basis)
+    return apply_travel_unitary(initial_state(), m @ op.m @ m.conj().T).amps
+
+
+@pytest.mark.parametrize("basis", ["z", "x", "v", "t"])
+def test_none_attack_state_matches_the_reference_map(basis):
+    feasible = 0
+    for col in _random_columns(80, seed=11 + "zxvt".index(basis)):
+        try:
+            want = _none_amps(col, basis)
+        except NumericalError:
+            continue
+        feasible += 1
+        assert np.abs(attack_state(ColumnAttack(basis, col), "none").amps - want).max() <= 1e-15
+    assert feasible >= 20
+
+
+_COLUMN = AttackColumn(math.sqrt(0.8), math.sqrt(0.1), math.sqrt(0.1))
+
+
+@pytest.mark.parametrize("ancilla", ["branch", "none"])
+@pytest.mark.parametrize(
+    "attack",
+    [NoAttack(), SymmetricAttack(0.3), *(ColumnAttack(basis, _COLUMN) for basis in "zxvt")],
+    ids=["none", "symmetric", "column-z", "column-x", "column-v", "column-t"],
+)
+def test_branch_attack_is_an_isometry(attack, ancilla):
+    v = isometry(attack, ancilla).reshape(3 * ANCILLA_DIM, 3)
+    assert np.abs(v.conj().T @ v - np.eye(3)).max() < 1e-12
+    out = attack_state(attack, ancilla)
     assert abs(float((np.abs(out.amps) ** 2).sum()) - 1.0) < 1e-12
 
 
