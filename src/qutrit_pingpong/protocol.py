@@ -5,18 +5,21 @@ travelling qutrit and a 9-level probe ancilla. Message cycles apply a
 coding operation to the travelling qutrit and decode by projecting onto
 the entangled pair basis; control cycles measure both qutrits in paired
 bases (qutrit.CONTROL_MAPS) and flag any pair outside qutrit.HONEST_PAIRS.
-One function, attack_state, builds the post-attack state as one
-contraction of the ready state with the attack's isometry (attack.isometry).
-That state is the same every cycle, so each cycle is one draw from the
-exact Born distribution over 99 outcome codes (a control pair in a
-basis, or a sent and a decoded bigram), computed once per run by one
-product with a stacked (99, 9) amplitude map built at import; the run
-reads each basis's predicted detection from the same table and samples
-it by inverting its cumulative table. A run keeps one outcome byte per
-cycle; the report's counts and the CSV transcript are both derived from
-those bytes. The sampler and the transcript writer both work in blocks of
-at most _BLOCK = 2**12 cycles; each transcript row is its cycle number
-and one row of a 99-entry tail table built once, at import.
+The post-attack amplitudes are one contraction of the ready state with the
+attack's isometry (attack.isometry), on operands built once per basis at
+import; attack_state wraps them in a checked JointState. That state is the
+same every cycle, so each cycle is one draw from the exact Born
+distribution over 99 outcome codes (a control pair in a basis, or a sent
+and a decoded bigram). run builds it once per run straight from the
+contraction's amplitudes, by one product with a stacked (99, 9) amplitude
+map built at import, and checks their norm on that table's z-control rows
+by JointState's rule. It weights the table block by block, reads both
+bases' predicted detections from its control rows in one reduction, and
+samples it by inverting its cumulative table. A run keeps one outcome byte
+per cycle; the report's counts and the CSV transcript are both derived
+from those bytes. The sampler and the transcript writer both work in
+blocks of at most _BLOCK = 2**12 cycles; each transcript row is its cycle
+number and one row of a 99-entry tail table built once, at import.
 """
 
 from __future__ import annotations
@@ -57,6 +60,12 @@ from .qutrit import (
 _STATE_NORM_TOL = 1e-10
 
 
+def _check_norm(norm: float) -> None:
+    """Raise ValueError unless a joint state's squared norm is within _STATE_NORM_TOL of 1 (NaN and inf fail)."""
+    if not abs(norm - 1.0) <= _STATE_NORM_TOL:
+        raise ValueError(f"joint state must be normalized, squared norm {norm!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class JointState:
     """Pure state of (home, travel, ancilla) as a (3, 3, 9) amplitude array."""
@@ -65,9 +74,7 @@ class JointState:
 
     def __post_init__(self):
         arr = frozen_array(self.amps, (3, 3, ANCILLA_DIM), "joint state")
-        norm = float((np.abs(arr) ** 2).sum())
-        if abs(norm - 1.0) > _STATE_NORM_TOL:
-            raise ValueError(f"joint state must be normalized, squared norm {norm!r}")
+        _check_norm(float((np.abs(arr) ** 2).sum()))
         object.__setattr__(self, "amps", arr)
 
 
@@ -77,6 +84,19 @@ _READY = JointState(np.multiply.outer(bell_state(0, 0), np.eye(ANCILLA_DIM)[0]))
 def initial_state() -> JointState:
     """Shared entangled pair with the probe ancilla parked in its ready slot (built once, at import)."""
     return _READY
+
+
+def _attack_operands(label: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (M, ready) of basis label: M = mub(label) and the ready state's (home, travel) block in M's
+    coordinates, ready[h, n] = the amplitude on home h and travel basis vector n of M."""
+    m = mub(label)
+    ready = _READY.amps[:, :, 0] @ m.conj()
+    ready.setflags(write=False)
+    return m, ready
+
+
+# The operands of every attack contraction, one pair per basis, shared by all runs.
+_ATTACK_OPERANDS = {label: _attack_operands(label) for label in BASIS_LABELS}
 
 
 # The simulator mixes control rounds in the first two bases only.
@@ -96,14 +116,16 @@ _OUTCOME_MAP = np.vstack(
 _OUTCOME_MAP.setflags(write=False)
 
 
-def _born(amplitude_map: np.ndarray, state: JointState) -> np.ndarray:
-    """Born probabilities of the outcomes a map's rows project on, summed over the ancilla."""
-    return (np.abs(amplitude_map @ state.amps.reshape(9, ANCILLA_DIM)) ** 2).sum(axis=-1)
+def _born(amplitude_map: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """Born probabilities of the outcomes a map's rows project on, summed over the ancilla of (3, 3, 9) amps."""
+    return (np.abs(amplitude_map @ amps.reshape(9, ANCILLA_DIM)) ** 2).sum(axis=-1)
 
 
-def _detected(joint: np.ndarray, s: int) -> float:
-    """Detection probability of a nine-entry control block of basis s: one minus its HONEST_PAIRS[s] mass."""
-    return max(0.0, 1.0 - float(joint[HONEST_PAIRS[s]].sum()))
+def _detections(control: np.ndarray, honest: np.ndarray) -> list[float]:
+    """Detection probability of each row of nine control probabilities: one minus its mass on the pairs that
+    the same row of the boolean mask honest marks (three per row, rows of HONEST_PAIRS), floored at 0."""
+    kept = control[honest].reshape(len(control), 3).sum(axis=1)
+    return np.maximum(0.0, 1.0 - kept).tolist()
 
 
 def control_distribution(state: JointState, alice_basis: str) -> np.ndarray:
@@ -113,7 +135,7 @@ def control_distribution(state: JointState, alice_basis: str) -> np.ndarray:
     travelling qutrit and the sender sees b on the home qutrit, measured
     in the partner basis (CONTROL_MAPS).
     """
-    return _born(CONTROL_MAPS[BASIS_LABELS.index(check_basis(alice_basis))], state).reshape(3, 3)
+    return _born(CONTROL_MAPS[BASIS_LABELS.index(check_basis(alice_basis))], state.amps).reshape(3, 3)
 
 
 def detection_probability(state: JointState, alice_basis: str) -> float:
@@ -122,7 +144,7 @@ def detection_probability(state: JointState, alice_basis: str) -> float:
     One minus the mass of the outcome pairs an honest channel gives.
     """
     s = BASIS_LABELS.index(check_basis(alice_basis))
-    return _detected(_born(CONTROL_MAPS[s], state), s)
+    return _detections(_born(CONTROL_MAPS[s : s + 1], state.amps), HONEST_PAIRS[s : s + 1])[0]
 
 
 def decode_distribution(state: JointState, bigram: tuple[int, int]) -> np.ndarray:
@@ -133,7 +155,7 @@ def decode_distribution(state: JointState, bigram: tuple[int, int]) -> np.ndarra
     point mass on the encoded bigram.
     """
     start = _MESSAGE_CODE + 9 * _pair_index(*bigram)
-    return _born(_OUTCOME_MAP[start : start + 9], state)
+    return _born(_OUTCOME_MAP[start : start + 9], state.amps)
 
 
 @dataclass(frozen=True)
@@ -198,28 +220,37 @@ def load_protocol_config(path) -> ProtocolConfig:
     return ProtocolConfig.from_dict(read_json(path, "config file"))
 
 
+def _attack_amps(attack: AttackSpec, ancilla: str) -> np.ndarray:
+    """Unchecked (3, 3, 9) amplitudes after the attack: attack_state's contraction, which run reads directly."""
+    m, ready = _ATTACK_OPERANDS[attack.basis]
+    return np.einsum("tm,man,hn->hta", m, isometry(attack, ancilla), ready)
+
+
 def attack_state(attack: AttackSpec, ancilla: str) -> JointState:
     """Joint state after the attack touches the travelling qutrit once, in ancilla mode "branch" or "none".
 
-    One contraction for every attack, with M = mub(attack.basis) and
-    V = isometry(attack, ancilla): amplitude (h, t, slot) is the sum over m
-    and n of M[t, m] V[m, slot, n] ready[h, n], where ready[h, n] is the
-    ready state's amplitude on home h and travel basis vector n of M.
+    One contraction for every attack, with (M, ready) the operands of
+    attack.basis built at import and V = isometry(attack, ancilla):
+    amplitude (h, t, slot) is the sum over m and n of
+    M[t, m] V[m, slot, n] ready[h, n], where M = mub(attack.basis) and
+    ready[h, n] is the ready state's amplitude on home h and travel basis
+    vector n of M. JointState checks the result's shape, finiteness and norm.
     """
-    m = mub(attack.basis)
-    ready = initial_state().amps[:, :, 0] @ m.conj()
-    return JointState(np.einsum("tm,man,hn->hta", m, isometry(attack, ancilla), ready))
+    return JointState(_attack_amps(attack, ancilla))
 
 
-# Mask over the outcome codes: True for a control pair an honest channel never gives.
-_FORBIDDEN = np.append(~HONEST_PAIRS[: len(CONTROL_BASES)], np.zeros(_N_CODES - _MESSAGE_CODE, dtype=bool))
+# Honest pairs of each control basis, and a mask over the outcome codes: True for a
+# control pair an honest channel never gives.
+_HONEST_CONTROL = HONEST_PAIRS[: len(CONTROL_BASES)]
+_FORBIDDEN = np.append(~_HONEST_CONTROL, np.zeros(_N_CODES - _MESSAGE_CODE, dtype=bool))
 _FORBIDDEN.setflags(write=False)
 
 
-def _code_weights(config: ProtocolConfig) -> np.ndarray:
-    """Weight of each outcome code's block: q * basis_weights[s], then (1 - q) * f_k, each nine times."""
+def _weighted(config: ProtocolConfig, table: np.ndarray) -> np.ndarray:
+    """A 99-entry Born table weighted block by block: its (11, 9) view times q * basis_weights[s] for the two
+    control blocks, then (1 - q) * f_k for the nine bigram blocks."""
     blocks = np.append(config.q * np.array(config.basis_weights), (1.0 - config.q) * config.freq.p)
-    return np.repeat(blocks, 9)
+    return (table.reshape(len(blocks), 9) * blocks[:, None]).ravel()
 
 
 def outcome_distribution(config: ProtocolConfig, state: JointState) -> np.ndarray:
@@ -233,7 +264,7 @@ def outcome_distribution(config: ProtocolConfig, state: JointState) -> np.ndarra
     run's Born table (one product with the stacked 99-row outcome map)
     weighted code by code.
     """
-    return _code_weights(config) * _born(_OUTCOME_MAP, state)
+    return _weighted(config, _born(_OUTCOME_MAP, state.amps))
 
 
 TRANSCRIPT_HEADER = "cycle,mode,basis,alice,bob,detected,sent,decoded"
@@ -413,10 +444,13 @@ def run(config: ProtocolConfig) -> RunReport:
     """Simulate the protocol and report its statistics.
 
     Each cycle is one draw from the exact 99-outcome distribution
-    (outcome_distribution), built once per run from the post-attack state:
-    one Born table from the stacked 99-row outcome map, weighted code by
-    code. Each basis's predicted detection is read from that table's
-    control block by the formula of detection_probability. Cycles are
+    (outcome_distribution), built once per run straight from the attack's
+    amplitudes (the contraction attack_state wraps, with no JointState):
+    one Born table from the stacked 99-row outcome map, weighted block by
+    block. The amplitudes' norm is checked on that table, by JointState's
+    rule applied to its nine z-control probabilities, whose map is unitary.
+    Both bases' predicted detections are read from its control rows in one
+    reduction, the one detection_probability makes. Cycles are
     drawn in blocks of at most _BLOCK, one uniform per cycle inverted
     through the cumulative table; PCG64 draws the same uniforms however
     they are split into blocks, so the block size changes no outcome. Each
@@ -425,8 +459,9 @@ def run(config: ProtocolConfig) -> RunReport:
     identical reports.
     """
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    table = _born(_OUTCOME_MAP, attack_state(config.attack, config.ancilla))
-    cum = _cdf(_code_weights(config) * table)
+    table = _born(_OUTCOME_MAP, _attack_amps(config.attack, config.ancilla))
+    _check_norm(float(table[:9].sum()))
+    cum = _cdf(_weighted(config, table))
 
     codes = np.empty(config.cycles, dtype=np.uint8)
     counts = np.zeros(_N_CODES, dtype=np.int64)
@@ -445,8 +480,8 @@ def run(config: ProtocolConfig) -> RunReport:
     caught = (control * _FORBIDDEN[:_MESSAGE_CODE].reshape(2, 9)).sum(axis=1).tolist()
     confusion = counts[_MESSAGE_CODE:].reshape(9, 9)
 
+    predicted = _detections(table[:_MESSAGE_CODE].reshape(2, 9), _HONEST_CONTROL)
     basis_stats = {
-        basis: BasisStats(n, hits, _detected(table[9 * s : 9 * s + 9], s))
-        for s, (basis, n, hits) in enumerate(zip(CONTROL_BASES, rounds, caught))
+        basis: BasisStats(*stats) for basis, *stats in zip(CONTROL_BASES, rounds, caught, predicted)
     }
     return RunReport(config.to_dict(), first_detection, basis_stats, confusion, codes)

@@ -67,6 +67,36 @@ def test_joint_state_validation():
         JointState(np.zeros((3, 3, 3), dtype=complex))
 
 
+def _nan_at_origin(v: np.ndarray) -> np.ndarray:
+    v = v.copy()
+    v[0, 0, 0] = math.nan
+    return v
+
+
+@pytest.mark.parametrize(
+    "spoil", [lambda v: (1.0 + 1e-9) * v, _nan_at_origin], ids=["scaled-by-1+1e-9", "holding-a-nan"]
+)
+def test_run_rejects_an_attack_map_that_breaks_the_norm(spoil, monkeypatch):
+    monkeypatch.setattr(protocol, "isometry", lambda spec, ancilla: spoil(isometry(spec, ancilla)))
+    with pytest.raises(ValueError, match="joint state must be normalized"):
+        run(ProtocolConfig(cycles=10, seed=1, attack=SymmetricAttack(0.3)))
+
+
+@pytest.mark.parametrize(
+    "array",
+    [
+        protocol._OUTCOME_MAP,
+        protocol._FORBIDDEN,
+        protocol._ROW_TAILS,
+        *(operand for pair in protocol._ATTACK_OPERANDS.values() for operand in pair),
+    ],
+)
+def test_import_time_tables_are_read_only(array):
+    assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        array[0] = array[0]
+
+
 def apply_travel_unitary(state: JointState, u: np.ndarray) -> JointState:
     """Apply the 3x3 unitary u to the travelling qutrit; JointState checks the result's norm."""
     return JointState(np.einsum("ts,hsn->htn", u, state.amps))
@@ -588,8 +618,8 @@ _FEASIBLE_COLUMN = AttackColumn(math.sqrt(0.6), 0.5, 1j * math.sqrt(0.15))
 @pytest.mark.parametrize("ancilla", ["branch", "none"])
 @pytest.mark.parametrize(
     "attack",
-    [NoAttack(), SymmetricAttack(0.4), ColumnAttack("z", _FEASIBLE_COLUMN), ColumnAttack("x", _FEASIBLE_COLUMN)],
-    ids=["none", "symmetric", "column-z", "column-x"],
+    [NoAttack(), SymmetricAttack(0.4), *(ColumnAttack(basis, _FEASIBLE_COLUMN) for basis in "zxvt")],
+    ids=["none", "symmetric", "column-z", "column-x", "column-v", "column-t"],
 )
 def test_born_table_and_predictions_are_bit_identical_to_the_two_map_formula(attack, ancilla):
     state = attack_state(attack, ancilla)
