@@ -6,20 +6,20 @@ quantity of the nine conditional probe states; the probe state for bigram
 (i, j) is coding unitary (i, j), taken from qutrit.CODING_UNITARIES,
 applied to the attack-weighted pointer state. The 9x9 ensemble density
 operator is block diagonal, one 3x3 block per shift class of the bigram
-alphabet, and each block has the spectrum of the Gram matrix of its three
-weighted probe states, which depends only on the column's squared moduli.
-That spectrum is the root set of the paper's class cubic, which is symmetric
-in the class's three frequencies, so classes holding the same frequencies in
-any order share one spectrum and a class with none adds only zeros: a table
-keeps one block per distinct non-empty class and a count of the classes it
-stands for. One private batched routine builds these blocks for N columns at
-once and diagonalizes them in a single eigvalsh call; the leak curve, the
-Holevo bound and the factorized spectrum all go through it. On the symmetric
-attack family (t1 = t2) the blocks are real symmetric and go to LAPACK's
-real symmetric eigensolver; general columns keep the Hermitian one. The
-paper's closed-form cubics (cubic_coefficients) are the blocks'
-characteristic polynomials, and the dense 9x9 operator (assemble_rho) is
-kept so that each route can check the other.
+alphabet, each with the spectrum of the Gram matrix of its three weighted
+probe states, which depends only on the column's squared moduli. That
+spectrum is the root set of the paper's class cubic, symmetric in the
+class's frequencies, and a zero frequency zeroes a row and column of the
+block. So a table keeps one block per distinct non-empty class, on its k
+nonzero frequencies only, and a count of the classes it stands for. One
+private batched routine builds these blocks for N columns at once and
+diagonalizes them in one eigvalsh call per block size k present; the leak
+curve, the Holevo bound and the factorized spectrum all go through it. On
+the symmetric attack family (t1 = t2) the blocks are real symmetric and go
+to LAPACK's real symmetric eigensolver; general columns keep the Hermitian
+one. The paper's closed-form cubics (cubic_coefficients) are the full
+blocks' characteristic polynomials, and the dense 9x9 operator
+(assemble_rho) is kept so that each route can check the other.
 
 A frequency table's JSON form, {"preset": name} or {"p": 3x3 rows} in a --freq file and a run
 config alike, is read by frequency_table_from_dict and written by frequency_table_to_dict.
@@ -50,12 +50,13 @@ class FrequencyTable:
     """
 
     p: np.ndarray
-    # _gram_weights[u, i, k] = sqrt(p[i][j] p[k][j]) for the first shift class j
-    # of distinct class u, the scale of its Gram block, kept C-contiguous so a
-    # single spectrum does not rebuild it; _class_counts[u] is how many of the
-    # three classes hold the same frequencies in some order. A class whose
-    # frequencies are all zero has no entry.
-    _gram_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    # _class_groups holds one (U_k, k, k) array per number k of nonzero
+    # frequencies that some distinct non-empty class has, k rising: [u, i, m] =
+    # sqrt(q_i q_m) over the nonzero frequencies q, in table order, of the
+    # first shift class standing for class u. _class_counts[u], over the groups
+    # in turn, is how many of the three classes hold the same frequencies in
+    # some order. A class whose frequencies are all zero has no entry.
+    _class_groups: tuple = field(init=False, repr=False, compare=False)
     _class_counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -66,14 +67,18 @@ class FrequencyTable:
         if abs(total - 1.0) > _FREQ_SUM_TOL:
             raise ValueError(f"frequencies must sum to 1, got {total!r}")
         object.__setattr__(self, "p", arr)
-        keys = [tuple(sorted(group)) for group in arr.T.tolist()]
+        columns = arr.T.tolist()
+        keys = [tuple(sorted(group)) for group in columns]
         distinct = [j for j, key in enumerate(keys) if any(key) and key not in keys[:j]]
-        classes = arr.T[distinct]
-        weights = np.ascontiguousarray(np.sqrt(classes[:, :, None] * classes[:, None, :]))
+        nonzero = {j: [x for x in columns[j] if x > 0.0] for j in distinct}  # -0.0 counts as zero
+        distinct.sort(key=lambda j: len(nonzero[j]))
+        classes = [np.array([nonzero[j] for j in distinct if len(nonzero[j]) == k]) for k in (1, 2, 3)]
+        groups = tuple(np.sqrt(q[:, :, None] * q[:, None, :]) for q in classes if q.size)
         counts = np.array([keys.count(keys[j]) for j in distinct])
-        for name, value in (("_gram_weights", weights), ("_class_counts", counts)):
+        for value in (*groups, counts):
             value.setflags(write=False)
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_class_groups", groups)
+        object.__setattr__(self, "_class_counts", counts)
 
     def __eq__(self, other):
         if not isinstance(other, FrequencyTable):
@@ -86,34 +91,10 @@ class FrequencyTable:
 
 FREQUENCY_PRESETS: dict[str, FrequencyTable] = {
     "uniform": FrequencyTable(np.full((3, 3), 1.0 / 9.0)),
-    "tiered": FrequencyTable(
-        [
-            [1 / 6, 1 / 6, 1 / 18],
-            [1 / 9, 1 / 18, 1 / 9],
-            [1 / 18, 1 / 9, 1 / 6],
-        ]
-    ),
-    "sparse": FrequencyTable(
-        [
-            [2 / 9, 0.0, 2 / 9],
-            [0.0, 2 / 9, 0.0],
-            [2 / 9, 0.0, 1 / 9],
-        ]
-    ),
-    "peaked": FrequencyTable(
-        [
-            [0.4, 0.0, 0.0],
-            [0.1, 0.4, 0.0],
-            [0.0, 0.1, 0.0],
-        ]
-    ),
-    "two-bigram": FrequencyTable(
-        [
-            [2 / 3, 0.0, 0.0],
-            [0.0, 1 / 3, 0.0],
-            [0.0, 0.0, 0.0],
-        ]
-    ),
+    "tiered": FrequencyTable([[1 / 6, 1 / 6, 1 / 18], [1 / 9, 1 / 18, 1 / 9], [1 / 18, 1 / 9, 1 / 6]]),
+    "sparse": FrequencyTable([[2 / 9, 0.0, 2 / 9], [0.0, 2 / 9, 0.0], [2 / 9, 0.0, 1 / 9]]),
+    "peaked": FrequencyTable([[0.4, 0.0, 0.0], [0.1, 0.4, 0.0], [0.0, 0.1, 0.0]]),
+    "two-bigram": FrequencyTable([[2 / 3, 0.0, 0.0], [0.0, 1 / 3, 0.0], [0.0, 0.0, 0.0]]),
 }
 
 
@@ -229,41 +210,50 @@ def cubic_coefficients(
     return (c2, c1, c0)
 
 
-# Entry [l, 3*i + k] is omega^(l (k - i)): the phase that squared modulus l
-# puts on the overlap of the probe states of phase indices i and k, entry l
-# of the diagonal of coding unitary ((k - i) % 3, 0).
-_GRAM_PHASES = np.ascontiguousarray(
-    CODING_UNITARIES[[3 * ((k - i) % 3) for i in range(3) for k in range(3)]].diagonal(axis1=1, axis2=2).T
-)
-_GRAM_PHASES.setflags(write=False)
-# The imaginary part of sum_l t_l omega^(l (k - i)) is (t1 - t2) sin(2 pi (k - i) / 3),
+# Entry [l, k*i + m] of _GRAM_PHASES[k] is omega^(l (m - i)), for i, m < k:
+# the phase that squared modulus l puts on the overlap of the probe states of
+# phase indices i and m, entry l of the diagonal of coding unitary
+# ((m - i) % 3, 0). Each table is the leading k x k corner of the 3 x 3 one.
+_PHASES = CODING_UNITARIES[[3 * ((m - i) % 3) for i in range(3) for m in range(3)]].diagonal(axis1=1, axis2=2)
+_PHASES = _PHASES.T.reshape(3, 3, 3)
+_GRAM_PHASES = {k: frozen_array(_PHASES[:, :k, :k].reshape(3, k * k), (3, k * k), "phases") for k in (1, 2, 3)}
+# The imaginary part of sum_l t_l omega^(l (m - i)) is (t1 - t2) sin(2 pi (m - i) / 3),
 # so when t1 == t2 the cosines alone give the whole block.
-_GRAM_COSINES = np.ascontiguousarray(_GRAM_PHASES.real)
-_GRAM_COSINES.setflags(write=False)
+_GRAM_COSINES = {k: frozen_array(table.real, table.shape, "cosines", dtype=float) for k, table in _GRAM_PHASES.items()}
 
 
-def _class_blocks(moduli: np.ndarray, freq: FrequencyTable) -> np.ndarray:
-    """Gram blocks of the table's U distinct non-empty shift classes, shape (N, U, 3, 3).
+def _class_blocks(moduli: np.ndarray, freq: FrequencyTable) -> list[np.ndarray]:
+    """Gram blocks of the table's distinct non-empty shift classes, one (N, U_k, k, k) array per group.
 
-    moduli has shape (N, 3). Block [n, u] is G_ik = sqrt(p_ij p_kj)
-    sum_l t_l omega^(l (k - i)) for the squared moduli t = moduli[n] and the
-    first class j of distinct class u: the Gram matrix of the class-j probe
-    states, whose eigenvalues are the class's share of the ensemble spectrum;
-    the column's phases drop out. Relabeling the phase indices by a shift
-    conjugates the block by a permutation and by a reflection complex-
-    conjugates it, so every class with the same frequencies in any order
-    has this spectrum.
+    moduli has shape (N, 3). Block [n, u] of group k is G_im = sqrt(q_i q_m)
+    sum_l t_l omega^(l (m - i)) for the squared moduli t = moduli[n] and the
+    k nonzero frequencies q of distinct class u; the column's phases drop
+    out. A class's full 3x3 block is zero in the rows and columns of its zero
+    frequencies, and relabeling its phase indices by a shift conjugates it by
+    a permutation and by a reflection complex-conjugates it. So this block,
+    with 3 - k zeros, has the spectrum of every class holding these
+    frequencies in any order: the class's share of the ensemble spectrum.
     When every row has t1 == t2, as on the symmetric attack family, the
     blocks are real symmetric and come out float64, so eigvalsh takes
     LAPACK's real symmetric driver; otherwise they are complex Hermitian.
     """
-    phases = _GRAM_COSINES if (moduli[:, 1] == moduli[:, 2]).all() else _GRAM_PHASES
-    return (moduli @ phases).reshape(-1, 1, 3, 3) * freq._gram_weights
+    tables = _GRAM_COSINES if (moduli[:, 1] == moduli[:, 2]).all() else _GRAM_PHASES
+    return [(moduli @ tables[w.shape[1]]).reshape(-1, 1, *w.shape[1:]) * w for w in freq._class_groups]
 
 
 def _class_spectra(moduli: np.ndarray, freq: FrequencyTable) -> np.ndarray:
-    """Eigenvalues of each distinct class block of each row of moduli, shape (N, U, 3)."""
-    return np.linalg.eigvalsh(_class_blocks(moduli, freq))
+    """Eigenvalues of each distinct class block of each row of moduli, shape (N, U, 3).
+
+    A class with k nonzero frequencies has its block's k eigenvalues, then
+    3 - k zeros; a 1x1 block is its own eigenvalue.
+    """
+    lams = np.zeros((len(moduli), len(freq._class_counts), 3))
+    u = 0
+    for blocks in _class_blocks(moduli, freq):
+        size, k = blocks.shape[1:3]
+        lams[:, u : u + size, :k] = np.linalg.eigvalsh(blocks) if k > 1 else blocks.real[..., 0]
+        u += size
+    return lams
 
 
 def _first(values: np.ndarray, bad: np.ndarray) -> float:
@@ -304,8 +294,8 @@ def _holevo_trits(moduli: np.ndarray, freq: FrequencyTable) -> np.ndarray:
 def factorized_eigenvalues(col: AttackColumn, freq: FrequencyTable) -> np.ndarray:
     """All nine ensemble eigenvalues from the distinct shift-class blocks, descending.
 
-    Each distinct class's three eigenvalues appear once per class it stands
-    for, and each all-zero class gives three zeros.
+    Each distinct class's k eigenvalues appear once per class it stands for,
+    and the 9 - sum k of the classes' zero frequencies pad them as zeros.
     """
     spectra = _class_spectra(np.array([col.moduli_squared()]), freq)[0]
     lams = np.repeat(spectra, freq._class_counts, axis=0).ravel()

@@ -19,6 +19,9 @@ After such a change, rewrite the fixtures with
     PYTHONPATH=src python tests/test_golden.py NAME [NAME ...]
 
 where NAME is a CASES entry, a PRINTED key or `curves` (every preset).
+The writer leaves a file whose bytes would not change alone and prints one
+line per file, "unchanged" or "changed", with a curve's largest move in its
+information columns.
 """
 
 import contextlib
@@ -125,6 +128,26 @@ def _curve_rows(text: str) -> list[list[str]]:
     return list(csv.reader(text.splitlines()))
 
 
+def fixture_status(relative: Path, old: bytes | None, new: bytes) -> str:
+    """The writer's line for one golden file, and for a curve the largest move of its information columns."""
+    line = f"{relative.as_posix()}: {'unchanged' if old == new else 'changed'}"
+    if relative.parent.name == "curves" and old is not None:
+        pairs = zip(_curve_rows(old.decode("utf-8"))[1:], _curve_rows(new.decode("utf-8"))[1:])
+        move = max((abs(float(a[c]) - float(b[c])) for a, b in pairs for c in (1, 2)), default=0.0)
+        line += f", largest move {move:.2g}"
+    return line
+
+
+def write_fixture(relative: Path, data: bytes) -> None:
+    """Write one golden file unless it already holds data, and print its status line."""
+    path = GOLDEN / relative
+    old = path.read_bytes() if path.exists() else None
+    if old != data:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+    print(fixture_status(relative, old, data))
+
+
 @pytest.mark.parametrize("preset", sorted(FREQUENCY_PRESETS))
 def test_leak_curve_matches_golden_csv(preset):
     got = _curve_rows(curve_csv(info_curve(FREQUENCY_PRESETS[preset])))
@@ -148,6 +171,25 @@ def test_every_golden_file_is_checked():
     simulated = ("config.json", "report.json", "transcript_head.csv", "transcript.sha256")
     named |= {Path(case, filename) for case in CASES for filename in simulated}
     assert {path.relative_to(GOLDEN) for path in GOLDEN.rglob("*") if path.is_file()} == named
+
+
+def test_fixture_writer_reports_what_changed_and_how_far_a_curve_moved():
+    curve = Path("curves", "uniform.csv")
+    old = b"d_z,I0_trits,I0_bits\n0,1,2\n0.5,1.5,2.5\n"
+    new = old.replace(b"2.5", b"2.25")
+    assert fixture_status(curve, old, old) == "curves/uniform.csv: unchanged, largest move 0"
+    assert fixture_status(curve, old, new) == "curves/uniform.csv: changed, largest move 0.25"
+    assert fixture_status(curve, None, new) == "curves/uniform.csv: changed"
+    assert fixture_status(Path("entropy.txt"), b"a", b"b") == "entropy.txt: changed"
+
+
+def test_fixture_writer_leaves_an_unchanged_file_alone(package_env):
+    entropy = GOLDEN / PRINTED["entropy"][1]
+    written = entropy.stat().st_mtime_ns
+    proc = subprocess.run([sys.executable, __file__, "entropy"], capture_output=True, text=True, env=package_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "entropy.txt: unchanged\n"
+    assert entropy.stat().st_mtime_ns == written
 
 
 def test_fixture_writer_rejects_an_unknown_name_before_writing(package_env):
@@ -176,14 +218,13 @@ if __name__ == "__main__":
     for name in sys.argv[1:]:
         if name in PRINTED:
             argv, filename = PRINTED[name]
-            (GOLDEN / filename).write_bytes(printed(argv))
+            write_fixture(Path(filename), printed(argv))
             continue
         if name == "curves":
-            (GOLDEN / "curves").mkdir(exist_ok=True)
             for preset, freq in FREQUENCY_PRESETS.items():
-                (GOLDEN / "curves" / f"{preset}.csv").write_text(curve_csv(info_curve(freq)), encoding="utf-8")
+                write_fixture(Path("curves", f"{preset}.csv"), curve_csv(info_curve(freq)).encode("utf-8"))
             continue
         with tempfile.TemporaryDirectory() as tmp:
             outputs = simulate(name, Path(tmp))
         for filename, data in outputs.items():
-            (GOLDEN / name / filename).write_bytes(data)
+            write_fixture(Path(name, filename), data)

@@ -370,9 +370,9 @@ def test_class_blocks_carry_the_paper_cubic():
         p = rng.random((3, 3))
         freq = FrequencyTable(p / p.sum())
         moduli = col.moduli_squared()
-        blocks = _class_blocks(np.array([moduli]), freq)[0]
+        (blocks,) = _class_blocks(np.array([moduli]), freq)  # every class has three nonzero frequencies
         for j in range(3):
-            g = blocks[j]
+            g = blocks[0, j]
             c2, c1, c0 = cubic_coefficients(moduli, freq.p[:, j])
             minors = sum(np.linalg.det(g[np.ix_(pair, pair)]) for pair in ((0, 1), (0, 2), (1, 2)))
             assert abs(np.trace(g) + c2) < 1e-12
@@ -380,16 +380,20 @@ def test_class_blocks_carry_the_paper_cubic():
             assert abs(np.linalg.det(g) + c0) < 1e-12
 
 
+def _block_dtypes(moduli, freq):
+    return {blocks.dtype.type for blocks in _class_blocks(moduli, freq)}
+
+
 def test_class_blocks_are_real_exactly_when_every_row_has_t1_equal_t2():
     uniform = FREQUENCY_PRESETS["uniform"]
     d = np.linspace(0.0, 2.0 / 3.0, 5)
     symmetric = np.column_stack((1.0 - d, d / 2.0, d / 2.0))
     general = np.array([[0.5, 0.3, 0.2]])
-    assert _class_blocks(symmetric, uniform).dtype == np.float64
-    empty = _class_blocks(np.empty((0, 3)), uniform)
+    assert _block_dtypes(symmetric, uniform) == {np.float64}
+    (empty,) = _class_blocks(np.empty((0, 3)), uniform)
     assert empty.shape == (0, 1, 3, 3) and empty.dtype == np.float64
-    assert _class_blocks(general, uniform).dtype == np.complex128
-    assert _class_blocks(np.vstack((symmetric, general)), uniform).dtype == np.complex128
+    assert _block_dtypes(general, uniform) == {np.complex128}
+    assert _block_dtypes(np.vstack((symmetric, general)), uniform) == {np.complex128}
 
 
 @pytest.mark.parametrize("name", sorted(FREQUENCY_PRESETS))
@@ -398,7 +402,7 @@ def test_real_symmetric_curve_matches_the_hermitian_route(monkeypatch, name):
     grid = np.linspace(0.0, 2.0 / 3.0, 801)
     real = np.array(info_curve(freq, grid))
     monkeypatch.setattr(information, "_GRAM_COSINES", information._GRAM_PHASES)
-    assert _class_blocks(np.array([[0.5, 0.25, 0.25]]), freq).dtype == np.complex128
+    assert _block_dtypes(np.array([[0.5, 0.25, 0.25]]), freq) == {np.complex128}
     hermitian = np.array(info_curve(freq, grid))
     assert np.array_equal(real[:, 0], hermitian[:, 0])
     assert np.abs(real[:, 1] - hermitian[:, 1]).max() < 1e-14
@@ -412,7 +416,7 @@ def test_column_phases_do_not_matter_on_the_real_route(monkeypatch):
     moduli = col.moduli_squared()
     assert moduli[1] == moduli[2]
     for freq in FREQUENCY_PRESETS.values():
-        assert _class_blocks(np.array([moduli]), freq).dtype == np.float64
+        assert _block_dtypes(np.array([moduli]), freq) == {np.float64}
         _assert_spectrum_matches_dense(col, freq)
     real = [holevo_information(col, freq).value for freq in FREQUENCY_PRESETS.values()]
     monkeypatch.setattr(information, "_GRAM_COSINES", information._GRAM_PHASES)
@@ -443,11 +447,14 @@ def test_spectrum_depends_only_on_each_class_frequency_multiset():
                 assert np.abs(factorized_eigenvalues(col, table) - lam_dense).max() < 1e-10
 
 
-def _all_class_curve(freq, d):
-    """Leak curve from all three shift-class blocks built straight from freq.p, kept as the reference."""
-    t = np.column_stack((1.0 - d, d / 2.0, d / 2.0))
+def _symmetric_moduli(d):
+    return np.column_stack((1.0 - d, d / 2.0, d / 2.0))
+
+
+def _all_class_curve(freq, moduli):
+    """Holevo bound of each row of moduli from all three 3x3 class blocks built straight from freq.p: the reference."""
     lag = np.subtract.outer(np.arange(3), np.arange(3)).T % 3  # lag[i, k] = (k - i) % 3
-    circulant = np.einsum("nl,lik->nik", t, np.exp(2j * np.pi / 3.0 * np.multiply.outer(np.arange(3), lag)))
+    circulant = np.einsum("nl,lik->nik", moduli, np.exp(2j * np.pi / 3.0 * np.multiply.outer(np.arange(3), lag)))
     scale = np.sqrt(np.einsum("ij,kj->jik", freq.p, freq.p))
     lams = np.maximum(np.linalg.eigvalsh(circulant[:, None] * scale).reshape(-1, 9), 0.0)
     logs = np.log(lams, out=np.zeros(lams.shape), where=lams > 0.0)
@@ -455,8 +462,9 @@ def _all_class_curve(freq, d):
 
 
 def test_presets_keep_one_block_per_distinct_nonempty_class():
-    counts = {name: len(freq._class_counts) for name, freq in FREQUENCY_PRESETS.items()}
-    assert counts == {"uniform": 1, "tiered": 1, "sparse": 3, "peaked": 1, "two-bigram": 2}
+    layout = {name: {w.shape[1]: len(w) for w in freq._class_groups} for name, freq in FREQUENCY_PRESETS.items()}
+    want = {"uniform": {3: 1}, "tiered": {3: 1}, "sparse": {2: 2, 1: 1}, "peaked": {2: 1}, "two-bigram": {1: 2}}
+    assert layout == want
 
 
 @pytest.mark.parametrize("name", sorted(FREQUENCY_PRESETS))
@@ -464,7 +472,66 @@ def test_distinct_class_curve_matches_all_three_blocks(name):
     freq = FREQUENCY_PRESETS[name]
     grid = np.linspace(0.0, 2.0 / 3.0, 801)
     got = np.array([v for _, v in info_curve(freq, grid)])
-    assert np.abs(got - _all_class_curve(freq, grid)).max() < 1e-14
+    assert np.abs(got - _all_class_curve(freq, _symmetric_moduli(grid))).max() < 1e-14
+
+
+def _zero_pattern_tables():
+    """Seeded tables, one per way of giving each of the three classes 0-3 nonzero frequencies.
+
+    Every other table repeats its first class, reordered, as its second, and
+    some of the zeros are -0.0; the sparse preset adds a class with a zero in
+    the middle.
+    """
+    rng = np.random.default_rng(2028)
+    tables = [FREQUENCY_PRESETS["sparse"].p.copy()]
+    for n, sizes in enumerate(itertools.product(range(4), repeat=3)):
+        if not any(sizes):
+            continue
+        p = np.zeros((3, 3))
+        for j, k in enumerate(sizes):
+            p[rng.choice(3, size=k, replace=False), j] = 0.05 + rng.random(k)
+        if n % 2:
+            p[:, 1] = p[rng.permutation(3), 0]
+        p[(p == 0.0) & (rng.random((3, 3)) < 0.5)] = -0.0
+        tables.append(p)
+    return [FrequencyTable(p / p.sum()) for p in tables]
+
+
+def test_zero_pattern_tables_cover_every_group_pattern_and_signed_zero():
+    tables = _zero_pattern_tables()
+    patterns = {tuple(w.shape[1] for w in freq._class_groups) for freq in tables}
+    assert patterns == {(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)}
+    assert any(math.copysign(1.0, x) < 0 for freq in tables for x in freq.p.ravel())
+    assert any((freq._class_counts > 1).any() for freq in tables)
+
+
+def test_zero_patterns_match_all_three_blocks_and_the_dense_spectrum():
+    rng = np.random.default_rng(9001)
+    columns = [symmetric_column(d) for d in (0.0, 0.2, 0.5, 2.0 / 3.0)]
+    columns += [_random_column(rng) for _ in range(4)]
+    grid = np.linspace(0.0, 2.0 / 3.0, 41)
+    for freq in _zero_pattern_tables():
+        want = _all_class_curve(freq, np.array([col.moduli_squared() for col in columns]))
+        for col, value in zip(columns, want):
+            assert abs(holevo_information(col, freq).value - value) < 1e-14
+            lam_dense = np.sort(np.linalg.eigvalsh(assemble_rho(col, freq).m))[::-1]
+            assert np.abs(factorized_eigenvalues(col, freq) - lam_dense).max() < 1e-10
+        curve = np.array([v for _, v in info_curve(freq, grid)])
+        assert np.abs(curve - _all_class_curve(freq, _symmetric_moduli(grid))).max() < 1e-14
+
+
+def test_reduced_blocks_carry_the_paper_cubic():
+    # A class with k nonzero frequencies q has the cubic lambda^(3 - k)
+    # times its k x k block's characteristic polynomial; the block's
+    # diagonal is q, as the squared moduli sum to one.
+    rng = np.random.default_rng(1994)
+    for freq in _zero_pattern_tables():
+        moduli = _random_column(rng).moduli_squared()
+        for group in _class_blocks(np.array([moduli]), freq):
+            for g in group[0]:
+                zeros = np.zeros(3 - len(g))
+                want = cubic_coefficients(moduli, np.r_[g.diagonal().real, zeros])
+                assert np.abs(np.r_[np.poly(g).real, zeros][1:] - want).max() < 1e-12
 
 
 def _assert_spectrum_matches_dense(col, freq):
