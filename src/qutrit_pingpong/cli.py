@@ -142,6 +142,11 @@ def _cmd_simulate(args) -> int:
     config = load_protocol_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
+    # Open each output before the run, as a shell redirection would, so that
+    # a bad path fails before any cycle is drawn.
+    for path in (args.transcript, args.out):
+        if path:
+            open(path, "wb").close()
     report = run(config)
     if args.transcript:
         write_transcript(report.outcomes, args.transcript)

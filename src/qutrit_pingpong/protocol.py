@@ -51,7 +51,6 @@ from .qutrit import (
     CONTROL_MAPS,
     HONEST_PAIRS,
     _pair_index,
-    bell_state,
     check_basis,
     frozen_array,
     mub,
@@ -78,19 +77,12 @@ class JointState:
         object.__setattr__(self, "amps", arr)
 
 
-_READY = JointState(np.multiply.outer(bell_state(0, 0), np.eye(ANCILLA_DIM)[0]))
-
-
-def initial_state() -> JointState:
-    """Shared entangled pair with the probe ancilla parked in its ready slot (built once, at import)."""
-    return _READY
-
-
 def _attack_operands(label: str) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (M, ready) of basis label: M = mub(label) and the ready state's (home, travel) block in M's
-    coordinates, ready[h, n] = the amplitude on home h and travel basis vector n of M."""
+    """Read-only (M, ready) of basis label: M = mub(label) and the ready block, the shared pair
+    bell_state(0, 0) with the probe ancilla in slot 0, in M's coordinates: ready[h, n] = the amplitude on
+    home h and travel basis vector n of M."""
     m = mub(label)
-    ready = _READY.amps[:, :, 0] @ m.conj()
+    ready = BELL_STATES[0] @ m.conj()
     ready.setflags(write=False)
     return m, ready
 
@@ -101,12 +93,12 @@ _ATTACK_OPERANDS = {label: _attack_operands(label) for label in BASIS_LABELS}
 
 # The simulator mixes control rounds in the first two bases only.
 CONTROL_BASES = BASIS_LABELS[:2]
-_MESSAGE_CODE = 18
-_N_CODES = 99
+_MESSAGE_CODE = 9 * len(CONTROL_BASES)
+_N_CODES = _MESSAGE_CODE + 81
 
 # outcome[c, 3h + t] maps the (home, travel) pair to outcome code c: the
 # control rows of CONTROL_BASES, then for each bigram k the nine rows
-# 18 + 9k + out that code with k and read out.
+# _MESSAGE_CODE + 9k + out that code with k and read out.
 _OUTCOME_MAP = np.vstack(
     [
         CONTROL_MAPS[: len(CONTROL_BASES)].reshape(_MESSAGE_CODE, 9),
@@ -154,7 +146,11 @@ def decode_distribution(state: JointState, bigram: tuple[int, int]) -> np.ndarra
     (i, j), flattened as 3i + j. Without an attack the distribution is a
     point mass on the encoded bigram.
     """
-    start = _MESSAGE_CODE + 9 * _pair_index(*bigram)
+    try:
+        i, j = bigram
+    except (TypeError, ValueError):
+        raise ValueError(f"bigram must be a pair (i, j), got {bigram!r}") from None
+    start = _MESSAGE_CODE + 9 * _pair_index(i, j)
     return _born(_OUTCOME_MAP[start : start + 9], state.amps)
 
 
@@ -244,27 +240,6 @@ def attack_state(attack: AttackSpec, ancilla: str) -> JointState:
 _HONEST_CONTROL = HONEST_PAIRS[: len(CONTROL_BASES)]
 _FORBIDDEN = np.append(~_HONEST_CONTROL, np.zeros(_N_CODES - _MESSAGE_CODE, dtype=bool))
 _FORBIDDEN.setflags(write=False)
-
-
-def _weighted(config: ProtocolConfig, table: np.ndarray) -> np.ndarray:
-    """A 99-entry Born table weighted block by block: its (11, 9) view times q * basis_weights[s] for the two
-    control blocks, then (1 - q) * f_k for the nine bigram blocks."""
-    blocks = np.append(config.q * np.array(config.basis_weights), (1.0 - config.q) * config.freq.p)
-    return (table.reshape(len(blocks), 9) * blocks[:, None]).ravel()
-
-
-def outcome_distribution(config: ProtocolConfig, state: JointState) -> np.ndarray:
-    """Probability of each of the 99 outcome codes in one cycle of a run.
-
-    Code 9s + 3a + b, a control round in basis CONTROL_BASES[s] with
-    results a and b, has probability q * basis_weights[s] * joint_s[a, b];
-    code 18 + 9k + out, a message round that sent bigram k and decoded out,
-    has probability (1 - q) * f_k * decode_k[out]. An outcome that a zero
-    q, basis weight or bigram frequency rules out is exactly zero. It is the
-    run's Born table (one product with the stacked 99-row outcome map)
-    weighted code by code.
-    """
-    return _weighted(config, _born(_OUTCOME_MAP, state.amps))
 
 
 TRANSCRIPT_HEADER = "cycle,mode,basis,alice,bob,detected,sent,decoded"
@@ -443,25 +418,28 @@ def _cdf(probs: np.ndarray) -> np.ndarray:
 def run(config: ProtocolConfig) -> RunReport:
     """Simulate the protocol and report its statistics.
 
-    Each cycle is one draw from the exact 99-outcome distribution
-    (outcome_distribution), built once per run straight from the attack's
-    amplitudes (the contraction attack_state wraps, with no JointState):
-    one Born table from the stacked 99-row outcome map, weighted block by
-    block. The amplitudes' norm is checked on that table, by JointState's
-    rule applied to its nine z-control probabilities, whose map is unitary.
-    Both bases' predicted detections are read from its control rows in one
-    reduction, the one detection_probability makes. Cycles are
-    drawn in blocks of at most _BLOCK, one uniform per cycle inverted
-    through the cumulative table; PCG64 draws the same uniforms however
-    they are split into blocks, so the block size changes no outcome. Each
-    block's codes are counted as they are drawn, so memory beyond one
-    byte per cycle stays that of one block. Identical configs reproduce
-    identical reports.
+    Each cycle is one draw from the exact 99-outcome distribution, built
+    once per run straight from the attack's amplitudes (the contraction
+    attack_state wraps, with no JointState): one Born table from the
+    stacked 99-row outcome map, weighted block by block. The nine control
+    codes of basis CONTROL_BASES[s] weigh q * basis_weights[s], and the
+    nine message codes of bigram k weigh (1 - q) * f_k, so an outcome that
+    a zero weight rules out is exactly zero. The amplitudes' norm is
+    checked on that table, by JointState's rule applied to its nine
+    z-control probabilities, whose map is unitary. Both bases' predicted
+    detections are read from its control rows in one reduction, the one
+    detection_probability makes. Cycles are drawn in blocks of at most
+    _BLOCK, one uniform per cycle inverted through the cumulative table;
+    PCG64 draws the same uniforms however they are split into blocks, so
+    the block size changes no outcome. Each block's codes are counted as
+    they are drawn, so memory beyond one byte per cycle stays that of one
+    block. Identical configs reproduce identical reports.
     """
     rng = np.random.Generator(np.random.PCG64(config.seed))
     table = _born(_OUTCOME_MAP, _attack_amps(config.attack, config.ancilla))
     _check_norm(float(table[:9].sum()))
-    cum = _cdf(_weighted(config, table))
+    blocks = np.append(config.q * np.array(config.basis_weights), (1.0 - config.q) * config.freq.p)
+    cum = _cdf((table.reshape(len(blocks), 9) * blocks[:, None]).ravel())
 
     codes = np.empty(config.cycles, dtype=np.uint8)
     counts = np.zeros(_N_CODES, dtype=np.int64)
@@ -475,12 +453,12 @@ def run(config: ProtocolConfig) -> RunReport:
         counts += block_counts
     codes.setflags(write=False)
 
-    control = counts[:_MESSAGE_CODE].reshape(2, 9)
+    control = counts[:_MESSAGE_CODE].reshape(len(CONTROL_BASES), 9)
     rounds = control.sum(axis=1).tolist()
-    caught = (control * _FORBIDDEN[:_MESSAGE_CODE].reshape(2, 9)).sum(axis=1).tolist()
+    caught = (control * _FORBIDDEN[:_MESSAGE_CODE].reshape(len(CONTROL_BASES), 9)).sum(axis=1).tolist()
     confusion = counts[_MESSAGE_CODE:].reshape(9, 9)
 
-    predicted = _detections(table[:_MESSAGE_CODE].reshape(2, 9), _HONEST_CONTROL)
+    predicted = _detections(table[:_MESSAGE_CODE].reshape(len(CONTROL_BASES), 9), _HONEST_CONTROL)
     basis_stats = {
         basis: BasisStats(*stats) for basis, *stats in zip(CONTROL_BASES, rounds, caught, predicted)
     }

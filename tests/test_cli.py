@@ -272,6 +272,22 @@ def test_simulate_that_cannot_be_allocated_exits_2(tmp_path, capsys, monkeypatch
     assert captured.err == "error: Unable to allocate 93.1 GiB for an array\n"
 
 
+@pytest.mark.parametrize("option", ["--out", "--transcript"])
+def test_simulate_fails_on_an_unwritable_output_before_it_runs(tmp_path, capsys, monkeypatch, option):
+    def must_not_run(config):
+        raise AssertionError("run was called")
+
+    monkeypatch.setattr(cli, "run", must_not_run)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"cycles": 3_000_000, "seed": 1}))
+    bad = tmp_path / "missing" / "output"
+    assert main(["simulate", "--config", str(cfg_path), option, str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno 2] ")
+    assert not bad.parent.exists()
+
+
 _HUGE = 10**400  # a JSON integer literal too large for a float
 
 

@@ -13,6 +13,7 @@ import pytest
 from qutrit_pingpong.attack import (
     AttackOperator,
     ColumnAttack,
+    NoAttack,
     ReferenceAttack,
     ReferenceCheck,
     attack_from_dict,
@@ -25,9 +26,9 @@ from qutrit_pingpong.protocol import (
     BasisStats,
     JointState,
     RunReport,
+    attack_state,
     control_distribution,
     detection_probability,
-    initial_state,
     rounds_for_confidence,
 )
 from qutrit_pingpong.qutrit import BASIS_LABELS, control_correlations, mub
@@ -59,8 +60,8 @@ _TAKES_A_LABEL = {
     "AttackOperator": lambda b: AttackOperator(np.eye(3), b),
     "complete_circulant": lambda b: complete_circulant(symmetric_column(0.3), b),
     "ColumnAttack": lambda b: ColumnAttack(b, symmetric_column(0.3)),
-    "control_distribution": lambda b: control_distribution(initial_state(), b),
-    "detection_probability": lambda b: detection_probability(initial_state(), b),
+    "control_distribution": lambda b: control_distribution(attack_state(NoAttack(), "branch"), b),
+    "detection_probability": lambda b: detection_probability(attack_state(NoAttack(), "branch"), b),
 }
 
 
@@ -85,7 +86,7 @@ def test_config_basis_is_lower_cased_once():
     [
         lambda: complete_circulant(symmetric_column(0.3)),
         lambda: assemble_rho(symmetric_column(0.3), FREQUENCY_PRESETS["uniform"]),
-        lambda: JointState(initial_state().amps),
+        lambda: JointState(attack_state(NoAttack(), "branch").amps),
     ],
     ids=["AttackOperator", "DensityMatrix9", "JointState"],
 )

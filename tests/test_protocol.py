@@ -33,9 +33,7 @@ from qutrit_pingpong.protocol import (
     control_distribution,
     decode_distribution,
     detection_probability,
-    initial_state,
     load_protocol_config,
-    outcome_distribution,
     rounds_for_confidence,
     run,
     write_transcript,
@@ -46,6 +44,7 @@ from qutrit_pingpong.qutrit import (
     BELL_STATES,
     CODING_UNITARIES,
     NumericalError,
+    bell_state,
     coding_unitary,
     control_correlations,
     mub,
@@ -53,7 +52,7 @@ from qutrit_pingpong.qutrit import (
 
 
 def test_initial_state_shape_and_support():
-    st0 = initial_state()
+    st0 = attack_state(NoAttack(), "branch")
     assert st0.amps.shape == (3, 3, ANCILLA_DIM)
     assert float((np.abs(st0.amps[:, :, 1:]) ** 2).sum()) == 0.0
     diag = [st0.amps[k, k, 0] for k in range(3)]
@@ -103,7 +102,7 @@ def apply_travel_unitary(state: JointState, u: np.ndarray) -> JointState:
 
 
 def test_travel_unitary_preserves_norm_and_decode():
-    st1 = apply_travel_unitary(initial_state(), coding_unitary(2, 1))
+    st1 = apply_travel_unitary(attack_state(NoAttack(), "branch"), coding_unitary(2, 1))
     probs = decode_distribution(st1, (0, 0))
     # encoding on top of an already-coded state lands on the composed bigram
     assert probs.argmax() == 3 * 2 + 1
@@ -111,11 +110,18 @@ def test_travel_unitary_preserves_norm_and_decode():
 
 
 def test_uncoded_decode_is_point_mass():
-    st0 = initial_state()
+    st0 = attack_state(NoAttack(), "branch")
     for i in range(3):
         for j in range(3):
             probs = decode_distribution(st0, (i, j))
             assert abs(probs[3 * i + j] - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("bigram", [(0,), (0, 1, 2), 5], ids=["one-index", "three-indices", "int"])
+def test_decode_distribution_rejects_a_bigram_that_is_not_a_pair(bigram):
+    with pytest.raises(ValueError) as excinfo:
+        decode_distribution(attack_state(NoAttack(), "branch"), bigram)
+    assert str(excinfo.value) == f"bigram must be a pair (i, j), got {bigram!r}"
 
 
 def _branch_amps(e: np.ndarray, basis: str) -> np.ndarray:
@@ -125,7 +131,7 @@ def _branch_amps(e: np.ndarray, basis: str) -> np.ndarray:
     branch in pointer slot 3n + m.
     """
     m = mub(basis)
-    ready = initial_state().amps[:, :, 0] @ m.conj()
+    ready = attack_state(NoAttack(), "branch").amps[:, :, 0] @ m.conj()
     return np.einsum("tm,mn,hn->htnm", m, e, ready).reshape(3, 3, ANCILLA_DIM)
 
 
@@ -165,7 +171,7 @@ def _none_amps(col: AttackColumn, basis: str) -> np.ndarray:
     attack_state's "none" mode."""
     m = mub(basis)
     op = complete_circulant(col, representation=basis)
-    return apply_travel_unitary(initial_state(), m @ op.m @ m.conj().T).amps
+    return apply_travel_unitary(attack_state(NoAttack(), "branch"), m @ op.m @ m.conj().T).amps
 
 
 @pytest.mark.parametrize("basis", ["z", "x", "v", "t"])
@@ -212,7 +218,7 @@ def test_closed_form_detections_read_the_column_at_unit_norm(slack):
 
 
 def test_honest_control_tables():
-    st0 = initial_state()
+    st0 = attack_state(NoAttack(), "branch")
     for basis in ("z", "x", "v", "t"):
         joint = control_distribution(st0, basis)
         assert detection_probability(st0, basis) < 1e-14
@@ -222,7 +228,7 @@ def test_honest_control_tables():
 
 def test_control_distribution_rejects_unknown_basis():
     with pytest.raises(ValueError):
-        control_distribution(initial_state(), "w")
+        control_distribution(attack_state(NoAttack(), "branch"), "w")
 
 
 @pytest.mark.parametrize("d", [0.2, 0.5, 2.0 / 3.0])
@@ -281,13 +287,14 @@ def test_swap_unitary_detection_in_computational_basis():
     # exchanging |0> and |1> on the travel qutrit disturbs two of the three
     # equally weighted control draws
     swap = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
-    state = apply_travel_unitary(initial_state(), swap)
+    state = apply_travel_unitary(attack_state(NoAttack(), "branch"), swap)
     assert abs(detection_probability(state, "z") - 2.0 / 3.0) < 1e-12
 
 
 def test_no_attack_state_is_initial():
+    ready = np.multiply.outer(bell_state(0, 0), np.eye(ANCILLA_DIM)[0])
     for ancilla in ("branch", "none"):
-        assert np.abs(attack_state(NoAttack(), ancilla).amps - initial_state().amps).max() == 0.0
+        assert np.abs(attack_state(NoAttack(), ancilla).amps - ready).max() == 0.0
 
 
 def test_attack_state_rejects_an_unknown_ancilla_mode():
@@ -598,7 +605,8 @@ def test_report_json_shape():
 
 
 def _two_map_outcome_distribution(config: ProtocolConfig, state: JointState) -> np.ndarray:
-    """The control-map and decode-map table that the stacked 99-row map replaced, kept as its reference."""
+    """The weighted table run samples, from the control and decode maps that the stacked 99-row map replaced;
+    kept as its reference."""
     pairs = [control_correlations(basis) for basis in CONTROL_BASES]
     alice = np.stack([mub(p.alice_basis) for p in pairs])
     bob = np.stack([mub(p.bob_basis) for p in pairs])
@@ -621,7 +629,14 @@ _FEASIBLE_COLUMN = AttackColumn(math.sqrt(0.6), 0.5, 1j * math.sqrt(0.15))
     [NoAttack(), SymmetricAttack(0.4), *(ColumnAttack(basis, _FEASIBLE_COLUMN) for basis in "zxvt")],
     ids=["none", "symmetric", "column-z", "column-x", "column-v", "column-t"],
 )
-def test_born_table_and_predictions_are_bit_identical_to_the_two_map_formula(attack, ancilla):
+def test_born_table_and_predictions_are_bit_identical_to_the_two_map_formula(attack, ancilla, monkeypatch):
+    sampled = []
+
+    def recording_cdf(probs):
+        sampled.append(probs.copy())
+        return _cdf(probs)
+
+    monkeypatch.setattr(protocol, "_cdf", recording_cdf)
     state = attack_state(attack, ancilla)
     for freq in FREQUENCY_PRESETS.values():
         for q in (0.0, 0.3, 1.0):
@@ -629,8 +644,8 @@ def test_born_table_and_predictions_are_bit_identical_to_the_two_map_formula(att
                 cfg = ProtocolConfig(
                     cycles=20, seed=5, freq=freq, attack=attack, q=q, basis_weights=weights, ancilla=ancilla
                 )
-                assert np.array_equal(outcome_distribution(cfg, state), _two_map_outcome_distribution(cfg, state))
                 report = run(cfg)
+                assert np.array_equal(sampled.pop(), _two_map_outcome_distribution(cfg, state))
                 for basis in CONTROL_BASES:
                     assert report.basis_stats[basis].predicted == detection_probability(state, basis)
 
@@ -651,7 +666,7 @@ def test_cumulative_table_never_lands_on_a_zero_probability_code():
     for name in ("peaked", "two-bigram"):
         freq = FREQUENCY_PRESETS[name]
         cfg = ProtocolConfig(cycles=1, seed=0, freq=freq, attack=SymmetricAttack(0.5), q=0.0)
-        tables.append(outcome_distribution(cfg, attack_state(cfg.attack, cfg.ancilla)))
+        tables.append(_two_map_outcome_distribution(cfg, attack_state(cfg.attack, cfg.ancilla)))
     for p in tables:
         cum = _cdf(p)
         assert cum[-1] == 1.0
@@ -691,7 +706,7 @@ def _chi_square_critical(dof: int, alpha: float) -> float:
 )
 def test_outcome_counts_fit_the_exact_distribution(config):
     """Chi-square goodness of fit of all 99 code counts, at a false-alarm level of 1e-6."""
-    p = outcome_distribution(config, attack_state(config.attack, config.ancilla))
+    p = _two_map_outcome_distribution(config, attack_state(config.attack, config.ancilla))
     assert abs(p.sum() - 1.0) < 1e-12
     counts = np.bincount(run(config).outcomes, minlength=p.size)
     assert (counts[p == 0.0] == 0).all()

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qutrit_pingpong.attack import AttackOperator, normalized_column
+from qutrit_pingpong.attack import AttackOperator, NoAttack, normalized_column
 from qutrit_pingpong.information import DensityMatrix9, FrequencyTable
-from qutrit_pingpong.protocol import JointState, decode_distribution, initial_state
+from qutrit_pingpong.protocol import JointState, attack_state, decode_distribution
 from qutrit_pingpong.qutrit import (
     BASIS_LABELS,
     CONTROL_MAPS,
@@ -47,7 +47,7 @@ def test_bell_state_rejects_bad_indices():
 _TAKES_A_BIGRAM = {
     "bell_state": bell_state,
     "coding_unitary": coding_unitary,
-    "decode_distribution": lambda i, j: decode_distribution(initial_state(), (i, j)),
+    "decode_distribution": lambda i, j: decode_distribution(attack_state(NoAttack(), "branch"), (i, j)),
 }
 
 
