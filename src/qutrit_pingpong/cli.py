@@ -110,6 +110,8 @@ def _cmd_curve(args) -> int:
     # the count through a float, and near 2**63 it fails with an IndexError.
     if args.points > 2**53:
         raise ValueError(f"curve needs at most 2**53 points, got {args.points}")
+    if args.out:  # fail on a bad path before the curve is computed, as simulate does
+        open(args.out, "wb").close()
     rows = info_curve(freq, np.linspace(0.0, 2.0 / 3.0, args.points))
     _write_output(curve_csv(rows), args.out, f"{len(rows)} points")
     h = source_entropy(freq).value

@@ -13,13 +13,14 @@ class's frequencies, and a zero frequency zeroes a row and column of the
 block. So a table keeps one block per distinct non-empty class, on its k
 nonzero frequencies only, and a count of the classes it stands for. One
 private batched routine builds these blocks for N columns at once and
-diagonalizes them in one eigvalsh call per block size k present; the leak
+solves them: 1x1 and 2x2 blocks in closed form, 3x3 blocks in one eigvalsh
+call, as the closed-form cubic splits an exact double root by ~1e-9. The leak
 curve, the Holevo bound and the factorized spectrum all go through it. On
-the symmetric attack family (t1 = t2) the blocks are real symmetric and go
-to LAPACK's real symmetric eigensolver; general columns keep the Hermitian
-one. The paper's closed-form cubics (cubic_coefficients) are the full
-blocks' characteristic polynomials, and the dense 9x9 operator
-(assemble_rho) is kept so that each route can check the other.
+the symmetric attack family (t1 = t2) the blocks are real symmetric, so
+eigvalsh takes LAPACK's real symmetric eigensolver; general columns keep
+the Hermitian one. The paper's closed-form cubics (cubic_coefficients)
+are the full blocks' characteristic polynomials, and the dense 9x9
+operator (assemble_rho) is kept so that each route can check the other.
 
 A frequency table's JSON form, {"preset": name} or {"p": 3x3 rows} in a --freq file and a run
 config alike, is read by frequency_table_from_dict and written by frequency_table_to_dict.
@@ -150,7 +151,8 @@ class InfoResult:
 
 def _entropy_trits(probs: np.ndarray) -> np.ndarray:
     """Shannon entropy in trits over the last axis of non-negative probs."""
-    logs = np.log(probs, out=np.zeros(probs.shape), where=probs > 0.0)
+    # log(1) = 0 stands in for a masked log, whose where= path is several times slower.
+    logs = np.log(np.where(probs > 0.0, probs, 1.0))
     # + 0.0 turns the -0.0 of a deterministic source into +0.0, nothing else.
     return np.add.reduce(probs * logs, axis=-1) * (-1.0 / math.log(3.0)) + 0.0
 
@@ -244,14 +246,24 @@ def _class_blocks(moduli: np.ndarray, freq: FrequencyTable) -> list[np.ndarray]:
 def _class_spectra(moduli: np.ndarray, freq: FrequencyTable) -> np.ndarray:
     """Eigenvalues of each distinct class block of each row of moduli, shape (N, U, 3).
 
-    A class with k nonzero frequencies has its block's k eigenvalues, then
-    3 - k zeros; a 1x1 block is its own eigenvalue.
+    A class with k nonzero frequencies has its block's k eigenvalues,
+    ascending, then 3 - k zeros. A 1x1 block is its own eigenvalue; a 2x2
+    block [[a, b], [b*, e]] has (a + e)/2 -+ hypot((a - e)/2, |b|), as
+    accurate as eigvalsh, which solves the 3x3 blocks and keeps a double
+    root double.
     """
     lams = np.zeros((len(moduli), len(freq._class_counts), 3))
     u = 0
     for blocks in _class_blocks(moduli, freq):
         size, k = blocks.shape[1:3]
-        lams[:, u : u + size, :k] = np.linalg.eigvalsh(blocks) if k > 1 else blocks.real[..., 0]
+        out = lams[:, u : u + size, :k]
+        if k == 2:
+            a, e = blocks[..., 0, 0].real, blocks[..., 1, 1].real
+            radius = np.hypot((a - e) * 0.5, np.abs(blocks[..., 0, 1]))
+            out[..., 0] = (a + e) * 0.5 - radius
+            out[..., 1] = (a + e) * 0.5 + radius
+        else:
+            out[...] = np.linalg.eigvalsh(blocks) if k == 3 else blocks.real[..., 0]
         u += size
     return lams
 

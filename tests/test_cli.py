@@ -72,6 +72,19 @@ def test_curve_to_file(tmp_path, capsys):
     assert float(first[0]) == 0.0
 
 
+def test_curve_fails_on_an_unwritable_output_before_it_computes(tmp_path, capsys, monkeypatch):
+    def must_not_run(freq, d_values=None):
+        raise AssertionError("info_curve was called")
+
+    monkeypatch.setattr(cli, "info_curve", must_not_run)
+    bad = tmp_path / "missing" / "c.csv"
+    assert main(["curve", "--points", "2000000", "--out", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno 2] ")
+    assert not bad.parent.exists()
+
+
 def test_entropy_two_bigram_value(capsys):
     assert main(["entropy", "--preset", "two-bigram"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "H = 0.5794 trit"

@@ -1,8 +1,10 @@
 """Frequency tables, entropies, ensemble spectra, leak curves."""
 
+import decimal
 import itertools
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -571,3 +573,73 @@ def test_spectrum_with_empty_and_near_empty_entries_matches_dense():
     for moduli in ((0.4, 0.4, 0.2), (0.5, 0.5, 0.0), (1 / 3, 1 / 3, 1 / 3)):
         _assert_spectrum_matches_dense(AttackColumn(*np.sqrt(moduli)), uniform)
     _assert_spectrum_matches_dense(symmetric_column(2.0 / 3.0), uniform)
+
+
+def _pair_spectra(monkeypatch, blocks):
+    """_class_spectra's (N, U, 3) rows for an (N, U, 2, 2) stack of Hermitian blocks, one group of U classes."""
+    monkeypatch.setattr(information, "_class_blocks", lambda moduli, freq: [blocks])
+    classes = types.SimpleNamespace(_class_counts=np.ones(blocks.shape[1], dtype=int))
+    return information._class_spectra(np.zeros((len(blocks), 3)), classes)
+
+
+def _exact_pair_spectra(blocks):
+    """Both eigenvalues of each 2x2 Hermitian block, ascending, worked in 50-digit decimals and rounded once."""
+    out = []
+    with decimal.localcontext() as context:
+        context.prec = 50
+        for a, b, e in zip(blocks[..., 0, 0].real.ravel(), blocks[..., 0, 1].ravel(), blocks[..., 1, 1].real.ravel()):
+            a, e, re, im = (decimal.Decimal(float(x)) for x in (a, e, b.real, b.imag))
+            radius = (((a - e) / 2) ** 2 + re * re + im * im).sqrt()
+            out.append((float((a + e) / 2 - radius), float((a + e) / 2 + radius)))
+    return np.array(out).reshape(*blocks.shape[:2], 2)
+
+
+def test_two_by_two_blocks_match_eigvalsh_in_ascending_padded_layout(monkeypatch):
+    rng = np.random.default_rng(3030)
+    grid = _symmetric_moduli(np.linspace(0.0, 2.0 / 3.0, 801))
+    stacks = []
+    for name in ("sparse", "peaked"):  # at d = 0 each pair block is rank one
+        for rows in (grid, grid[:1], grid[:0]):
+            stacks += [w for w in _class_blocks(rows, FREQUENCY_PRESETS[name]) if w.shape[2] == 2]
+    general = np.array([_random_column(rng).moduli_squared() for _ in range(40)])
+    stacks += [w for freq in _zero_pattern_tables() for w in _class_blocks(general, freq) if w.shape[2] == 2]
+    for complex_ in (False, True):
+        for rank in (2, 1):
+            v = rng.normal(size=(50, 3, 2, rank)) + (1j * rng.normal(size=(50, 3, 2, rank)) if complex_ else 0.0)
+            blocks = v @ np.swapaxes(v, -1, -2).conj()
+            stacks += [blocks, blocks * 1e-12, blocks * 1e-200, blocks * 1e200]
+        stacks.append(np.eye(2) * rng.random((50, 3, 1, 1)) + (0j if complex_ else 0.0))  # a = e, b = 0
+    for blocks in stacks:
+        got = _pair_spectra(monkeypatch, blocks)
+        scale = np.hypot.reduce(np.abs(blocks).reshape(*blocks.shape[:2], 4), axis=2)[..., None]  # Frobenius norm
+        assert (np.abs(got[..., :2] - _exact_pair_spectra(blocks)) <= 1e-15 * scale).all()
+        # LAPACK's complex Hermitian solver is itself off by up to about 1e-15 of the norm.
+        slack = 2e-15 if np.iscomplexobj(blocks) else 1e-15
+        assert (np.abs(got[..., :2] - np.linalg.eigvalsh(blocks)) <= slack * scale).all()
+        assert (got[..., 0] <= got[..., 1]).all()
+        assert (got[..., 2] == 0.0).all()
+    assert any(np.iscomplexobj(blocks) for blocks in stacks) and any(not np.iscomplexobj(blocks) for blocks in stacks)
+
+
+def _masked_entropy(probs):
+    """The entropy with numpy's masked log, the reference form."""
+    logs = np.log(probs, out=np.zeros(probs.shape), where=probs > 0.0)
+    return np.add.reduce(probs * logs, axis=-1) * (-1.0 / math.log(3.0)) + 0.0
+
+
+def test_entropy_is_bit_identical_to_the_masked_log():
+    grid = _symmetric_moduli(np.linspace(0.0, 2.0 / 3.0, 801))
+    rng = np.random.default_rng(4141)
+    general = np.array([_random_column(rng).moduli_squared() for _ in range(200)])
+    tables = [information._class_spectra(grid, freq) for freq in FREQUENCY_PRESETS.values()]
+    tables += [np.maximum(lams, 0.0) for lams in tables]
+    tables += [information._class_spectra(general, freq) for freq in _zero_pattern_tables()]
+    tiny = np.nextafter(0.0, 1.0)
+    signed = [[0.0, -0.0, 1.0], [-0.0, 0.5, 0.5], [tiny, 1.0 - tiny, 0.0], [1e-310, -0.0, 0.0], [-1e-17, 1.0, 0.0]]
+    tables.append(np.array(signed))
+    for lams in tables:
+        got, want = information._entropy_trits(lams), _masked_entropy(lams)
+        assert got.tobytes() == want.tobytes()
+    for source in ([1.0, 0.0, 0.0], [-0.0, 1.0, -0.0], [0.0, 0.0, 1.0]):
+        value = information._entropy_trits(np.array(source))
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
