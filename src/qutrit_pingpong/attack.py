@@ -405,6 +405,8 @@ class ColumnAttack:
 
     def __post_init__(self):
         check_basis(self.basis)
+        if not isinstance(self.column, AttackColumn):
+            raise ValueError(f"column attack needs an AttackColumn, got {self.column!r}")
 
 
 AttackSpec = NoAttack | SymmetricAttack | ColumnAttack

@@ -7,13 +7,12 @@ the entangled pair basis; control cycles measure both qutrits in paired
 bases (qutrit.CONTROL_MAPS) and flag any pair outside qutrit.HONEST_PAIRS.
 The post-attack amplitudes are one contraction of the ready state with the
 attack's isometry (attack.isometry), on operands built once per basis at
-import; attack_state wraps them in a checked JointState. That state is the
-same every cycle, so each cycle is one draw from the exact Born
-distribution over 99 outcome codes (a control pair in a basis, or a sent
-and a decoded bigram). run builds it once per run straight from the
-contraction's amplitudes, by one product with a stacked (99, 9) amplitude
-map built at import, and checks their norm on that table's z-control rows
-by JointState's rule. It weights the table block by block, reads both
+import; attack_state returns them read-only, after the one norm check of a
+post-attack state. That state is the same every cycle, so each cycle is one
+draw from the exact Born distribution over 99 outcome codes (a control pair
+in a basis, or a sent and a decoded bigram). run builds it once per run from
+attack_state's amplitudes, by one product with a stacked (99, 9) amplitude
+map built at import. It weights the table block by block, reads both
 bases' predicted detections from its control rows in one reduction, and
 samples it by inverting its cumulative table. A run keeps one outcome byte
 per cycle; the report's counts and the CSV transcript are both derived
@@ -52,29 +51,10 @@ from .qutrit import (
     HONEST_PAIRS,
     _pair_index,
     check_basis,
-    frozen_array,
     mub,
 )
 
 _STATE_NORM_TOL = 1e-10
-
-
-def _check_norm(norm: float) -> None:
-    """Raise ValueError unless a joint state's squared norm is within _STATE_NORM_TOL of 1 (NaN and inf fail)."""
-    if not abs(norm - 1.0) <= _STATE_NORM_TOL:
-        raise ValueError(f"joint state must be normalized, squared norm {norm!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class JointState:
-    """Pure state of (home, travel, ancilla) as a (3, 3, 9) amplitude array."""
-
-    amps: np.ndarray
-
-    def __post_init__(self):
-        arr = frozen_array(self.amps, (3, 3, ANCILLA_DIM), "joint state")
-        _check_norm(float((np.abs(arr) ** 2).sum()))
-        object.__setattr__(self, "amps", arr)
 
 
 def _attack_operands(label: str) -> tuple[np.ndarray, np.ndarray]:
@@ -120,27 +100,27 @@ def _detections(control: np.ndarray, honest: np.ndarray) -> list[float]:
     return np.maximum(0.0, 1.0 - kept).tolist()
 
 
-def control_distribution(state: JointState, alice_basis: str) -> np.ndarray:
-    """Joint control-round distribution for a travel-side basis choice.
+def control_distribution(amps: np.ndarray, alice_basis: str) -> np.ndarray:
+    """Joint control-round distribution of attack_state's amplitudes amps for a travel-side basis choice.
 
     joint[a, b] is the probability that the receiver sees a on the
     travelling qutrit and the sender sees b on the home qutrit, measured
     in the partner basis (CONTROL_MAPS).
     """
-    return _born(CONTROL_MAPS[BASIS_LABELS.index(check_basis(alice_basis))], state.amps).reshape(3, 3)
+    return _born(CONTROL_MAPS[BASIS_LABELS.index(check_basis(alice_basis))], amps).reshape(3, 3)
 
 
-def detection_probability(state: JointState, alice_basis: str) -> float:
-    """Exact probability that one control round in this basis flags the channel.
+def detection_probability(amps: np.ndarray, alice_basis: str) -> float:
+    """Exact probability that one control round in this basis flags the channel, from attack_state's amps.
 
     One minus the mass of the outcome pairs an honest channel gives.
     """
     s = BASIS_LABELS.index(check_basis(alice_basis))
-    return _detections(_born(CONTROL_MAPS[s : s + 1], state.amps), HONEST_PAIRS[s : s + 1])[0]
+    return _detections(_born(CONTROL_MAPS[s : s + 1], amps), HONEST_PAIRS[s : s + 1])[0]
 
 
-def decode_distribution(state: JointState, bigram: tuple[int, int]) -> np.ndarray:
-    """Receiver-side decode distribution after encoding the given bigram.
+def decode_distribution(amps: np.ndarray, bigram: tuple[int, int]) -> np.ndarray:
+    """Receiver-side decode distribution of attack_state's amplitudes amps after encoding the given bigram.
 
     Returns the nine probabilities of reading entangled-pair outcome
     (i, j), flattened as 3i + j. Without an attack the distribution is a
@@ -151,7 +131,7 @@ def decode_distribution(state: JointState, bigram: tuple[int, int]) -> np.ndarra
     except (TypeError, ValueError):
         raise ValueError(f"bigram must be a pair (i, j), got {bigram!r}") from None
     start = _MESSAGE_CODE + 9 * _pair_index(i, j)
-    return _born(_OUTCOME_MAP[start : start + 9], state.amps)
+    return _born(_OUTCOME_MAP[start : start + 9], amps)
 
 
 @dataclass(frozen=True)
@@ -216,23 +196,25 @@ def load_protocol_config(path) -> ProtocolConfig:
     return ProtocolConfig.from_dict(read_json(path, "config file"))
 
 
-def _attack_amps(attack: AttackSpec, ancilla: str) -> np.ndarray:
-    """Unchecked (3, 3, 9) amplitudes after the attack: attack_state's contraction, which run reads directly."""
-    m, ready = _ATTACK_OPERANDS[attack.basis]
-    return np.einsum("tm,man,hn->hta", m, isometry(attack, ancilla), ready)
-
-
-def attack_state(attack: AttackSpec, ancilla: str) -> JointState:
-    """Joint state after the attack touches the travelling qutrit once, in ancilla mode "branch" or "none".
+def attack_state(attack: AttackSpec, ancilla: str) -> np.ndarray:
+    """Read-only (3, 3, 9) amplitudes of (home, travel, ancilla) after the attack touches the travelling
+    qutrit once, in ancilla mode "branch" or "none".
 
     One contraction for every attack, with (M, ready) the operands of
     attack.basis built at import and V = isometry(attack, ancilla):
     amplitude (h, t, slot) is the sum over m and n of
     M[t, m] V[m, slot, n] ready[h, n], where M = mub(attack.basis) and
     ready[h, n] is the ready state's amplitude on home h and travel basis
-    vector n of M. JointState checks the result's shape, finiteness and norm.
+    vector n of M. This is the one check of a post-attack state: its squared
+    norm must lie within _STATE_NORM_TOL of 1, and NaN and inf fail.
     """
-    return JointState(_attack_amps(attack, ancilla))
+    m, ready = _ATTACK_OPERANDS[attack.basis]
+    amps = np.einsum("tm,man,hn->hta", m, isometry(attack, ancilla), ready)
+    norm = float(np.vdot(amps, amps).real)
+    if not abs(norm - 1.0) <= _STATE_NORM_TOL:
+        raise ValueError(f"joint state must be normalized, squared norm {norm!r}")
+    amps.setflags(write=False)
+    return amps
 
 
 # Honest pairs of each control basis, and a mask over the outcome codes: True for a
@@ -419,25 +401,22 @@ def run(config: ProtocolConfig) -> RunReport:
     """Simulate the protocol and report its statistics.
 
     Each cycle is one draw from the exact 99-outcome distribution, built
-    once per run straight from the attack's amplitudes (the contraction
-    attack_state wraps, with no JointState): one Born table from the
-    stacked 99-row outcome map, weighted block by block. The nine control
-    codes of basis CONTROL_BASES[s] weigh q * basis_weights[s], and the
-    nine message codes of bigram k weigh (1 - q) * f_k, so an outcome that
-    a zero weight rules out is exactly zero. The amplitudes' norm is
-    checked on that table, by JointState's rule applied to its nine
-    z-control probabilities, whose map is unitary. Both bases' predicted
-    detections are read from its control rows in one reduction, the one
-    detection_probability makes. Cycles are drawn in blocks of at most
-    _BLOCK, one uniform per cycle inverted through the cumulative table;
-    PCG64 draws the same uniforms however they are split into blocks, so
-    the block size changes no outcome. Each block's codes are counted as
-    they are drawn, so memory beyond one byte per cycle stays that of one
-    block. Identical configs reproduce identical reports.
+    once per run from attack_state(config.attack, config.ancilla), which
+    checks the amplitudes' norm: one Born table from the stacked 99-row
+    outcome map, weighted block by block. The nine control codes of basis
+    CONTROL_BASES[s] weigh q * basis_weights[s], and the nine message codes
+    of bigram k weigh (1 - q) * f_k, so an outcome that a zero weight rules
+    out is exactly zero. Both bases' predicted detections are read from its
+    control rows in one reduction, the one detection_probability makes.
+    Cycles are drawn in blocks of at most _BLOCK, one uniform per cycle
+    inverted through the cumulative table; PCG64 draws the same uniforms
+    however they are split into blocks, so the block size changes no
+    outcome. Each block's codes are counted as they are drawn, so memory
+    beyond one byte per cycle stays that of one block. Identical configs
+    reproduce identical reports.
     """
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    table = _born(_OUTCOME_MAP, _attack_amps(config.attack, config.ancilla))
-    _check_norm(float(table[:9].sum()))
+    table = _born(_OUTCOME_MAP, attack_state(config.attack, config.ancilla))
     blocks = np.append(config.q * np.array(config.basis_weights), (1.0 - config.q) * config.freq.p)
     cum = _cdf((table.reshape(len(blocks), 9) * blocks[:, None]).ravel())
 

@@ -24,7 +24,6 @@ from qutrit_pingpong.comparison import ProtocolDescriptor
 from qutrit_pingpong.information import FREQUENCY_PRESETS, assemble_rho
 from qutrit_pingpong.protocol import (
     BasisStats,
-    JointState,
     RunReport,
     attack_state,
     control_distribution,
@@ -86,9 +85,8 @@ def test_config_basis_is_lower_cased_once():
     [
         lambda: complete_circulant(symmetric_column(0.3)),
         lambda: assemble_rho(symmetric_column(0.3), FREQUENCY_PRESETS["uniform"]),
-        lambda: JointState(attack_state(NoAttack(), "branch").amps),
     ],
-    ids=["AttackOperator", "DensityMatrix9", "JointState"],
+    ids=["AttackOperator", "DensityMatrix9"],
 )
 def test_array_holding_values_compare_and_hash(make):
     # Identity equality: comparing or hashing must not touch the array field.

@@ -15,6 +15,7 @@ from qutrit_pingpong.attack import (
     ColumnAttack,
     NoAttack,
     SymmetricAttack,
+    attack_to_dict,
     column_z_from_x,
     complete_circulant,
     detection_from_column,
@@ -27,7 +28,6 @@ from qutrit_pingpong.protocol import (
     ANCILLA_DIM,
     CONTROL_BASES,
     TRANSCRIPT_HEADER,
-    JointState,
     ProtocolConfig,
     attack_state,
     control_distribution,
@@ -53,17 +53,10 @@ from qutrit_pingpong.qutrit import (
 
 def test_initial_state_shape_and_support():
     st0 = attack_state(NoAttack(), "branch")
-    assert st0.amps.shape == (3, 3, ANCILLA_DIM)
-    assert float((np.abs(st0.amps[:, :, 1:]) ** 2).sum()) == 0.0
-    diag = [st0.amps[k, k, 0] for k in range(3)]
+    assert st0.shape == (3, 3, ANCILLA_DIM)
+    assert float((np.abs(st0[:, :, 1:]) ** 2).sum()) == 0.0
+    diag = [st0[k, k, 0] for k in range(3)]
     assert all(abs(a - 1.0 / math.sqrt(3.0)) < 1e-15 for a in diag)
-
-
-def test_joint_state_validation():
-    with pytest.raises(ValueError):
-        JointState(np.zeros((3, 3, ANCILLA_DIM), dtype=complex))
-    with pytest.raises(ValueError):
-        JointState(np.zeros((3, 3, 3), dtype=complex))
 
 
 def _nan_at_origin(v: np.ndarray) -> np.ndarray:
@@ -77,8 +70,54 @@ def _nan_at_origin(v: np.ndarray) -> np.ndarray:
 )
 def test_run_rejects_an_attack_map_that_breaks_the_norm(spoil, monkeypatch):
     monkeypatch.setattr(protocol, "isometry", lambda spec, ancilla: spoil(isometry(spec, ancilla)))
-    with pytest.raises(ValueError, match="joint state must be normalized"):
-        run(ProtocolConfig(cycles=10, seed=1, attack=SymmetricAttack(0.3)))
+    attack = SymmetricAttack(0.3)
+    for build in (
+        lambda: attack_state(attack, "branch"),
+        lambda: run(ProtocolConfig(cycles=10, seed=1, attack=attack)),
+    ):
+        with pytest.raises(ValueError, match="joint state must be normalized"):
+            build()
+
+
+def test_run_builds_its_born_table_from_one_attack_state_call(monkeypatch):
+    # The recorder hands run the amplitudes of another attack, so a table that
+    # matches them was built from the very array attack_state returned.
+    calls, sampled = [], []
+    substitute = attack_state(SymmetricAttack(0.5), "branch")
+
+    def recording_attack_state(attack, ancilla):
+        calls.append((attack, ancilla))
+        return substitute
+
+    def recording_cdf(probs):
+        sampled.append(probs.copy())
+        return _cdf(probs)
+
+    monkeypatch.setattr(protocol, "attack_state", recording_attack_state)
+    monkeypatch.setattr(protocol, "_cdf", recording_cdf)
+    cfg = ProtocolConfig(cycles=20, seed=5, attack=SymmetricAttack(0.1), q=0.3, ancilla="none")
+    report = run(cfg)
+    assert calls == [(cfg.attack, cfg.ancilla)]
+    assert np.array_equal(sampled.pop(), _two_map_outcome_distribution(cfg, substitute))
+    for basis in CONTROL_BASES:
+        assert report.basis_stats[basis].predicted == detection_probability(substitute, basis)
+
+
+@pytest.mark.parametrize(
+    "column",
+    [(1, 0, 0), np.array([1, 0, 0]), None, {"c0": 1, "c1": 0, "c2": 0}],
+    ids=["tuple", "array", "none", "dict"],
+)
+def test_a_column_attack_takes_only_an_attack_column(column):
+    message = f"column attack needs an AttackColumn, got {column!r}"
+    for build in (
+        lambda: ColumnAttack("z", column),
+        lambda: run(ProtocolConfig(cycles=1, seed=0, attack=ColumnAttack("z", column))),
+        lambda: attack_to_dict(ColumnAttack("z", column)),
+    ):
+        with pytest.raises(ValueError) as excinfo:
+            build()
+        assert str(excinfo.value) == message
 
 
 @pytest.mark.parametrize(
@@ -96,9 +135,15 @@ def test_import_time_tables_are_read_only(array):
         array[0] = array[0]
 
 
-def apply_travel_unitary(state: JointState, u: np.ndarray) -> JointState:
-    """Apply the 3x3 unitary u to the travelling qutrit; JointState checks the result's norm."""
-    return JointState(np.einsum("ts,hsn->htn", u, state.amps))
+def _assert_normalized(amps: np.ndarray) -> None:
+    assert abs(np.vdot(amps, amps).real - 1.0) <= 1e-10
+
+
+def apply_travel_unitary(amps: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Apply the 3x3 unitary u to the travelling qutrit of (3, 3, 9) amplitudes, checking the result's norm."""
+    out = np.einsum("ts,hsn->htn", u, amps)
+    _assert_normalized(out)
+    return out
 
 
 def test_travel_unitary_preserves_norm_and_decode():
@@ -131,7 +176,7 @@ def _branch_amps(e: np.ndarray, basis: str) -> np.ndarray:
     branch in pointer slot 3n + m.
     """
     m = mub(basis)
-    ready = attack_state(NoAttack(), "branch").amps[:, :, 0] @ m.conj()
+    ready = attack_state(NoAttack(), "branch")[:, :, 0] @ m.conj()
     return np.einsum("tm,mn,hn->htnm", m, e, ready).reshape(3, 3, ANCILLA_DIM)
 
 
@@ -160,10 +205,10 @@ def _random_columns(count: int, seed: int) -> list[AttackColumn]:
 def test_branch_attack_state_is_bit_identical_to_the_reference_map(basis):
     for col in _random_columns(20, seed=1 + "zxvt".index(basis)):
         want = _branch_amps(_unit_circulant_of(col), basis)
-        assert np.array_equal(attack_state(ColumnAttack(basis, col), "branch").amps, want)
+        assert np.array_equal(attack_state(ColumnAttack(basis, col), "branch"), want)
     for d in (0.0, 0.2, 0.5, 2.0 / 3.0):
         want = _branch_amps(_unit_circulant_of(symmetric_column(d)), "z")
-        assert np.array_equal(attack_state(SymmetricAttack(d), "branch").amps, want)
+        assert np.array_equal(attack_state(SymmetricAttack(d), "branch"), want)
 
 
 def _none_amps(col: AttackColumn, basis: str) -> np.ndarray:
@@ -171,7 +216,7 @@ def _none_amps(col: AttackColumn, basis: str) -> np.ndarray:
     attack_state's "none" mode."""
     m = mub(basis)
     op = complete_circulant(col, representation=basis)
-    return apply_travel_unitary(attack_state(NoAttack(), "branch"), m @ op.m @ m.conj().T).amps
+    return apply_travel_unitary(attack_state(NoAttack(), "branch"), m @ op.m @ m.conj().T)
 
 
 @pytest.mark.parametrize("basis", ["z", "x", "v", "t"])
@@ -183,7 +228,7 @@ def test_none_attack_state_matches_the_reference_map(basis):
         except NumericalError:
             continue
         feasible += 1
-        assert np.abs(attack_state(ColumnAttack(basis, col), "none").amps - want).max() <= 1e-15
+        assert np.abs(attack_state(ColumnAttack(basis, col), "none") - want).max() <= 1e-15
     assert feasible >= 20
 
 
@@ -200,7 +245,10 @@ def test_branch_attack_is_an_isometry(attack, ancilla):
     v = isometry(attack, ancilla).reshape(3 * ANCILLA_DIM, 3)
     assert np.abs(v.conj().T @ v - np.eye(3)).max() < 1e-12
     out = attack_state(attack, ancilla)
-    assert abs(float((np.abs(out.amps) ** 2).sum()) - 1.0) < 1e-12
+    assert abs(float((np.abs(out) ** 2).sum()) - 1.0) < 1e-12
+    assert not out.flags.writeable
+    with pytest.raises(ValueError):
+        out[0, 0, 0] = 0.0
 
 
 @pytest.mark.parametrize("slack", [2e-10, 5e-10, 9e-10])
@@ -294,7 +342,7 @@ def test_swap_unitary_detection_in_computational_basis():
 def test_no_attack_state_is_initial():
     ready = np.multiply.outer(bell_state(0, 0), np.eye(ANCILLA_DIM)[0])
     for ancilla in ("branch", "none"):
-        assert np.abs(attack_state(NoAttack(), ancilla).amps - ready).max() == 0.0
+        assert np.abs(attack_state(NoAttack(), ancilla) - ready).max() == 0.0
 
 
 def test_attack_state_rejects_an_unknown_ancilla_mode():
@@ -604,9 +652,10 @@ def test_report_json_shape():
     assert len(data["confusion"]) == 9
 
 
-def _two_map_outcome_distribution(config: ProtocolConfig, state: JointState) -> np.ndarray:
-    """The weighted table run samples, from the control and decode maps that the stacked 99-row map replaced;
-    kept as its reference."""
+def _two_map_outcome_distribution(config: ProtocolConfig, amps: np.ndarray) -> np.ndarray:
+    """The weighted table run samples from normalized amplitudes, from the control and decode maps that the
+    stacked 99-row map replaced; kept as its reference."""
+    _assert_normalized(amps)
     pairs = [control_correlations(basis) for basis in CONTROL_BASES]
     alice = np.stack([mub(p.alice_basis) for p in pairs])
     bob = np.stack([mub(p.bob_basis) for p in pairs])
@@ -614,7 +663,7 @@ def _two_map_outcome_distribution(config: ProtocolConfig, state: JointState) -> 
     decode_map = np.einsum("oht,kts->kohs", BELL_STATES.conj(), CODING_UNITARIES).reshape(9, 9, 9)
 
     def born(amplitude_map):
-        return (np.abs(amplitude_map @ state.amps.reshape(9, ANCILLA_DIM)) ** 2).sum(axis=-1)
+        return (np.abs(amplitude_map @ amps.reshape(9, ANCILLA_DIM)) ** 2).sum(axis=-1)
 
     weights = np.append(config.q * np.array(config.basis_weights), (1.0 - config.q) * config.freq.p)
     return (weights[:, None] * np.vstack([born(control_map), born(decode_map)])).ravel()
@@ -785,7 +834,7 @@ def test_holevo_bound_matches_the_joint_state_for_z_columns(name):
         conditional = 0.0
         for (i, j), p in np.ndenumerate(freq.p):
             # home by (travel, ancilla); Eve holds travel and ancilla
-            a = apply_travel_unitary(state, coding_unitary(i, j)).amps.reshape(3, 27)
+            a = apply_travel_unitary(state, coding_unitary(i, j)).reshape(3, 27)
             rho = a.T @ a.conj()
             ensemble += p * rho
             conditional += p * _von_neumann_trits(rho)

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from qutrit_pingpong.attack import AttackOperator, NoAttack, normalized_column
 from qutrit_pingpong.information import DensityMatrix9, FrequencyTable
-from qutrit_pingpong.protocol import JointState, attack_state, decode_distribution
+from qutrit_pingpong.protocol import attack_state, decode_distribution
 from qutrit_pingpong.qutrit import (
     BASIS_LABELS,
     CONTROL_MAPS,
@@ -166,7 +166,6 @@ def test_frozen_array_returns_a_read_only_copy():
 
 # Every value type that holds an array, with the name and shape its one check uses.
 _ARRAY_HOLDERS = [
-    (JointState, "joint state", (3, 3, 9)),
     (lambda a: AttackOperator(a, "z"), "attack matrix", (3, 3)),
     (DensityMatrix9, "density matrix", (9, 9)),
     (FrequencyTable, "frequency table", (3, 3)),
