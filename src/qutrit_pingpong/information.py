@@ -13,9 +13,12 @@ class's frequencies, and a zero frequency zeroes a row and column of the
 block. So a table keeps one block per distinct non-empty class, on its k
 nonzero frequencies only, and a count of the classes it stands for. One
 private batched routine builds these blocks for N columns at once and
-solves them: 1x1 and 2x2 blocks in closed form, 3x3 blocks in one eigvalsh
-call, as the closed-form cubic splits an exact double root by ~1e-9. The leak
-curve, the Holevo bound and the factorized spectrum all go through it. On
+solves them: 1x1 and 2x2 blocks in closed form, and a 3x3 block whose three
+frequencies are all exactly q in closed form too, as it is circulant, with
+eigenvalues 3q t_l for the squared moduli t (so the uniform source's curve
+is 1 + H3(d)). The other 3x3 blocks take one eigvalsh call, as the
+closed-form cubic splits an exact double root by ~1e-9. The leak curve, the
+Holevo bound and the factorized spectrum all go through it. On
 the symmetric attack family (t1 = t2) the blocks are real symmetric, so
 eigvalsh takes LAPACK's real symmetric eigensolver; general columns keep
 the Hermitian one. The paper's closed-form cubics (cubic_coefficients)
@@ -57,8 +60,12 @@ class FrequencyTable:
     # first shift class standing for class u. _class_counts[u], over the groups
     # in turn, is how many of the three classes hold the same frequencies in
     # some order. A class whose frequencies are all zero has no entry.
+    # _equal_q[u], over the k = 3 group alone, is q when class u's three
+    # frequencies are all exactly q, and 0.0 otherwise: such a class's block is
+    # circulant, with eigenvalues 3q t_l.
     _class_groups: tuple = field(init=False, repr=False, compare=False)
     _class_counts: np.ndarray = field(init=False, repr=False, compare=False)
+    _equal_q: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = frozen_array(self.p, (3, 3), "frequency table", dtype=float)
@@ -76,10 +83,12 @@ class FrequencyTable:
         classes = [np.array([nonzero[j] for j in distinct if len(nonzero[j]) == k]) for k in (1, 2, 3)]
         groups = tuple(np.sqrt(q[:, :, None] * q[:, None, :]) for q in classes if q.size)
         counts = np.array([keys.count(keys[j]) for j in distinct])
-        for value in (*groups, counts):
+        equal_q = np.array([q[0] if q[0] == q[1] == q[2] else 0.0 for q in classes[2]])
+        for value in (*groups, counts, equal_q):
             value.setflags(write=False)
         object.__setattr__(self, "_class_groups", groups)
         object.__setattr__(self, "_class_counts", counts)
+        object.__setattr__(self, "_equal_q", equal_q)
 
     def __eq__(self, other):
         if not isinstance(other, FrequencyTable):
@@ -246,24 +255,41 @@ def _class_blocks(moduli: np.ndarray, freq: FrequencyTable) -> list[np.ndarray]:
 def _class_spectra(moduli: np.ndarray, freq: FrequencyTable) -> np.ndarray:
     """Eigenvalues of each distinct class block of each row of moduli, shape (N, U, 3).
 
-    A class with k nonzero frequencies has its block's k eigenvalues,
-    ascending, then 3 - k zeros. A 1x1 block is its own eigenvalue; a 2x2
-    block [[a, b], [b*, e]] has (a + e)/2 -+ hypot((a - e)/2, |b|), as
-    accurate as eigvalsh, which solves the 3x3 blocks and keeps a double
-    root double.
+    A class with k nonzero frequencies has its block's k eigenvalues, then
+    3 - k zeros. A 1x1 block is its own eigenvalue; a 2x2 block
+    [[a, b], [b*, e]] has (a + e)/2 -+ hypot((a - e)/2, |b|), ascending, as
+    accurate as eigvalsh. A 3x3 block whose frequencies are all q
+    (freq._equal_q) is q times the circulant of g(delta) = sum_l t_l
+    omega^(l delta), which the Fourier basis diagonalizes: its eigenvalues
+    are 3q t_l, in the order of t, for real and complex blocks alike. The
+    other 3x3 blocks go, ascending, to one eigvalsh call, which keeps a
+    double root double; with none left it is not called. No caller reads
+    the order within a class.
     """
     lams = np.zeros((len(moduli), len(freq._class_counts), 3))
     u = 0
     for blocks in _class_blocks(moduli, freq):
         size, k = blocks.shape[1:3]
         out = lams[:, u : u + size, :k]
-        if k == 2:
+        if k == 3:
+            # The first two cases skip the mixed case's fancy indexing, which on a
+            # single column costs more than the eigvalsh call it saves.
+            q = freq._equal_q
+            if not q.any():
+                out[...] = np.linalg.eigvalsh(blocks)
+            elif q.all():
+                out[...] = moduli[:, None, :] * (3.0 * q[:, None])
+            else:
+                equal = q > 0.0
+                out[:, equal] = moduli[:, None, :] * (3.0 * q[equal, None])
+                out[:, ~equal] = np.linalg.eigvalsh(blocks[:, ~equal])
+        elif k == 2:
             a, e = blocks[..., 0, 0].real, blocks[..., 1, 1].real
             radius = np.hypot((a - e) * 0.5, np.abs(blocks[..., 0, 1]))
             out[..., 0] = (a + e) * 0.5 - radius
             out[..., 1] = (a + e) * 0.5 + radius
         else:
-            out[...] = np.linalg.eigvalsh(blocks) if k == 3 else blocks.real[..., 0]
+            out[...] = blocks.real[..., 0]
         u += size
     return lams
 

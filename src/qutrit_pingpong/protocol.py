@@ -7,14 +7,16 @@ the entangled pair basis; control cycles measure both qutrits in paired
 bases (qutrit.CONTROL_MAPS) and flag any pair outside qutrit.HONEST_PAIRS.
 The post-attack amplitudes are one contraction of the ready state with the
 attack's isometry (attack.isometry), on operands built once per basis at
-import; attack_state returns them read-only, after the one norm check of a
-post-attack state. That state is the same every cycle, so each cycle is one
-draw from the exact Born distribution over 99 outcome codes (a control pair
-in a basis, or a sent and a decoded bigram). run builds it once per run from
-attack_state's amplitudes, by one product with a stacked (99, 9) amplitude
-map built at import. It weights the table block by block, reads both
-bases' predicted detections from its control rows in one reduction, and
-samples it by inverting its cumulative table. A run keeps one outcome byte
+import; attack_state returns them read-only, after the one check of a
+post-attack state, its shape and norm, which the readers
+detection_probability, control_distribution and decode_distribution apply
+to the amplitudes they are given. That state is the same every cycle, so
+each cycle is one draw from the exact Born distribution over 99 outcome
+codes (a control pair in a basis, or a sent and a decoded bigram). run
+builds it once per run from attack_state's amplitudes, by one product with
+a stacked (99, 9) amplitude map built at import. It weights the table block
+by block, reads both bases' predicted detections from its control rows in
+one reduction, and samples it by inverting its cumulative table. A run keeps one outcome byte
 per cycle; the report's counts and the CSV transcript are both derived
 from those bytes. The sampler and the transcript writer both work in
 blocks of at most _BLOCK = 2**12 cycles; each transcript row is its cycle
@@ -88,6 +90,18 @@ _OUTCOME_MAP = np.vstack(
 _OUTCOME_MAP.setflags(write=False)
 
 
+def _checked_amps(amps) -> np.ndarray:
+    """amps as an array, after the one check of a post-attack state: shape (3, 3, ANCILLA_DIM) and a
+    squared norm within _STATE_NORM_TOL of 1, which NaN and inf fail."""
+    amps = np.asarray(amps)
+    if amps.shape != (3, 3, ANCILLA_DIM):
+        raise ValueError(f"joint state must have shape (3, 3, {ANCILLA_DIM}), got {amps.shape}")
+    norm = float(np.vdot(amps, amps).real)
+    if not abs(norm - 1.0) <= _STATE_NORM_TOL:
+        raise ValueError(f"joint state must be normalized, squared norm {norm!r}")
+    return amps
+
+
 def _born(amplitude_map: np.ndarray, amps: np.ndarray) -> np.ndarray:
     """Born probabilities of the outcomes a map's rows project on, summed over the ancilla of (3, 3, 9) amps."""
     return (np.abs(amplitude_map @ amps.reshape(9, ANCILLA_DIM)) ** 2).sum(axis=-1)
@@ -107,7 +121,7 @@ def control_distribution(amps: np.ndarray, alice_basis: str) -> np.ndarray:
     travelling qutrit and the sender sees b on the home qutrit, measured
     in the partner basis (CONTROL_MAPS).
     """
-    return _born(CONTROL_MAPS[BASIS_LABELS.index(check_basis(alice_basis))], amps).reshape(3, 3)
+    return _born(CONTROL_MAPS[BASIS_LABELS.index(check_basis(alice_basis))], _checked_amps(amps)).reshape(3, 3)
 
 
 def detection_probability(amps: np.ndarray, alice_basis: str) -> float:
@@ -116,7 +130,7 @@ def detection_probability(amps: np.ndarray, alice_basis: str) -> float:
     One minus the mass of the outcome pairs an honest channel gives.
     """
     s = BASIS_LABELS.index(check_basis(alice_basis))
-    return _detections(_born(CONTROL_MAPS[s : s + 1], amps), HONEST_PAIRS[s : s + 1])[0]
+    return _detections(_born(CONTROL_MAPS[s : s + 1], _checked_amps(amps)), HONEST_PAIRS[s : s + 1])[0]
 
 
 def decode_distribution(amps: np.ndarray, bigram: tuple[int, int]) -> np.ndarray:
@@ -131,7 +145,7 @@ def decode_distribution(amps: np.ndarray, bigram: tuple[int, int]) -> np.ndarray
     except (TypeError, ValueError):
         raise ValueError(f"bigram must be a pair (i, j), got {bigram!r}") from None
     start = _MESSAGE_CODE + 9 * _pair_index(i, j)
-    return _born(_OUTCOME_MAP[start : start + 9], amps)
+    return _born(_OUTCOME_MAP[start : start + 9], _checked_amps(amps))
 
 
 @dataclass(frozen=True)
@@ -205,14 +219,11 @@ def attack_state(attack: AttackSpec, ancilla: str) -> np.ndarray:
     amplitude (h, t, slot) is the sum over m and n of
     M[t, m] V[m, slot, n] ready[h, n], where M = mub(attack.basis) and
     ready[h, n] is the ready state's amplitude on home h and travel basis
-    vector n of M. This is the one check of a post-attack state: its squared
-    norm must lie within _STATE_NORM_TOL of 1, and NaN and inf fail.
+    vector n of M. The amplitudes pass _checked_amps, the check that the
+    readers of a post-attack state also apply.
     """
     m, ready = _ATTACK_OPERANDS[attack.basis]
-    amps = np.einsum("tm,man,hn->hta", m, isometry(attack, ancilla), ready)
-    norm = float(np.vdot(amps, amps).real)
-    if not abs(norm - 1.0) <= _STATE_NORM_TOL:
-        raise ValueError(f"joint state must be normalized, squared norm {norm!r}")
+    amps = _checked_amps(np.einsum("tm,man,hn->hta", m, isometry(attack, ancilla), ready))
     amps.setflags(write=False)
     return amps
 

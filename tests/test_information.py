@@ -536,6 +536,103 @@ def test_reduced_blocks_carry_the_paper_cubic():
                 assert np.abs(np.r_[np.poly(g).real, zeros][1:] - want).max() < 1e-12
 
 
+def _equal_class_tables():
+    """Seeded tables in which a class with three equal frequencies sits beside other classes.
+
+    Beside it stand a class of three distinct frequencies, a class with a
+    -0.0 or 0.0 among its frequencies, a second equal class with another
+    frequency, or the same equal class again, so that it stands for two
+    classes.
+    """
+    rng = np.random.default_rng(3232)
+    tables = []
+    for _ in range(3):
+        q, r = 0.05 + rng.random(2)
+        equal, other_equal, general = [q] * 3, [r] * 3, list(0.05 + rng.random(3))
+        pair, single = [0.05 + rng.random(), -0.0, 0.05 + rng.random()], [0.0, 0.05 + rng.random(), -0.0]
+        layouts = (
+            (equal, general, pair),
+            (general, single, equal),
+            (equal, equal, general),
+            (pair, equal, equal),
+            (equal, other_equal, single),
+            (general, equal, list(0.05 + rng.random(3))),
+        )
+        tables += [np.column_stack(layout) for layout in layouts]
+    return [FrequencyTable(p / p.sum()) for p in tables]
+
+
+def test_equal_class_tables_cover_their_layouts():
+    tables = _equal_class_tables()
+    groups = [freq._equal_q > 0.0 for freq in tables]
+    assert all(equal.any() for equal in groups)
+    assert any(not equal.all() for equal in groups)  # an equal class beside a general 3x3 class
+    # the k = 3 group comes last, so its counts are the last ones
+    assert any((freq._class_counts[-len(freq._equal_q) :][freq._equal_q > 0.0] == 2).any() for freq in tables)
+    assert any(len(freq._class_groups) > 1 for freq in tables)
+    assert any(math.copysign(1.0, x) < 0 for freq in tables for x in freq.p.ravel())
+
+
+def test_equal_frequency_classes_match_all_three_blocks_and_the_dense_spectrum():
+    rng = np.random.default_rng(4242)
+    columns = [symmetric_column(d) for d in (0.0, 0.2, 0.5, 2.0 / 3.0)]
+    columns += [_random_column(rng) for _ in range(8)]
+    grid = np.linspace(0.0, 2.0 / 3.0, 41)
+    for freq in _equal_class_tables():
+        want = _all_class_curve(freq, np.array([col.moduli_squared() for col in columns]))
+        for col, value in zip(columns, want):
+            assert abs(holevo_information(col, freq).value - value) < 1e-14
+            lam_dense = np.sort(np.linalg.eigvalsh(assemble_rho(col, freq).m))[::-1]
+            assert np.abs(factorized_eigenvalues(col, freq) - lam_dense).max() < 1e-10
+        curve = np.array([v for _, v in info_curve(freq, grid)])
+        assert np.abs(curve - _all_class_curve(freq, _symmetric_moduli(grid))).max() < 1e-14
+        assert info_curve(freq, []) == []
+        assert information._class_spectra(np.empty((0, 3)), freq).shape == (0, len(freq._class_counts), 3)
+
+
+def _exact_uniform_leak(moduli):
+    """1 + H(t) in trits for squared moduli t, worked in 50-digit decimals and rounded once."""
+    with decimal.localcontext() as context:
+        context.prec = 50
+        t = [decimal.Decimal(float(x)) for x in moduli]
+        return float(1 - sum(x * x.ln() for x in t if x > 0) / decimal.Decimal(3).ln())
+
+
+def test_uniform_source_leaks_one_trit_plus_the_column_entropy():
+    # Every class block of the uniform source is circulant, with eigenvalues
+    # t_l / 3, so the bound is 1 + H(t) and the curve 1 + H3(d). The
+    # closed form meets 1e-15; eigvalsh missed by up to 3.6e-15.
+    uniform = FREQUENCY_PRESETS["uniform"]
+    rng = np.random.default_rng(1910)
+    for col in [_random_column(rng) for _ in range(300)]:
+        assert abs(holevo_information(col, uniform).value - _exact_uniform_leak(col.moduli_squared())) <= 1e-15
+    grid = np.linspace(0.0, 2.0 / 3.0, 801)
+    want = [_exact_uniform_leak(t) for t in _symmetric_moduli(grid)]
+    assert np.abs(np.array([v for _, v in info_curve(uniform, grid)]) - want).max() <= 1e-15
+
+
+def test_equal_frequency_classes_never_reach_eigvalsh(monkeypatch):
+    seen = []
+
+    def refuse(blocks):
+        seen.append(blocks.shape)
+        raise RuntimeError("eigvalsh called")
+
+    monkeypatch.setattr(information.np.linalg, "eigvalsh", refuse)
+    uniform = FREQUENCY_PRESETS["uniform"]
+    info_curve(uniform, np.linspace(0.0, 2.0 / 3.0, 801))
+    holevo_information(_random_column(np.random.default_rng(5)), uniform)
+    factorized_eigenvalues(symmetric_column(0.3), uniform)
+    with pytest.raises(RuntimeError, match="eigvalsh called"):
+        info_curve(FREQUENCY_PRESETS["tiered"], [0.1, 0.2])
+    assert seen == [(2, 1, 3, 3)]
+    mixed = FrequencyTable(np.column_stack(([0.1] * 3, [0.2, 0.3, 0.1], [0.05, 0.03, 0.02])))
+    assert mixed._equal_q.tolist() == [0.1, 0.0, 0.0]
+    with pytest.raises(RuntimeError, match="eigvalsh called"):
+        info_curve(mixed, [0.1, 0.2, 0.3])
+    assert seen[-1] == (3, 2, 3, 3)  # only the two classes whose frequencies differ
+
+
 def _assert_spectrum_matches_dense(col, freq):
     lam_fact = factorized_eigenvalues(col, freq)
     lam_dense = np.sort(np.linalg.eigvalsh(assemble_rho(col, freq).m))[::-1]

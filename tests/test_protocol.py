@@ -79,6 +79,34 @@ def test_run_rejects_an_attack_map_that_breaks_the_norm(spoil, monkeypatch):
             build()
 
 
+_READERS = {
+    "control_distribution": lambda amps: control_distribution(amps, "z"),
+    "detection_probability": lambda amps: detection_probability(amps, "x"),
+    "decode_distribution": lambda amps: decode_distribution(amps, (0, 0)),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS))
+def test_amplitude_readers_apply_the_attack_state_check(reader):
+    # Unchecked, the zero state reads as a certain detection and a 9x9 array of
+    # twos as nine probabilities summing to 324.
+    read = _READERS[reader]
+    good = attack_state(SymmetricAttack(0.3), "branch")
+    read(good)
+    read(good.copy())  # a writable copy passes the same check
+    for amps, message in (
+        (np.zeros((3, 3, ANCILLA_DIM)), "joint state must be normalized, squared norm 0.0"),
+        ((1.0 + 1e-9) * good, "joint state must be normalized"),
+        (_nan_at_origin(good), "joint state must be normalized, squared norm nan"),
+        (np.where(np.arange(ANCILLA_DIM) == 0, math.inf, good), "joint state must be normalized, squared norm"),
+        (np.zeros(81), r"joint state must have shape \(3, 3, 9\), got \(81,\)"),
+        (good.reshape(9, 9), r"joint state must have shape \(3, 3, 9\), got \(9, 9\)"),
+        (2 * np.ones((9, 9)), r"joint state must have shape \(3, 3, 9\), got \(9, 9\)"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            read(amps)
+
+
 def test_run_builds_its_born_table_from_one_attack_state_call(monkeypatch):
     # The recorder hands run the amplitudes of another attack, so a table that
     # matches them was built from the very array attack_state returned.
