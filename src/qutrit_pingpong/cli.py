@@ -112,13 +112,10 @@ def _cmd_curve(args) -> int:
         raise ValueError(f"curve needs at most 2**53 points, got {args.points}")
     if args.out:  # fail on a bad path before the curve is computed, as simulate does
         open(args.out, "wb").close()
-    rows = info_curve(freq, np.linspace(0.0, 2.0 / 3.0, args.points))
-    _write_output(curve_csv(rows), args.out, f"{len(rows)} points")
-    h = source_entropy(freq).value
-    print(
-        f"endpoints: I(0) = {rows[0][1]:.4f}, I(2/3) = {rows[-1][1]:.4f}, source H = {h:.4f} (trits)",
-        file=sys.stderr,
-    )
+    curve = info_curve(freq, np.linspace(0.0, 2.0 / 3.0, args.points))
+    _write_output(curve_csv(curve), args.out, f"{len(curve)} points")
+    endpoints = f"endpoints: I(0) = {curve[0, 1]:.4f}, I(2/3) = {curve[-1, 1]:.4f}"
+    print(f"{endpoints}, source H = {source_entropy(freq).value:.4f} (trits)", file=sys.stderr)
     return 0
 
 

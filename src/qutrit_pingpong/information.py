@@ -12,18 +12,19 @@ spectrum is the root set of the paper's class cubic, symmetric in the
 class's frequencies, and a zero frequency zeroes a row and column of the
 block. So a table keeps one block per distinct non-empty class, on its k
 nonzero frequencies only, and a count of the classes it stands for. One
-private batched routine builds these blocks for N columns at once and
-solves them: 1x1 and 2x2 blocks in closed form, and a 3x3 block whose three
-frequencies are all exactly q in closed form too, as it is circulant, with
+private batched routine solves these blocks for N columns at once: 1x1 and
+2x2 blocks in closed form, and a 3x3 block whose three frequencies are all
+exactly q in closed form too, with no block built, as it is circulant, with
 eigenvalues 3q t_l for the squared moduli t (so the uniform source's curve
 is 1 + H3(d)). The other 3x3 blocks take one eigvalsh call, as the
-closed-form cubic splits an exact double root by ~1e-9. The leak curve, the
-Holevo bound and the factorized spectrum all go through it. On
-the symmetric attack family (t1 = t2) the blocks are real symmetric, so
-eigvalsh takes LAPACK's real symmetric eigensolver; general columns keep
-the Hermitian one. The paper's closed-form cubics (cubic_coefficients)
-are the full blocks' characteristic polynomials, and the dense 9x9
-operator (assemble_rho) is kept so that each route can check the other.
+closed-form cubic splits an exact double root by ~1e-9. The leak curve (one
+read-only (N, 2) array), the Holevo bound and the factorized spectrum all
+go through it. On the symmetric attack family (t1 = t2) the blocks are
+real symmetric, so eigvalsh takes LAPACK's real symmetric eigensolver;
+general columns keep the Hermitian one. The paper's closed-form cubics
+(cubic_coefficients) are the full blocks' characteristic polynomials, and
+the dense 9x9 operator (assemble_rho) is kept so that each route can check
+the other.
 
 A frequency table's JSON form, {"preset": name} or {"p": 3x3 rows} in a --freq file and a run
 config alike, is read by frequency_table_from_dict and written by frequency_table_to_dict.
@@ -233,23 +234,23 @@ _GRAM_PHASES = {k: frozen_array(_PHASES[:, :k, :k].reshape(3, k * k), (3, k * k)
 _GRAM_COSINES = {k: frozen_array(table.real, table.shape, "cosines", dtype=float) for k, table in _GRAM_PHASES.items()}
 
 
-def _class_blocks(moduli: np.ndarray, freq: FrequencyTable) -> list[np.ndarray]:
-    """Gram blocks of the table's distinct non-empty shift classes, one (N, U_k, k, k) array per group.
+def _gram_blocks(moduli: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Gram blocks, shape (N, U, k, k), of U distinct classes: weights is (U, k, k), from freq._class_groups.
 
-    moduli has shape (N, 3). Block [n, u] of group k is G_im = sqrt(q_i q_m)
-    sum_l t_l omega^(l (m - i)) for the squared moduli t = moduli[n] and the
-    k nonzero frequencies q of distinct class u; the column's phases drop
-    out. A class's full 3x3 block is zero in the rows and columns of its zero
-    frequencies, and relabeling its phase indices by a shift conjugates it by
-    a permutation and by a reflection complex-conjugates it. So this block,
-    with 3 - k zeros, has the spectrum of every class holding these
-    frequencies in any order: the class's share of the ensemble spectrum.
-    When every row has t1 == t2, as on the symmetric attack family, the
-    blocks are real symmetric and come out float64, so eigvalsh takes
-    LAPACK's real symmetric driver; otherwise they are complex Hermitian.
+    moduli has shape (N, 3). Block [n, u] is G_im = sqrt(q_i q_m) sum_l t_l
+    omega^(l (m - i)) for the squared moduli t = moduli[n] and the k nonzero
+    frequencies q of class u; the column's phases drop out. A class's full
+    3x3 block is zero in the rows and columns of its zero frequencies, and
+    relabeling its phase indices by a shift conjugates it by a permutation
+    and by a reflection complex-conjugates it. So this block, with 3 - k
+    zeros, has the spectrum of every class holding these frequencies in any
+    order: the class's share of the ensemble spectrum. When every row has
+    t1 == t2, as on the symmetric attack family, the blocks are real
+    symmetric and come out float64, so eigvalsh takes LAPACK's real
+    symmetric driver; otherwise they are complex Hermitian.
     """
     tables = _GRAM_COSINES if (moduli[:, 1] == moduli[:, 2]).all() else _GRAM_PHASES
-    return [(moduli @ tables[w.shape[1]]).reshape(-1, 1, *w.shape[1:]) * w for w in freq._class_groups]
+    return (moduli @ tables[weights.shape[1]]).reshape(-1, 1, *weights.shape[1:]) * weights
 
 
 def _class_spectra(moduli: np.ndarray, freq: FrequencyTable) -> np.ndarray:
@@ -261,35 +262,36 @@ def _class_spectra(moduli: np.ndarray, freq: FrequencyTable) -> np.ndarray:
     accurate as eigvalsh. A 3x3 block whose frequencies are all q
     (freq._equal_q) is q times the circulant of g(delta) = sum_l t_l
     omega^(l delta), which the Fourier basis diagonalizes: its eigenvalues
-    are 3q t_l, in the order of t, for real and complex blocks alike. The
-    other 3x3 blocks go, ascending, to one eigvalsh call, which keeps a
-    double root double; with none left it is not called. No caller reads
-    the order within a class.
+    are 3q t_l, in the order of t, for real and complex blocks alike, and
+    its block is never built. The other 3x3 blocks go, ascending, to one
+    eigvalsh call, which keeps a double root double; with none left it is
+    not called. No caller reads the order within a class.
     """
     lams = np.zeros((len(moduli), len(freq._class_counts), 3))
     u = 0
-    for blocks in _class_blocks(moduli, freq):
-        size, k = blocks.shape[1:3]
+    for weights in freq._class_groups:
+        size, k = weights.shape[:2]
         out = lams[:, u : u + size, :k]
         if k == 3:
             # The first two cases skip the mixed case's fancy indexing, which on a
             # single column costs more than the eigvalsh call it saves.
             q = freq._equal_q
             if not q.any():
-                out[...] = np.linalg.eigvalsh(blocks)
+                out[...] = np.linalg.eigvalsh(_gram_blocks(moduli, weights))
             elif q.all():
                 out[...] = moduli[:, None, :] * (3.0 * q[:, None])
             else:
                 equal = q > 0.0
                 out[:, equal] = moduli[:, None, :] * (3.0 * q[equal, None])
-                out[:, ~equal] = np.linalg.eigvalsh(blocks[:, ~equal])
+                out[:, ~equal] = np.linalg.eigvalsh(_gram_blocks(moduli, weights[~equal]))
         elif k == 2:
+            blocks = _gram_blocks(moduli, weights)
             a, e = blocks[..., 0, 0].real, blocks[..., 1, 1].real
             radius = np.hypot((a - e) * 0.5, np.abs(blocks[..., 0, 1]))
             out[..., 0] = (a + e) * 0.5 - radius
             out[..., 1] = (a + e) * 0.5 + radius
         else:
-            out[...] = blocks.real[..., 0]
+            out[...] = _gram_blocks(moduli, weights).real[..., 0]
         u += size
     return lams
 
@@ -350,12 +352,11 @@ def holevo_information(col: AttackColumn, freq: FrequencyTable) -> InfoResult:
     return InfoResult(float(_holevo_trits(np.array([col.moduli_squared()]), freq)[0]))
 
 
-def info_curve(
-    freq: FrequencyTable, d_values=None
-) -> list[tuple[float, float]]:
-    """(detection, information) samples for the symmetric attack family.
+def info_curve(freq: FrequencyTable, d_values=None) -> np.ndarray:
+    """The leak curve of the symmetric attack family, a read-only (N, 2) float64 array.
 
-    Detection runs over [0, 2/3]; information is reported in trits. The
+    Row n is (d, I): the detection probability d, over [0, 2/3], and the
+    Holevo bound I in trits, so iterating it yields (d, I) pairs. The
     default grid has 67 evenly spaced points. The grid must be a
     one-dimensional sequence of ints or floats, not booleans or strings;
     values within 1e-12 of the range are clamped into it, and NaN,
@@ -383,11 +384,12 @@ def info_curve(
     d = np.clip(d, 0.0, 2.0 / 3.0)
     # squared moduli of symmetric_column(d)
     moduli = np.column_stack((1.0 - d, d / 2.0, d / 2.0))
-    return list(zip(d.tolist(), _holevo_trits(moduli, freq).tolist()))
+    curve = np.column_stack((d, _holevo_trits(moduli, freq)))
+    curve.setflags(write=False)
+    return curve
 
 
 def curve_csv(points) -> str:
-    """CSV text of info_curve points: d_z,I0_trits,I0_bits at 17 significant digits."""
-    lines = ["d_z,I0_trits,I0_bits"]
-    lines.extend(f"{d:.17g},{v:.17g},{v * TRIT_TO_BIT:.17g}" for d, v in points)
-    return "\n".join(lines) + "\n"
+    """CSV text of (d, I) rows, an info_curve array or float pairs: d_z,I0_trits,I0_bits, 17 significant digits."""
+    rows = (f"{d:.17g},{v:.17g},{v * TRIT_TO_BIT:.17g}" for d, v in np.asarray(points, dtype=float).tolist())
+    return "\n".join(["d_z,I0_trits,I0_bits", *rows]) + "\n"

@@ -4,6 +4,7 @@ import decimal
 import itertools
 import json
 import math
+import sys
 import types
 
 import numpy as np
@@ -25,9 +26,10 @@ from qutrit_pingpong.information import (
     DensityMatrix9,
     FrequencyTable,
     InfoResult,
-    _class_blocks,
+    _gram_blocks,
     assemble_rho,
     cubic_coefficients,
+    curve_csv,
     factorized_eigenvalues,
     frequency_table_from_dict,
     holevo_information,
@@ -262,17 +264,39 @@ def test_curve_rejects_grids_of_booleans_and_strings():
     for grid in grids:
         with pytest.raises(ValueError, match="^detection grid must be a sequence of numbers$"):
             info_curve(uniform, grid)
-    assert info_curve(uniform, [0]) == info_curve(uniform, np.array([0.0], dtype=np.float32))
+    assert np.array_equal(info_curve(uniform, [0]), info_curve(uniform, np.array([0.0], dtype=np.float32)))
 
 
-def test_curve_clamps_the_slack_and_returns_plain_floats():
+def test_curve_clamps_the_slack_and_returns_a_read_only_array():
     uniform = FREQUENCY_PRESETS["uniform"]
     points = info_curve(uniform, [-1e-13, 0.25, 2.0 / 3.0 + 1e-13])
-    assert [d for d, _ in points] == [0.0, 0.25, 2.0 / 3.0]
-    assert all(type(d) is float and type(v) is float for d, v in points)
-    assert points[1][1] == pytest.approx(holevo_information(symmetric_column(0.25), uniform).value, abs=1e-14)
-    assert info_curve(uniform, []) == []
-    assert info_curve(uniform, np.array([])) == []
+    assert points.dtype == np.float64 and points.shape == (3, 2)
+    assert points.flags.c_contiguous and not points.flags.writeable
+    assert points[:, 0].tolist() == [0.0, 0.25, 2.0 / 3.0]
+    assert points[1, 1] == pytest.approx(holevo_information(symmetric_column(0.25), uniform).value, abs=1e-14)
+    for empty in (info_curve(uniform, []), info_curve(uniform, np.array([]))):
+        assert empty.dtype == np.float64 and empty.shape == (0, 2)
+
+
+def test_a_curve_leaves_no_python_object_per_point():
+    # One Python object per point would leave over 800 live blocks; the array leaves a few.
+    grid = np.linspace(0.0, 2.0 / 3.0, 801)
+    kept = []  # every curve stays alive, so no preset's count is offset by freeing the last one
+    for name, freq in FREQUENCY_PRESETS.items():
+        info_curve(freq, grid)  # warm-up: module caches and numpy's first-call state
+        before = sys.getallocatedblocks()
+        kept.append(info_curve(freq, grid))
+        assert sys.getallocatedblocks() - before < 50, name
+    assert all(curve.shape == (801, 2) for curve in kept)
+
+
+@pytest.mark.parametrize("name", sorted(FREQUENCY_PRESETS))
+def test_curve_csv_of_the_array_matches_the_csv_of_float_pairs(name):
+    curve = info_curve(FREQUENCY_PRESETS[name])
+    pairs = [(float(d), float(v)) for d, v in curve]
+    assert all(type(d) is float and type(v) is float for d, v in pairs)
+    assert curve_csv(curve).encode() == curve_csv(pairs).encode()
+    assert curve_csv(curve[:0]) == curve_csv([]) == "d_z,I0_trits,I0_bits\n"
 
 
 def test_batched_spectrum_checks_name_the_first_bad_point(monkeypatch):
@@ -380,6 +404,11 @@ def test_class_blocks_carry_the_paper_cubic():
             assert abs(np.trace(g) + c2) < 1e-12
             assert abs(minors - c1) < 1e-12
             assert abs(np.linalg.det(g) + c0) < 1e-12
+
+
+def _class_blocks(moduli, freq):
+    """Gram blocks of every distinct class of freq, one (N, U_k, k, k) array per group of freq._class_groups."""
+    return [_gram_blocks(moduli, weights) for weights in freq._class_groups]
 
 
 def _block_dtypes(moduli, freq):
@@ -586,7 +615,7 @@ def test_equal_frequency_classes_match_all_three_blocks_and_the_dense_spectrum()
             assert np.abs(factorized_eigenvalues(col, freq) - lam_dense).max() < 1e-10
         curve = np.array([v for _, v in info_curve(freq, grid)])
         assert np.abs(curve - _all_class_curve(freq, _symmetric_moduli(grid))).max() < 1e-14
-        assert info_curve(freq, []) == []
+        assert info_curve(freq, []).shape == (0, 2)
         assert information._class_spectra(np.empty((0, 3)), freq).shape == (0, len(freq._class_counts), 3)
 
 
@@ -633,6 +662,39 @@ def test_equal_frequency_classes_never_reach_eigvalsh(monkeypatch):
     assert seen[-1] == (3, 2, 3, 3)  # only the two classes whose frequencies differ
 
 
+def test_class_spectra_build_blocks_only_for_the_classes_they_solve_from_one(monkeypatch):
+    built = []
+
+    def record(moduli, weights):
+        blocks = _gram_blocks(moduli, weights)
+        built.append((weights, blocks.shape))
+        return blocks
+
+    monkeypatch.setattr(information, "_gram_blocks", record)
+    grid = np.linspace(0.0, 2.0 / 3.0, 801)
+    uniform = FREQUENCY_PRESETS["uniform"]
+    info_curve(uniform, grid)
+    holevo_information(_random_column(np.random.default_rng(6)), uniform)
+    factorized_eigenvalues(symmetric_column(0.3), uniform)
+    assert built == []  # every class has three equal frequencies: 3q t, read off the moduli
+    info_curve(FREQUENCY_PRESETS["tiered"], grid)
+    assert [shape for _, shape in built] == [(801, 1, 3, 3)]
+    mixed = FrequencyTable(np.column_stack(([0.1] * 3, [0.2, 0.3, 0.1], [0.05, 0.03, 0.02])))
+    built.clear()
+    info_curve(mixed, [0.1, 0.2, 0.3])
+    ((weights, shape),) = built
+    assert shape == (3, 2, 3, 3) and np.array_equal(weights, mixed._class_groups[0][1:])  # the two unequal classes
+    # Every smaller group is built whole, and a 3x3 group without its equal classes.
+    tables = [FREQUENCY_PRESETS[name] for name in ("sparse", "peaked", "two-bigram")] + _equal_class_tables()
+    for freq in tables:
+        built.clear()
+        info_curve(freq, grid)
+        want = [w[freq._equal_q == 0.0] if w.shape[1] == 3 else w for w in freq._class_groups]
+        want = [w for w in want if len(w)]
+        assert len(built) == len(want) and all(np.array_equal(w, v) for (w, _), v in zip(built, want))
+        assert all(shape == (801, *w.shape) for w, shape in built)
+
+
 def _assert_spectrum_matches_dense(col, freq):
     lam_fact = factorized_eigenvalues(col, freq)
     lam_dense = np.sort(np.linalg.eigvalsh(assemble_rho(col, freq).m))[::-1]
@@ -674,8 +736,9 @@ def test_spectrum_with_empty_and_near_empty_entries_matches_dense():
 
 def _pair_spectra(monkeypatch, blocks):
     """_class_spectra's (N, U, 3) rows for an (N, U, 2, 2) stack of Hermitian blocks, one group of U classes."""
-    monkeypatch.setattr(information, "_class_blocks", lambda moduli, freq: [blocks])
-    classes = types.SimpleNamespace(_class_counts=np.ones(blocks.shape[1], dtype=int))
+    monkeypatch.setattr(information, "_gram_blocks", lambda moduli, weights: blocks)
+    counts = np.ones(blocks.shape[1], dtype=int)
+    classes = types.SimpleNamespace(_class_groups=(np.ones(blocks.shape[1:]),), _class_counts=counts)
     return information._class_spectra(np.zeros((len(blocks), 3)), classes)
 
 
