@@ -11,20 +11,21 @@ probe states, which depends only on the column's squared moduli. That
 spectrum is the root set of the paper's class cubic, symmetric in the
 class's frequencies, and a zero frequency zeroes a row and column of the
 block. So a table keeps one block per distinct non-empty class, on its k
-nonzero frequencies only, and a count of the classes it stands for. One
-private batched routine solves these blocks for N columns at once: 1x1 and
-2x2 blocks in closed form, and a 3x3 block whose three frequencies are all
-exactly q in closed form too, with no block built, as it is circulant, with
-eigenvalues 3q t_l for the squared moduli t (so the uniform source's curve
-is 1 + H3(d)). The other 3x3 blocks take one eigvalsh call, as the
-closed-form cubic splits an exact double root by ~1e-9. The leak curve (one
-read-only (N, 2) array), the Holevo bound and the factorized spectrum all
-go through it. On the symmetric attack family (t1 = t2) the blocks are
-real symmetric, so eigvalsh takes LAPACK's real symmetric eigensolver;
-general columns keep the Hermitian one. The paper's closed-form cubics
+nonzero frequencies only, and a count of the classes it stands for, with
+the classes sorted when the table is built into one group per solver. One
+private batched routine solves the groups for N columns at once: a class
+whose three frequencies are all exactly q is circulant, with eigenvalues
+3q t_l for the squared moduli t and no block built (so the uniform
+source's curve is 1 + H3(d)); the other 3x3 blocks take one eigvalsh call,
+as the closed-form cubic splits an exact double root by ~1e-9; 2x2 and
+1x1 blocks have closed forms. The leak curve (one read-only (N, 2)
+array), the Holevo bound and the factorized spectrum all go through it.
+On the symmetric attack family (t1 = t2) the blocks are real symmetric,
+so eigvalsh takes LAPACK's real symmetric eigensolver; general columns
+keep the Hermitian one. The paper's closed-form cubics
 (cubic_coefficients) are the full blocks' characteristic polynomials, and
-the dense 9x9 operator (assemble_rho) is kept so that each route can check
-the other.
+the dense 9x9 operator (assemble_rho) is kept so that each route can
+check the other.
 
 A frequency table's JSON form, {"preset": name} or {"p": 3x3 rows} in a --freq file and a run
 config alike, is read by frequency_table_from_dict and written by frequency_table_to_dict.
@@ -55,18 +56,18 @@ class FrequencyTable:
     """
 
     p: np.ndarray
-    # _class_groups holds one (U_k, k, k) array per number k of nonzero
-    # frequencies that some distinct non-empty class has, k rising: [u, i, m] =
-    # sqrt(q_i q_m) over the nonzero frequencies q, in table order, of the
-    # first shift class standing for class u. _class_counts[u], over the groups
-    # in turn, is how many of the three classes hold the same frequencies in
-    # some order. A class whose frequencies are all zero has no entry.
-    # _equal_q[u], over the k = 3 group alone, is q when class u's three
-    # frequencies are all exactly q, and 0.0 otherwise: such a class's block is
-    # circulant, with eigenvalues 3q t_l.
+    # _class_groups holds one array per solver that some distinct non-empty
+    # class needs, in this order. Classes with k = 1, 2 or 3 nonzero
+    # frequencies q, not all three equal, have a (U_k, k, k) group of Gram
+    # weights: [u, i, m] = sqrt(q_i q_m) over q, in table order, of the first
+    # shift class standing for class u. Classes whose three frequencies are
+    # all exactly q have a (U_e, 3) group: row u is 3q three times, the scale
+    # of each squared modulus in the circulant block's eigenvalues 3q t_l.
+    # _class_counts[u], over the groups in turn, is how many of the three
+    # classes hold the same frequencies in some order. A class whose
+    # frequencies are all zero has no entry.
     _class_groups: tuple = field(init=False, repr=False, compare=False)
     _class_counts: np.ndarray = field(init=False, repr=False, compare=False)
-    _equal_q: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = frozen_array(self.p, (3, 3), "frequency table", dtype=float)
@@ -80,16 +81,16 @@ class FrequencyTable:
         keys = [tuple(sorted(group)) for group in columns]
         distinct = [j for j, key in enumerate(keys) if any(key) and key not in keys[:j]]
         nonzero = {j: [x for x in columns[j] if x > 0.0] for j in distinct}  # -0.0 counts as zero
-        distinct.sort(key=lambda j: len(nonzero[j]))
-        classes = [np.array([nonzero[j] for j in distinct if len(nonzero[j]) == k]) for k in (1, 2, 3)]
-        groups = tuple(np.sqrt(q[:, :, None] * q[:, None, :]) for q in classes if q.size)
+        # A class's solver: its count k of nonzero frequencies, or 4 when its three are exactly equal.
+        solver = {j: 4 if keys[j][0] == keys[j][2] else len(nonzero[j]) for j in distinct}
+        distinct.sort(key=solver.get)
+        classes = {k: np.array([nonzero[j] for j in distinct if solver[j] == k]) for k in sorted({*solver.values()})}
+        groups = tuple(3.0 * q if k == 4 else np.sqrt(q[:, :, None] * q[:, None, :]) for k, q in classes.items())
         counts = np.array([keys.count(keys[j]) for j in distinct])
-        equal_q = np.array([q[0] if q[0] == q[1] == q[2] else 0.0 for q in classes[2]])
-        for value in (*groups, counts, equal_q):
+        for value in (*groups, counts):
             value.setflags(write=False)
         object.__setattr__(self, "_class_groups", groups)
         object.__setattr__(self, "_class_counts", counts)
-        object.__setattr__(self, "_equal_q", equal_q)
 
     def __eq__(self, other):
         if not isinstance(other, FrequencyTable):
@@ -257,33 +258,25 @@ def _class_spectra(moduli: np.ndarray, freq: FrequencyTable) -> np.ndarray:
     """Eigenvalues of each distinct class block of each row of moduli, shape (N, U, 3).
 
     A class with k nonzero frequencies has its block's k eigenvalues, then
-    3 - k zeros. A 1x1 block is its own eigenvalue; a 2x2 block
+    3 - k zeros. Each group of freq._class_groups has one solver. A class
+    whose three frequencies are all q has q times the circulant of g(delta)
+    = sum_l t_l omega^(l delta), which the Fourier basis diagonalizes: its
+    eigenvalues are 3q t_l, in the order of t, for real and complex blocks
+    alike, and its block is never built. The other 3x3 blocks go, ascending,
+    to one eigvalsh call, which keeps a double root double. A 2x2 block
     [[a, b], [b*, e]] has (a + e)/2 -+ hypot((a - e)/2, |b|), ascending, as
-    accurate as eigvalsh. A 3x3 block whose frequencies are all q
-    (freq._equal_q) is q times the circulant of g(delta) = sum_l t_l
-    omega^(l delta), which the Fourier basis diagonalizes: its eigenvalues
-    are 3q t_l, in the order of t, for real and complex blocks alike, and
-    its block is never built. The other 3x3 blocks go, ascending, to one
-    eigvalsh call, which keeps a double root double; with none left it is
-    not called. No caller reads the order within a class.
+    accurate as eigvalsh, and a 1x1 block is its own eigenvalue. No caller
+    reads the order within a class.
     """
     lams = np.zeros((len(moduli), len(freq._class_counts), 3))
     u = 0
     for weights in freq._class_groups:
-        size, k = weights.shape[:2]
-        out = lams[:, u : u + size, :k]
-        if k == 3:
-            # The first two cases skip the mixed case's fancy indexing, which on a
-            # single column costs more than the eigvalsh call it saves.
-            q = freq._equal_q
-            if not q.any():
-                out[...] = np.linalg.eigvalsh(_gram_blocks(moduli, weights))
-            elif q.all():
-                out[...] = moduli[:, None, :] * (3.0 * q[:, None])
-            else:
-                equal = q > 0.0
-                out[:, equal] = moduli[:, None, :] * (3.0 * q[equal, None])
-                out[:, ~equal] = np.linalg.eigvalsh(_gram_blocks(moduli, weights[~equal]))
+        k = weights.shape[-1]
+        out = lams[:, u : u + len(weights), :k]
+        if weights.ndim == 2:
+            out[...] = moduli[:, None, :] * weights
+        elif k == 3:
+            out[...] = np.linalg.eigvalsh(_gram_blocks(moduli, weights))
         elif k == 2:
             blocks = _gram_blocks(moduli, weights)
             a, e = blocks[..., 0, 0].real, blocks[..., 1, 1].real
@@ -292,7 +285,7 @@ def _class_spectra(moduli: np.ndarray, freq: FrequencyTable) -> np.ndarray:
             out[..., 1] = (a + e) * 0.5 + radius
         else:
             out[...] = _gram_blocks(moduli, weights).real[..., 0]
-        u += size
+        u += len(weights)
     return lams
 
 

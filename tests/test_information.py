@@ -407,8 +407,13 @@ def test_class_blocks_carry_the_paper_cubic():
 
 
 def _class_blocks(moduli, freq):
-    """Gram blocks of every distinct class of freq, one (N, U_k, k, k) array per group of freq._class_groups."""
-    return [_gram_blocks(moduli, weights) for weights in freq._class_groups]
+    """Gram blocks of freq's classes, one (N, U_k, k, k) array per weight group of freq._class_groups."""
+    return [_gram_blocks(moduli, weights) for weights in freq._class_groups if weights.ndim == 3]
+
+
+def _group_kind(weights):
+    """The solver of one group of _class_groups: "equal" for the (U, 3) group of 3q rows, else its block size k."""
+    return "equal" if weights.ndim == 2 else weights.shape[-1]
 
 
 def _block_dtypes(moduli, freq):
@@ -416,15 +421,16 @@ def _block_dtypes(moduli, freq):
 
 
 def test_class_blocks_are_real_exactly_when_every_row_has_t1_equal_t2():
-    uniform = FREQUENCY_PRESETS["uniform"]
+    tiered = FREQUENCY_PRESETS["tiered"]
     d = np.linspace(0.0, 2.0 / 3.0, 5)
     symmetric = np.column_stack((1.0 - d, d / 2.0, d / 2.0))
     general = np.array([[0.5, 0.3, 0.2]])
-    assert _block_dtypes(symmetric, uniform) == {np.float64}
-    (empty,) = _class_blocks(np.empty((0, 3)), uniform)
+    assert _block_dtypes(symmetric, tiered) == {np.float64}
+    (empty,) = _class_blocks(np.empty((0, 3)), tiered)
     assert empty.shape == (0, 1, 3, 3) and empty.dtype == np.float64
-    assert _block_dtypes(general, uniform) == {np.complex128}
-    assert _block_dtypes(np.vstack((symmetric, general)), uniform) == {np.complex128}
+    assert _block_dtypes(general, tiered) == {np.complex128}
+    assert _block_dtypes(np.vstack((symmetric, general)), tiered) == {np.complex128}
+    assert _class_blocks(symmetric, FREQUENCY_PRESETS["uniform"]) == []  # its one class is equal: no block
 
 
 @pytest.mark.parametrize("name", sorted(FREQUENCY_PRESETS))
@@ -433,7 +439,9 @@ def test_real_symmetric_curve_matches_the_hermitian_route(monkeypatch, name):
     grid = np.linspace(0.0, 2.0 / 3.0, 801)
     real = np.array(info_curve(freq, grid))
     monkeypatch.setattr(information, "_GRAM_COSINES", information._GRAM_PHASES)
-    assert _block_dtypes(np.array([[0.5, 0.25, 0.25]]), freq) == {np.complex128}
+    rows = np.array([[0.5, 0.25, 0.25]])
+    # uniform builds no block, so tiered's blocks show that the patch took
+    assert _block_dtypes(rows, freq) | _block_dtypes(rows, FREQUENCY_PRESETS["tiered"]) == {np.complex128}
     hermitian = np.array(info_curve(freq, grid))
     assert np.array_equal(real[:, 0], hermitian[:, 0])
     assert np.abs(real[:, 1] - hermitian[:, 1]).max() < 1e-14
@@ -446,8 +454,9 @@ def test_column_phases_do_not_matter_on_the_real_route(monkeypatch):
     col = AttackColumn(math.sqrt(0.6), c1, c1.conjugate())
     moduli = col.moduli_squared()
     assert moduli[1] == moduli[2]
+    dtypes = [_block_dtypes(np.array([moduli]), freq) for freq in FREQUENCY_PRESETS.values()]
+    assert set().union(*dtypes) == {np.float64}  # uniform builds no block; every other preset's blocks are real
     for freq in FREQUENCY_PRESETS.values():
-        assert _block_dtypes(np.array([moduli]), freq) == {np.float64}
         _assert_spectrum_matches_dense(col, freq)
     real = [holevo_information(col, freq).value for freq in FREQUENCY_PRESETS.values()]
     monkeypatch.setattr(information, "_GRAM_COSINES", information._GRAM_PHASES)
@@ -493,9 +502,16 @@ def _all_class_curve(freq, moduli):
 
 
 def test_presets_keep_one_block_per_distinct_nonempty_class():
-    layout = {name: {w.shape[1]: len(w) for w in freq._class_groups} for name, freq in FREQUENCY_PRESETS.items()}
-    want = {"uniform": {3: 1}, "tiered": {3: 1}, "sparse": {2: 2, 1: 1}, "peaked": {2: 1}, "two-bigram": {1: 2}}
+    layout = {name: [(_group_kind(w), len(w)) for w in freq._class_groups] for name, freq in FREQUENCY_PRESETS.items()}
+    want = {
+        "uniform": [("equal", 1)],
+        "tiered": [(3, 1)],
+        "sparse": [(1, 1), (2, 2)],
+        "peaked": [(2, 1)],
+        "two-bigram": [(1, 2)],
+    }
     assert layout == want
+    assert FREQUENCY_PRESETS["uniform"]._class_groups[0].tolist() == [[3.0 / 9.0] * 3]
 
 
 @pytest.mark.parametrize("name", sorted(FREQUENCY_PRESETS))
@@ -530,7 +546,7 @@ def _zero_pattern_tables():
 
 def test_zero_pattern_tables_cover_every_group_pattern_and_signed_zero():
     tables = _zero_pattern_tables()
-    patterns = {tuple(w.shape[1] for w in freq._class_groups) for freq in tables}
+    patterns = {tuple(_group_kind(w) for w in freq._class_groups) for freq in tables}
     assert patterns == {(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)}
     assert any(math.copysign(1.0, x) < 0 for freq in tables for x in freq.p.ravel())
     assert any((freq._class_counts > 1).any() for freq in tables)
@@ -593,11 +609,16 @@ def _equal_class_tables():
 
 def test_equal_class_tables_cover_their_layouts():
     tables = _equal_class_tables()
-    groups = [freq._equal_q > 0.0 for freq in tables]
-    assert all(equal.any() for equal in groups)
-    assert any(not equal.all() for equal in groups)  # an equal class beside a general 3x3 class
-    # the k = 3 group comes last, so its counts are the last ones
-    assert any((freq._class_counts[-len(freq._equal_q) :][freq._equal_q > 0.0] == 2).any() for freq in tables)
+    kinds = [[_group_kind(w) for w in freq._class_groups] for freq in tables]
+    assert all(kind[-1] == "equal" and kind.count("equal") == 1 for kind in kinds)
+    assert any(3 in kind for kind in kinds)  # an equal class beside a general 3x3 class
+    for freq in tables:
+        equal = freq._class_groups[-1]
+        columns = [freq.p[:, j] for j in range(3) if (freq.p[:, j] == freq.p[0, j]).all()]
+        assert {tuple(row) for row in equal.tolist()} == {(3.0 * p[0],) * 3 for p in columns}
+    # the equal group comes last, so its counts are the last ones
+    assert any((freq._class_counts[-len(freq._class_groups[-1]) :] == 2).any() for freq in tables)
+    assert any(len(freq._class_groups[-1]) == 2 for freq in tables)  # two equal classes with different q
     assert any(len(freq._class_groups) > 1 for freq in tables)
     assert any(math.copysign(1.0, x) < 0 for freq in tables for x in freq.p.ravel())
 
@@ -656,10 +677,41 @@ def test_equal_frequency_classes_never_reach_eigvalsh(monkeypatch):
         info_curve(FREQUENCY_PRESETS["tiered"], [0.1, 0.2])
     assert seen == [(2, 1, 3, 3)]
     mixed = FrequencyTable(np.column_stack(([0.1] * 3, [0.2, 0.3, 0.1], [0.05, 0.03, 0.02])))
-    assert mixed._equal_q.tolist() == [0.1, 0.0, 0.0]
+    assert [(_group_kind(w), len(w)) for w in mixed._class_groups] == [(3, 2), ("equal", 1)]
+    assert mixed._class_groups[1].tolist() == [[3.0 * 0.1] * 3]
     with pytest.raises(RuntimeError, match="eigvalsh called"):
         info_curve(mixed, [0.1, 0.2, 0.3])
     assert seen[-1] == (3, 2, 3, 3)  # only the two classes whose frequencies differ
+
+
+def test_only_exactly_equal_frequencies_skip_eigvalsh(monkeypatch):
+    # (q, q, r) and (q, q, q + 1 ulp) are not equal classes: both go to
+    # eigvalsh, beside the one class (q, q, q) that is.
+    q = 0.1
+    p = np.column_stack(([q, q, 0.2], [q, q, np.nextafter(q, 1.0)], [q, q, q]))
+    freq = FrequencyTable(p)
+    assert np.array_equal(freq.p, p)
+    assert [(_group_kind(w), len(w)) for w in freq._class_groups] == [(3, 2), ("equal", 1)]
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(blocks):
+        seen.append(blocks.shape)
+        return eigvalsh(blocks)
+
+    monkeypatch.setattr(information.np.linalg, "eigvalsh", spy)
+    grid = np.linspace(0.0, 2.0 / 3.0, 801)
+    curve = info_curve(freq, grid)
+    assert seen == [(801, 2, 3, 3)]
+    assert np.abs(curve[:, 1] - _all_class_curve(freq, _symmetric_moduli(grid))).max() < 1e-14
+    # At d = 2/3 the squared moduli are flat, the (q, q, r) block is
+    # diag(q, q, r) to roundoff and q is a double eigenvalue.
+    col = symmetric_column(2.0 / 3.0)
+    lams = np.sort(information._class_spectra(np.array([col.moduli_squared()]), freq)[0, 0])
+    lam_dense = np.linalg.eigvalsh(assemble_rho(col, freq).m)
+    assert np.abs(lam_dense - np.sort(p.ravel())).max() < 1e-10
+    assert np.abs(lams - [q, q, 0.2]).max() < 1e-10
+    _assert_spectrum_matches_dense(col, freq)
 
 
 def test_class_spectra_build_blocks_only_for_the_classes_they_solve_from_one(monkeypatch):
@@ -683,15 +735,14 @@ def test_class_spectra_build_blocks_only_for_the_classes_they_solve_from_one(mon
     built.clear()
     info_curve(mixed, [0.1, 0.2, 0.3])
     ((weights, shape),) = built
-    assert shape == (3, 2, 3, 3) and np.array_equal(weights, mixed._class_groups[0][1:])  # the two unequal classes
-    # Every smaller group is built whole, and a 3x3 group without its equal classes.
+    assert shape == (3, 2, 3, 3) and weights is mixed._class_groups[0]  # the two unequal classes
+    # Every weight group is built whole, once; the equal group is never built.
     tables = [FREQUENCY_PRESETS[name] for name in ("sparse", "peaked", "two-bigram")] + _equal_class_tables()
     for freq in tables:
         built.clear()
         info_curve(freq, grid)
-        want = [w[freq._equal_q == 0.0] if w.shape[1] == 3 else w for w in freq._class_groups]
-        want = [w for w in want if len(w)]
-        assert len(built) == len(want) and all(np.array_equal(w, v) for (w, _), v in zip(built, want))
+        want = [w for w in freq._class_groups if w.ndim == 3]
+        assert len(built) == len(want) and all(w is v for (w, _), v in zip(built, want))
         assert all(shape == (801, *w.shape) for w, shape in built)
 
 
