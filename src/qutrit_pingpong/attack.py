@@ -182,8 +182,16 @@ _CIRCULANT_INDEX.setflags(write=False)
 # preserve the complete mixedness of the travelling qutrit.
 _BROKEN_DIAGONALS = 3 * np.arange(3) + (np.arange(3)[None, :] + np.arange(3)[:, None]) % 3
 _BROKEN_DIAGONALS.setflags(write=False)
-# Entry 3m + n of this index is the flat position of [m, 3n + m, n] in a
-# (3, ANCILLA_DIM, 3) array: 27m + 3(3n + m) + n = 30m + 10n.
+# Entry 3m + n of the circulant of a first column c is c[_CIRCULANT_FLAT[3m + n]].
+_CIRCULANT_FLAT = _CIRCULANT_INDEX.ravel()
+_CIRCULANT_FLAT.setflags(write=False)
+# Flat positions in a (3, ANCILLA_DIM, 3) isometry V[m, slot, n]: entry 3m + n
+# of _SLOT_ZERO is that of [m, 0, n], 27m + n, and _SLOT_ZERO_DIAGONAL holds
+# those of [m, 0, m]; entry 3m + n of _BRANCH_SLOTS is that of [m, 3n + m, n],
+# 27m + 3(3n + m) + n = 30m + 10n.
+_SLOT_ZERO = (3 * ANCILLA_DIM * np.arange(3)[:, None] + np.arange(3)[None, :]).ravel()
+_SLOT_ZERO.setflags(write=False)
+_SLOT_ZERO_DIAGONAL = _SLOT_ZERO[::4]
 _BRANCH_SLOTS = (30 * np.arange(3)[:, None] + 10 * np.arange(3)[None, :]).ravel()
 _BRANCH_SLOTS.setflags(write=False)
 
@@ -421,17 +429,19 @@ def isometry(attack: AttackSpec, ancilla: str) -> np.ndarray:
     completion's matrix. In mode "branch", with e the circulant of
     column.as_array(), V[m, 3n + m, n] = e[m, n] and every other entry is 0:
     slot 3n + m records the branch that rewrote n into m. The columns of e
-    are the unit column permuted, so V is an isometry.
+    are the unit column permuted, so V is an isometry. The nonzero entries
+    are written into one flat zero vector through flat positions built at
+    import, and V is its (3, ANCILLA_DIM, 3) view.
     """
     check_ancilla(ancilla)
-    v = np.zeros((3, ANCILLA_DIM, 3), dtype=np.complex128)
+    v = np.zeros(3 * ANCILLA_DIM * 3, dtype=np.complex128)
     if isinstance(attack, NoAttack):
-        v[:, 0, :] = np.eye(3)
+        v[_SLOT_ZERO_DIAGONAL] = 1.0
     elif ancilla == "none":
-        v[:, 0, :] = complete_circulant(attack.column, attack.basis).m
+        v[_SLOT_ZERO] = complete_circulant(attack.column, attack.basis).m.ravel()
     else:
-        v.flat[_BRANCH_SLOTS] = circulant(attack.column.as_array()).ravel()
-    return v
+        v[_BRANCH_SLOTS] = attack.column.as_array()[_CIRCULANT_FLAT]
+    return v.reshape(3, ANCILLA_DIM, 3)
 
 
 def attack_from_dict(data: dict) -> AttackSpec:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 import numpy as np
@@ -142,10 +143,13 @@ def _cmd_simulate(args) -> int:
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     # Open each output before the run, as a shell redirection would, so that
-    # a bad path fails before any cycle is drawn.
+    # a bad path fails before any cycle is drawn. Both exist then, so samefile
+    # also catches two spellings of one path and a link to the other.
     for path in (args.transcript, args.out):
         if path:
             open(path, "wb").close()
+    if args.transcript and args.out and os.path.samefile(args.transcript, args.out):
+        raise ValueError("--out and --transcript name the same file")
     report = run(config)
     if args.transcript:
         write_transcript(report.outcomes, args.transcript)

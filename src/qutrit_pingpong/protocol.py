@@ -14,9 +14,15 @@ to the amplitudes they are given. That state is the same every cycle, so
 each cycle is one draw from the exact Born distribution over 99 outcome
 codes (a control pair in a basis, or a sent and a decoded bigram). run
 builds it once per run from attack_state's amplitudes, by one product with
-a stacked (99, 9) amplitude map built at import. It weights the table block
-by block, reads both bases' predicted detections from its control rows in
-one reduction, and samples it by inverting its cumulative table. A run keeps one outcome byte
+a stacked (99, 9) amplitude map built at import. Everything else that
+depends only on the layout of the codes is an index map built at import
+too, so a run does only the work its config and its draws need: it writes
+the eleven block weights into one vector and scales the table by one
+broadcast product, samples it by inverting its cumulative table, tests each
+block of draws for a forbidden code by one integer product of its counts,
+and after the last block reads the rounds and caught detections of both
+bases from the counts through one integer map and their predicted
+detections from the table through one gather. A run keeps one outcome byte
 per cycle; the report's counts and the CSV transcript are both derived
 from those bytes. The sampler and the transcript writer both work in
 blocks of at most _BLOCK = 2**12 cycles; each transcript row is its cycle
@@ -107,11 +113,10 @@ def _born(amplitude_map: np.ndarray, amps: np.ndarray) -> np.ndarray:
     return (np.abs(amplitude_map @ amps.reshape(9, ANCILLA_DIM)) ** 2).sum(axis=-1)
 
 
-def _detections(control: np.ndarray, honest: np.ndarray) -> list[float]:
-    """Detection probability of each row of nine control probabilities: one minus its mass on the pairs that
-    the same row of the boolean mask honest marks (three per row, rows of HONEST_PAIRS), floored at 0."""
-    kept = control[honest].reshape(len(control), 3).sum(axis=1)
-    return np.maximum(0.0, 1.0 - kept).tolist()
+def _detections(honest: np.ndarray) -> list[float]:
+    """Detection probability of each row of an (r, 3) array that holds the probabilities of the three pairs an
+    honest channel gives in one control basis: one minus the row's sum, floored at 0."""
+    return np.maximum(0.0, 1.0 - honest.sum(axis=1)).tolist()
 
 
 def control_distribution(amps: np.ndarray, alice_basis: str) -> np.ndarray:
@@ -130,7 +135,8 @@ def detection_probability(amps: np.ndarray, alice_basis: str) -> float:
     One minus the mass of the outcome pairs an honest channel gives.
     """
     s = BASIS_LABELS.index(check_basis(alice_basis))
-    return _detections(_born(CONTROL_MAPS[s : s + 1], _checked_amps(amps)), HONEST_PAIRS[s : s + 1])[0]
+    control = _born(CONTROL_MAPS[s : s + 1], _checked_amps(amps))
+    return _detections(control[HONEST_PAIRS[s : s + 1]].reshape(1, 3))[0]
 
 
 def decode_distribution(amps: np.ndarray, bigram: tuple[int, int]) -> np.ndarray:
@@ -228,11 +234,22 @@ def attack_state(attack: AttackSpec, ancilla: str) -> np.ndarray:
     return amps
 
 
-# Honest pairs of each control basis, and a mask over the outcome codes: True for a
-# control pair an honest channel never gives.
+# Index maps over the outcome codes that run reads its tallies through.
+# _FORBIDDEN marks a control pair an honest channel never gives, as a mask and
+# as 0/1 counts. Row s of _HONEST_CODES holds the codes 9s + 3a + b of the three
+# pairs an honest channel gives in basis CONTROL_BASES[s], in row order.
+# _TALLIES @ counts is [rounds, caught]: row 0 sums each basis's nine control
+# codes, row 1 only its forbidden ones.
 _HONEST_CONTROL = HONEST_PAIRS[: len(CONTROL_BASES)]
 _FORBIDDEN = np.append(~_HONEST_CONTROL, np.zeros(_N_CODES - _MESSAGE_CODE, dtype=bool))
 _FORBIDDEN.setflags(write=False)
+_FORBIDDEN_COUNTS = _FORBIDDEN.astype(np.int64)
+_FORBIDDEN_COUNTS.setflags(write=False)
+_HONEST_CODES = np.flatnonzero(_HONEST_CONTROL).reshape(len(CONTROL_BASES), 3)
+_HONEST_CODES.setflags(write=False)
+_BASIS_CODES = (np.arange(_N_CODES) // 9 == np.arange(len(CONTROL_BASES))[:, None]).astype(np.int64)
+_TALLIES = np.stack([_BASIS_CODES, _BASIS_CODES * _FORBIDDEN_COUNTS])
+_TALLIES.setflags(write=False)
 
 
 TRANSCRIPT_HEADER = "cycle,mode,basis,alice,bob,detected,sent,decoded"
@@ -376,7 +393,7 @@ class RunReport:
         object.__setattr__(self, "control_rounds", control)
         object.__setattr__(self, "message_rounds", self.outcomes.size - control)
         object.__setattr__(self, "detections", detections)
-        object.__setattr__(self, "correct_messages", int(np.trace(self.confusion)))
+        object.__setattr__(self, "correct_messages", int(self.confusion.trace()))
         rtd = rounds_for_confidence(detections / control) if detections else None
         object.__setattr__(self, "rounds_to_detection", rtd)
 
@@ -403,7 +420,7 @@ def _cdf(probs: np.ndarray) -> np.ndarray:
     call and was slower on a shared 2-vCPU machine: 32 against 18 us for
     200 cycles, 353 against 304 us for 4096, this table's build included.
     """
-    cum = np.cumsum(probs)
+    cum = probs.cumsum()
     cum /= cum[-1]
     return cum
 
@@ -412,43 +429,55 @@ def run(config: ProtocolConfig) -> RunReport:
     """Simulate the protocol and report its statistics.
 
     Each cycle is one draw from the exact 99-outcome distribution, built
-    once per run from attack_state(config.attack, config.ancilla), which
-    checks the amplitudes' norm: one Born table from the stacked 99-row
-    outcome map, weighted block by block. The nine control codes of basis
-    CONTROL_BASES[s] weigh q * basis_weights[s], and the nine message codes
-    of bigram k weigh (1 - q) * f_k, so an outcome that a zero weight rules
-    out is exactly zero. Both bases' predicted detections are read from its
-    control rows in one reduction, the one detection_probability makes.
-    Cycles are drawn in blocks of at most _BLOCK, one uniform per cycle
-    inverted through the cumulative table; PCG64 draws the same uniforms
-    however they are split into blocks, so the block size changes no
-    outcome. Each block's codes are counted as they are drawn, so memory
-    beyond one byte per cycle stays that of one block. Identical configs
-    reproduce identical reports.
+    once per run. The steps of a run:
+
+    1. a PCG64 generator seeded with config.seed;
+    2. one Born table from attack_state(config.attack, config.ancilla),
+       which checks the amplitudes' norm, by one product with the stacked
+       99-row outcome map;
+    3. the eleven block weights, written into one vector: the nine control
+       codes of basis CONTROL_BASES[s] weigh q * basis_weights[s] and the
+       nine message codes of bigram k weigh (1 - q) * f_k, so an outcome
+       that a zero weight rules out is exactly zero; one broadcast product
+       weights the table, and _cdf makes its cumulative table;
+    4. cycles drawn in blocks of at most _BLOCK, one uniform per cycle
+       inverted through the cumulative table. PCG64 draws the same uniforms
+       however they are split into blocks, so the block size changes no
+       outcome. Each block's codes are counted as they are drawn, so memory
+       beyond one byte per cycle stays that of one block; until a detection
+       is found, the integer product of a block's counts with
+       _FORBIDDEN_COUNTS tells whether the block holds one;
+    5. the integer map _TALLIES turns the counts into each basis's rounds
+       and caught detections, and the gather _HONEST_CODES of the table's
+       honest control entries gives both predicted detections, summed as
+       detection_probability sums them;
+    6. the report, with the config as JSON values.
+
+    Identical configs reproduce identical reports.
     """
     rng = np.random.Generator(np.random.PCG64(config.seed))
     table = _born(_OUTCOME_MAP, attack_state(config.attack, config.ancilla))
-    blocks = np.append(config.q * np.array(config.basis_weights), (1.0 - config.q) * config.freq.p)
-    cum = _cdf((table.reshape(len(blocks), 9) * blocks[:, None]).ravel())
+    q = config.q
+    weights = np.empty((_N_CODES // 9, 1))  # one per block of nine codes
+    weights[: len(CONTROL_BASES), 0] = [q * w for w in config.basis_weights]
+    weights[len(CONTROL_BASES) :, 0] = (1.0 - q) * config.freq.p.ravel()
+    cum = _cdf((table.reshape(weights.size, 9) * weights).ravel())
 
     codes = np.empty(config.cycles, dtype=np.uint8)
     counts = np.zeros(_N_CODES, dtype=np.int64)
     first_detection = None
     for start in range(0, config.cycles, _BLOCK):
         block = codes[start : start + _BLOCK]
-        block[:] = np.searchsorted(cum, rng.random(block.size), side="right")
+        block[:] = cum.searchsorted(rng.random(block.size), side="right")
         block_counts = np.bincount(block, minlength=_N_CODES)
-        if first_detection is None and block_counts[_FORBIDDEN].any():
+        if first_detection is None and block_counts @ _FORBIDDEN_COUNTS:
             first_detection = start + int(_FORBIDDEN[block].argmax()) + 1
         counts += block_counts
     codes.setflags(write=False)
 
-    control = counts[:_MESSAGE_CODE].reshape(len(CONTROL_BASES), 9)
-    rounds = control.sum(axis=1).tolist()
-    caught = (control * _FORBIDDEN[:_MESSAGE_CODE].reshape(len(CONTROL_BASES), 9)).sum(axis=1).tolist()
+    rounds, caught = (_TALLIES @ counts).tolist()
     confusion = counts[_MESSAGE_CODE:].reshape(9, 9)
-
-    predicted = _detections(table[:_MESSAGE_CODE].reshape(len(CONTROL_BASES), 9), _HONEST_CONTROL)
+    predicted = _detections(table[_HONEST_CODES])
     basis_stats = {
         basis: BasisStats(*stats) for basis, *stats in zip(CONTROL_BASES, rounds, caught, predicted)
     }

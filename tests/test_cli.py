@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,8 @@ from qutrit_pingpong import cli
 from qutrit_pingpong.attack import AttackColumn
 from qutrit_pingpong.cli import main
 from qutrit_pingpong.information import TRIT_TO_BIT
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_entropy_preset(tmp_path, capsys):
@@ -299,6 +302,24 @@ def test_simulate_fails_on_an_unwritable_output_before_it_runs(tmp_path, capsys,
     assert captured.out == ""
     assert captured.err.startswith("error: [Errno 2] ")
     assert not bad.parent.exists()
+
+
+@pytest.mark.parametrize("alias", ["same", "dot-slash", "symlink"])
+def test_simulate_refuses_one_file_for_the_report_and_the_transcript(tmp_path, capsys, monkeypatch, alias):
+    # Written one after the other, the report would silently replace the transcript.
+    def must_not_run(config):
+        raise AssertionError("run was called")
+
+    monkeypatch.setattr(cli, "run", must_not_run)
+    monkeypatch.chdir(tmp_path)
+    other = {"same": "report.json", "dot-slash": "./report.json", "symlink": "link.json"}[alias]
+    if alias == "symlink":
+        (tmp_path / "link.json").symlink_to(tmp_path / "report.json")
+    config = str(GOLDEN / "honest" / "config.json")
+    assert main(["simulate", "--config", config, "--out", "report.json", "--transcript", other]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --out and --transcript name the same file\n"
 
 
 _HUGE = 10**400  # a JSON integer literal too large for a float

@@ -53,6 +53,24 @@ def test_importing_information_loads_only_what_it_needs(package_env):
     ]
 
 
+def test_numpy_random_loads_at_the_first_run_not_at_import(package_env):
+    # Importing numpy.random costs several milliseconds and megabytes, which a
+    # command that never draws should not pay. numpy 1.x imports it itself.
+    code = (
+        "import sys, numpy\n"
+        "print('numpy.random' in sys.modules)\n"
+        "import qutrit_pingpong.cli\n"
+        "print('numpy.random' in sys.modules)\n"
+        "from qutrit_pingpong.protocol import ProtocolConfig, run\n"
+        "run(ProtocolConfig(cycles=1, seed=0))\n"
+        "print('numpy.random' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=package_env)
+    assert proc.returncode == 0, proc.stderr
+    by_numpy, after_import, after_run = proc.stdout.split()
+    assert (after_import, after_run) == (by_numpy, "True")
+
+
 _TAKES_A_LABEL = {
     "mub": mub,
     "control_correlations": control_correlations,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from qutrit_pingpong import protocol
+from qutrit_pingpong import attack as attack_module, protocol
 from qutrit_pingpong.attack import (
     AttackColumn,
     ColumnAttack,
@@ -155,6 +155,10 @@ def test_a_column_attack_takes_only_an_attack_column(column):
         protocol._FORBIDDEN,
         protocol._ROW_TAILS,
         *(operand for pair in protocol._ATTACK_OPERANDS.values() for operand in pair),
+        protocol._FORBIDDEN_COUNTS,
+        protocol._HONEST_CODES,
+        protocol._TALLIES,
+        *(getattr(attack_module, name) for name in ("_CIRCULANT_FLAT", "_SLOT_ZERO", "_SLOT_ZERO_DIAGONAL")),
     ],
 )
 def test_import_time_tables_are_read_only(array):
@@ -839,6 +843,83 @@ def test_outputs_do_not_depend_on_the_block_size(config, first_detection, monkey
         write_transcript(report.outcomes, tmp_path / "transcript.csv")
         outputs.append((report.outcomes.tobytes(), report.to_json(), (tmp_path / "transcript.csv").read_bytes()))
     assert all(out == outputs[0] for out in outputs[1:])
+
+
+def _reference_amps(attack, ancilla: str) -> np.ndarray:
+    """attack_state's amplitudes from the reference maps: bell_state(0, 0) with the probe in slot 0 for
+    NoAttack, _branch_amps of the unit circulant in mode "branch", _none_amps in mode "none"."""
+    if isinstance(attack, NoAttack):
+        amps = np.zeros((3, 3, ANCILLA_DIM), dtype=complex)
+        amps[:, :, 0] = BELL_STATES[0]
+        return amps
+    if ancilla == "branch":
+        return _branch_amps(_unit_circulant_of(attack.column), attack.basis)
+    return _none_amps(attack.column, attack.basis)
+
+
+def _sampler_mix() -> list[ProtocolConfig]:
+    """Seeded configs over every attack kind, both ancilla modes, all presets and q in {0, 0.3, 1}; every
+    other run spans three blocks or more, and the last is first detected in its third block."""
+    rng = np.random.default_rng(35)
+    attacks = [NoAttack(), SymmetricAttack(0.4), *(ColumnAttack(basis, _FEASIBLE_COLUMN) for basis in "zxvt")]
+    presets = sorted(FREQUENCY_PRESETS)
+    configs = []
+    for k, (attack, ancilla) in enumerate((a, mode) for a in attacks for mode in ("branch", "none")):
+        z_weight = float(rng.choice([0.0, 0.5, 1.0, rng.random()]))
+        configs.append(
+            ProtocolConfig(
+                cycles=int(2 * _BLOCK + rng.integers(1, _BLOCK)) if k % 2 else int(rng.integers(1, 400)),
+                seed=int(rng.integers(2**31)),
+                freq=FREQUENCY_PRESETS[presets[k % len(presets)]],
+                attack=attack,
+                q=(0.0, 0.3, 1.0)[k % 3],
+                basis_weights=(z_weight, 1.0 - z_weight),
+                ancilla=ancilla,
+            )
+        )
+    late = ProtocolConfig(
+        cycles=3 * _BLOCK + 5,
+        seed=23,
+        freq=FREQUENCY_PRESETS["sparse"],
+        attack=SymmetricAttack(3e-4),
+        q=0.3,
+        basis_weights=(1.0, 0.0),
+    )
+    return configs + [late]
+
+
+def test_run_matches_a_reference_sampler_and_a_plain_python_tally():
+    configs = _sampler_mix()
+    honest = [control_correlations(basis).allowed_pairs() for basis in CONTROL_BASES]
+    forbidden = {9 * s + 3 * a + b for s in range(2) for a in range(3) for b in range(3) if (a, b) not in honest[s]}
+    for cfg in configs:
+        amps = attack_state(cfg.attack, cfg.ancilla)
+        assert np.abs(amps - _reference_amps(cfg.attack, cfg.ancilla)).max() <= 1e-15
+        cum = _cdf(_two_map_outcome_distribution(cfg, amps))
+        rng = np.random.Generator(np.random.PCG64(cfg.seed))
+        want = np.concatenate(
+            [
+                np.searchsorted(cum, rng.random(min(_BLOCK, cfg.cycles - start)), side="right")
+                for start in range(0, cfg.cycles, _BLOCK)
+            ]
+        )
+        report = run(cfg)
+        codes = report.outcomes.tolist()
+        assert codes == want.tolist()
+
+        counts = [0] * 99
+        for code in codes:
+            counts[code] += 1
+        first = next((cycle for cycle, code in enumerate(codes, start=1) if code in forbidden), None)
+        assert report.first_detection_cycle == first
+        for s, basis in enumerate(CONTROL_BASES):
+            stats = report.basis_stats[basis]
+            assert stats.rounds == sum(counts[9 * s : 9 * s + 9])
+            assert stats.detections == sum(counts[c] for c in range(9 * s, 9 * s + 9) if c in forbidden)
+            assert stats.predicted == detection_probability(amps, basis)
+        assert report.confusion.tolist() == [counts[18 + 9 * k : 27 + 9 * k] for k in range(9)]
+        assert report.detections == sum(counts[c] for c in forbidden)
+    assert report.first_detection_cycle > 2 * _BLOCK  # the last run's, in its third block
 
 
 def _von_neumann_trits(rho: np.ndarray) -> float:
