@@ -244,9 +244,15 @@ def complete_circulant(col: AttackColumn, representation: str = "z") -> AttackOp
     t1 = t2. Entry phases of the result generally differ from the input
     column's; the cyclic-shift structure makes the broken-diagonal moduli
     pattern hold exactly. Raises NumericalError, naming the violated
-    triangle inequality, when the links miss closing by more than 1e-10.
+    triangle inequality, when the links miss closing by more than 1e-10;
+    the result is unitary by construction, and _check_circulant checks it.
     """
     check_basis(representation)
+    return AttackOperator(circulant(_completion_column(col)), representation)
+
+
+def _completion_column(col: AttackColumn) -> np.ndarray:
+    """The first column of complete_circulant's result, after _check_circulant."""
     t0, t1, t2 = col.moduli_squared()
     links = {
         "sqrt(t0*t2)": math.sqrt(t0 * t2),
@@ -277,7 +283,19 @@ def complete_circulant(col: AttackColumn, representation: str = "z") -> AttackOp
     phase1 = math.pi - (2.0 * opp02 + opp01) / 3.0
     phase2 = math.pi - (opp02 + 2.0 * opp01) / 3.0
     c = (math.sqrt(t0), math.sqrt(t1) * cmath.exp(1j * phase1), math.sqrt(t2) * cmath.exp(1j * phase2))
-    return AttackOperator(circulant(c), representation)
+    _check_circulant(c)
+    return np.array(c, dtype=np.complex128)
+
+
+def _check_circulant(c) -> float:
+    """check_unitary's residual for the circulant of first column c (three Python numbers), read from c alone as
+    the larger of |sum |c_i|^2 - 1| and |c0 conj(c2) + c1 conj(c0) + c2 conj(c1)|; ValueError above CONSTRAINT_TOL."""
+    c0, c1, c2 = c
+    off_diagonal = abs(c0 * c2.conjugate() + c1 * c0.conjugate() + c2 * c1.conjugate())
+    residual = max(abs(abs(c0) ** 2 + abs(c1) ** 2 + abs(c2) ** 2 - 1.0), off_diagonal)
+    if residual > CONSTRAINT_TOL:
+        raise ValueError(f"circulant completion is not unitary, residual {residual:.3e}")
+    return residual
 
 
 def column_z_from_x(col_x: AttackColumn) -> tuple[float, float, float]:
@@ -425,20 +443,20 @@ def isometry(attack: AttackSpec, ancilla: str) -> np.ndarray:
 
     V sends basis vector n of the travelling qutrit, the probe in slot 0, to
     the sum over m and slot of V[m, slot, n] |m>|slot>. In slot 0, NoAttack
-    is the identity and a column attack in ancilla mode "none" its circulant
-    completion's matrix. In mode "branch", with e the circulant of
-    column.as_array(), V[m, 3n + m, n] = e[m, n] and every other entry is 0:
-    slot 3n + m records the branch that rewrote n into m. The columns of e
-    are the unit column permuted, so V is an isometry. The nonzero entries
-    are written into one flat zero vector through flat positions built at
-    import, and V is its (3, ANCILLA_DIM, 3) view.
+    is the identity and a column attack in ancilla mode "none" the circulant
+    of _completion_column(column), complete_circulant's matrix. In mode
+    "branch", with e the circulant of column.as_array(), V[m, 3n + m, n] =
+    e[m, n] and every other entry is 0: slot 3n + m records the branch that
+    rewrote n into m. The columns of e are the unit column permuted, so V is
+    an isometry. The nonzero entries are written into one flat zero vector
+    through flat positions built at import, and V is its view.
     """
     check_ancilla(ancilla)
     v = np.zeros(3 * ANCILLA_DIM * 3, dtype=np.complex128)
     if isinstance(attack, NoAttack):
         v[_SLOT_ZERO_DIAGONAL] = 1.0
     elif ancilla == "none":
-        v[_SLOT_ZERO] = complete_circulant(attack.column, attack.basis).m.ravel()
+        v[_SLOT_ZERO] = _completion_column(attack.column)[_CIRCULANT_FLAT]
     else:
         v[_BRANCH_SLOTS] = attack.column.as_array()[_CIRCULANT_FLAT]
     return v.reshape(3, ANCILLA_DIM, 3)

@@ -13,20 +13,14 @@ detection_probability, control_distribution and decode_distribution apply
 to the amplitudes they are given. That state is the same every cycle, so
 each cycle is one draw from the exact Born distribution over 99 outcome
 codes (a control pair in a basis, or a sent and a decoded bigram). run
-builds it once per run from attack_state's amplitudes, by one product with
-a stacked (99, 9) amplitude map built at import. Everything else that
-depends only on the layout of the codes is an index map built at import
-too, so a run does only the work its config and its draws need: it writes
-the eleven block weights into one vector and scales the table by one
-broadcast product, samples it by inverting its cumulative table, tests each
-block of draws for a forbidden code by one integer product of its counts,
-and after the last block reads the rounds and caught detections of both
-bases from the counts through one integer map and their predicted
-detections from the table through one gather. A run keeps one outcome byte
-per cycle; the report's counts and the CSV transcript are both derived
-from those bytes. The sampler and the transcript writer both work in
-blocks of at most _BLOCK = 2**12 cycles; each transcript row is its cycle
-number and one row of a 99-entry tail table built once, at import.
+builds it once per run and reads everything that depends only on the
+layout of the codes through maps built at import, so a run does only the
+work its config and its draws need; run's docstring lists the steps, the
+report's totals among them. A run keeps one outcome byte per cycle; the
+report's counts and the CSV transcript are both derived from those bytes.
+The sampler and the transcript writer both work in blocks of at most
+_BLOCK = 2**12 cycles; each transcript row is its cycle number and one row
+of a 99-entry tail table built once, at import.
 """
 
 from __future__ import annotations
@@ -238,8 +232,9 @@ def attack_state(attack: AttackSpec, ancilla: str) -> np.ndarray:
 # _FORBIDDEN marks a control pair an honest channel never gives, as a mask and
 # as 0/1 counts. Row s of _HONEST_CODES holds the codes 9s + 3a + b of the three
 # pairs an honest channel gives in basis CONTROL_BASES[s], in row order.
-# _TALLIES @ counts is [rounds, caught]: row 0 sums each basis's nine control
-# codes, row 1 only its forbidden ones.
+# _TALLIES @ counts is [rounds per basis, caught per basis, correct messages]: a
+# basis row sums its nine control codes or only its forbidden ones, and the last
+# row the codes 18 + 10k that decoded bigram k as sent.
 _HONEST_CONTROL = HONEST_PAIRS[: len(CONTROL_BASES)]
 _FORBIDDEN = np.append(~_HONEST_CONTROL, np.zeros(_N_CODES - _MESSAGE_CODE, dtype=bool))
 _FORBIDDEN.setflags(write=False)
@@ -248,7 +243,8 @@ _FORBIDDEN_COUNTS.setflags(write=False)
 _HONEST_CODES = np.flatnonzero(_HONEST_CONTROL).reshape(len(CONTROL_BASES), 3)
 _HONEST_CODES.setflags(write=False)
 _BASIS_CODES = (np.arange(_N_CODES) // 9 == np.arange(len(CONTROL_BASES))[:, None]).astype(np.int64)
-_TALLIES = np.stack([_BASIS_CODES, _BASIS_CODES * _FORBIDDEN_COUNTS])
+_CORRECT_CODES = np.isin(np.arange(_N_CODES), _MESSAGE_CODE + 10 * np.arange(9))
+_TALLIES = np.vstack([_BASIS_CODES, _BASIS_CODES * _FORBIDDEN_COUNTS, _CORRECT_CODES])
 _TALLIES.setflags(write=False)
 
 
@@ -368,8 +364,9 @@ class RunReport:
     outcomes is a read-only uint8 array with one code per cycle: 9s + 3a + b
     for a control round in basis CONTROL_BASES[s] with results a and b,
     18 + 9k + out for a message round that sent bigram k and decoded out.
-    Every count derives from it: the run passes the per-basis statistics and
-    the confusion matrix, and the report sums them into its totals.
+    Every count derives from it: the run passes the per-basis statistics, the
+    confusion matrix and its totals control_rounds, detections and
+    correct_messages, and the report derives the rest from those.
     write_transcript turns outcomes into the CSV transcript, and as_dict
     and to_json leave it out.
     """
@@ -380,21 +377,16 @@ class RunReport:
     confusion: np.ndarray
     outcomes: np.ndarray
     cycles: int = field(init=False)
-    control_rounds: int = field(init=False)
+    control_rounds: int
     message_rounds: int = field(init=False)
-    detections: int = field(init=False)
-    correct_messages: int = field(init=False)
+    detections: int
+    correct_messages: int
     rounds_to_detection: int | None = field(init=False)
 
     def __post_init__(self):
-        control = sum(s.rounds for s in self.basis_stats.values())
-        detections = sum(s.detections for s in self.basis_stats.values())
         object.__setattr__(self, "cycles", self.outcomes.size)
-        object.__setattr__(self, "control_rounds", control)
-        object.__setattr__(self, "message_rounds", self.outcomes.size - control)
-        object.__setattr__(self, "detections", detections)
-        object.__setattr__(self, "correct_messages", int(self.confusion.trace()))
-        rtd = rounds_for_confidence(detections / control) if detections else None
+        object.__setattr__(self, "message_rounds", self.outcomes.size - self.control_rounds)
+        rtd = rounds_for_confidence(self.detections / self.control_rounds) if self.detections else None
         object.__setattr__(self, "rounds_to_detection", rtd)
 
     def as_dict(self) -> dict:
@@ -448,10 +440,10 @@ def run(config: ProtocolConfig) -> RunReport:
        is found, the integer product of a block's counts with
        _FORBIDDEN_COUNTS tells whether the block holds one;
     5. the integer map _TALLIES turns the counts into each basis's rounds
-       and caught detections, and the gather _HONEST_CODES of the table's
-       honest control entries gives both predicted detections, summed as
-       detection_probability sums them;
-    6. the report, with the config as JSON values.
+       and caught detections and the correct messages, as Python ints, and
+       the gather _HONEST_CODES of the table's honest control entries gives
+       both predicted detections, summed as detection_probability sums them;
+    6. the report, with the config as JSON values and the totals of step 5.
 
     Identical configs reproduce identical reports.
     """
@@ -475,10 +467,12 @@ def run(config: ProtocolConfig) -> RunReport:
         counts += block_counts
     codes.setflags(write=False)
 
-    rounds, caught = (_TALLIES @ counts).tolist()
+    *per_basis, correct = (_TALLIES @ counts).tolist()
+    rounds, caught = per_basis[: len(CONTROL_BASES)], per_basis[len(CONTROL_BASES) :]
     confusion = counts[_MESSAGE_CODE:].reshape(9, 9)
     predicted = _detections(table[_HONEST_CODES])
     basis_stats = {
         basis: BasisStats(*stats) for basis, *stats in zip(CONTROL_BASES, rounds, caught, predicted)
     }
-    return RunReport(config.to_dict(), first_detection, basis_stats, confusion, codes)
+    totals = sum(rounds), sum(caught), correct
+    return RunReport(config.to_dict(), first_detection, basis_stats, confusion, codes, *totals)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qutrit_pingpong.attack import (
+    CONSTRAINT_TOL,
     REFERENCE_ATTACKS,
     AttackColumn,
     AttackOperator,
@@ -20,10 +21,12 @@ from qutrit_pingpong.attack import (
     column_z_from_x,
     complete_circulant,
     detection_from_column,
+    isometry,
     normalized_column,
     symmetric_column,
     verify_reference_attacks,
 )
+from qutrit_pingpong.attack import _check_circulant
 from qutrit_pingpong.qutrit import OMEGA, NumericalError
 
 
@@ -243,6 +246,66 @@ def test_completion_verdict_is_the_chain_link_triangle():
         assert np.abs(np.abs(op.m[:, 0]) ** 2 - np.array([t0, t1, t2])).max() < 1e-12
         assert _unitarity_residual(op.m) < 1e-12
     assert 200 < accepted < 300
+
+
+def _feasible_columns(count: int, seed: int) -> list[AttackColumn]:
+    """Seeded columns of random unitary circulants, then the edge columns the completion must accept: the pure
+    shifts, the flat triangle at d = 8/9 and the column whose links miss closing by 1e-10."""
+    rng = np.random.default_rng(seed)
+    fourier = np.array([[OMEGA ** ((l * m) % 3) for m in range(3)] for l in range(3)])
+    columns = [
+        AttackColumn(*(fourier @ np.exp(1j * rng.uniform(-math.pi, math.pi, 3)) / 3.0).tolist())
+        for _ in range(count)
+    ]
+    return columns + [
+        AttackColumn(1.0, 0.0, 0.0),
+        AttackColumn(0.0, 1.0, 0.0),
+        AttackColumn(0.0, 0.0, 1.0),
+        AttackColumn(0.0, 1j, 0.0),
+        _symmetric_shape(8.0 / 9.0),
+        AttackColumn(math.sqrt(1.0 - 1e-20), 1e-10, 0.0),
+    ]
+
+
+@pytest.mark.parametrize("basis", ["z", "x", "v", "t"])
+def test_none_isometry_writes_the_completion_into_slot_zero(basis):
+    for col in _feasible_columns(40, seed=31 + "zxvt".index(basis)):
+        v = isometry(ColumnAttack(basis, col), "none")
+        block = v[:, 0, :]
+        assert np.array_equal(block, complete_circulant(col, basis).m)
+        assert not v[:, 1:, :].any()
+        assert _unitarity_residual(block) <= CONSTRAINT_TOL
+        for g in range(3):
+            moduli = [abs(block[j, (j + g) % 3]) ** 2 for j in range(3)]
+            assert moduli[0] == moduli[1] == moduli[2]
+
+
+def test_circulant_residual_is_the_unitarity_residual_of_its_matrix():
+    # _unitarity_residual is check_unitary's max|C^dagger C - I|.
+    rng = np.random.default_rng(53)
+    columns = [complete_circulant(col).m[:, 0] for col in _feasible_columns(200, seed=52)]
+    columns += [rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(200)]
+    for c in columns:
+        c = c / np.linalg.norm(c) * rng.uniform(1.0 - 1e-10, 1.0 + 1e-10)
+        matrix_residual = _unitarity_residual(circulant(c))
+        try:
+            residual = _check_circulant(c.tolist())
+        except ValueError:
+            assert matrix_residual > CONSTRAINT_TOL
+            continue
+        assert abs(residual - matrix_residual) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "c, residual",
+    [
+        ((1.0, 0.1, 0.0), "1.000e-01"),  # its off-diagonal entries have modulus 0.1
+        ((math.sqrt(1.0 + 3e-9), 0.0, 0.0), "3.000e-09"),  # its diagonal misses 1 by 3e-9
+    ],
+)
+def test_non_unitary_circulant_names_its_residual(c, residual):
+    with pytest.raises(ValueError, match=f"circulant completion is not unitary, residual {residual}"):
+        _check_circulant(c)
 
 
 def test_completion_rejects_unknown_representation():

@@ -117,12 +117,22 @@ def test_array_holding_values_compare_and_hash(make):
 
 
 # Each record's constructor takes only its facts; every other field derives from them.
+# RunReport's facts include the totals run tallies from the outcome counts.
 _RECORD_FACTS = {
     ProtocolDescriptor: ["name", "carrier_dim", "group_size"],
     ReferenceAttack: ["a", "b", "c", "d_x", "d_z"],
     ReferenceCheck: ["row", "d_x", "d_z"],
     BasisStats: ["rounds", "detections", "predicted"],
-    RunReport: ["config", "first_detection_cycle", "basis_stats", "confusion", "outcomes"],
+    RunReport: [
+        "config",
+        "first_detection_cycle",
+        "basis_stats",
+        "confusion",
+        "outcomes",
+        "control_rounds",
+        "detections",
+        "correct_messages",
+    ],
 }
 
 
@@ -152,11 +162,12 @@ def test_records_derive_their_totals_and_verdicts_from_their_facts():
     confusion = np.diag([2, 1, 0, 0, 0, 0, 0, 0, 1])
     confusion[0, 1] = 1
     stats = {"z": BasisStats(4, 1, 0.25), "x": BasisStats(2, 1, 0.5)}
-    report = RunReport({}, 3, stats, confusion, np.zeros(11, dtype=np.uint8))
+    report = RunReport({}, 3, stats, confusion, np.zeros(11, dtype=np.uint8), 6, 2, 4)
     totals = (report.cycles, report.control_rounds, report.message_rounds, report.detections)
     assert totals == (11, 6, 5, 2)
     assert report.correct_messages == 4
     assert report.rounds_to_detection == rounds_for_confidence(2 / 6)
     assert "outcomes" not in report.as_dict() and report.as_dict()["message_rounds"] == 5
-    quiet = RunReport({}, None, {"z": BasisStats(3, 0, 0.0), "x": idle}, confusion, np.zeros(8, dtype=np.uint8))
+    quiet_stats = {"z": BasisStats(3, 0, 0.0), "x": idle}
+    quiet = RunReport({}, None, quiet_stats, confusion, np.zeros(8, dtype=np.uint8), 3, 0, 4)
     assert (quiet.detections, quiet.rounds_to_detection) == (0, None)

@@ -904,6 +904,9 @@ def test_run_matches_a_reference_sampler_and_a_plain_python_tally():
             ]
         )
         report = run(cfg)
+        # Every derived field is set by the time run returns, none computed on first read.
+        derived = ["cycles", "control_rounds", "message_rounds", "detections", "correct_messages"]
+        assert all(name in vars(report) for name in derived + ["rounds_to_detection"])
         codes = report.outcomes.tolist()
         assert codes == want.tolist()
 
@@ -918,7 +921,15 @@ def test_run_matches_a_reference_sampler_and_a_plain_python_tally():
             assert stats.detections == sum(counts[c] for c in range(9 * s, 9 * s + 9) if c in forbidden)
             assert stats.predicted == detection_probability(amps, basis)
         assert report.confusion.tolist() == [counts[18 + 9 * k : 27 + 9 * k] for k in range(9)]
-        assert report.detections == sum(counts[c] for c in forbidden)
+        control = sum(1 for code in codes if code < 18)
+        detections = sum(1 for code in codes if code in forbidden)
+        assert report.cycles == len(codes) == cfg.cycles
+        assert report.control_rounds == control
+        assert report.message_rounds == len(codes) - control
+        assert report.detections == detections
+        assert report.correct_messages == sum(1 for code in codes if code >= 18 and (code - 18) % 10 == 0)
+        assert report.rounds_to_detection == (rounds_for_confidence(detections / control) if detections else None)
+        assert all(type(getattr(report, name)) is int for name in derived)
     assert report.first_detection_cycle > 2 * _BLOCK  # the last run's, in its third block
 
 
