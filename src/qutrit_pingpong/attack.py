@@ -11,7 +11,8 @@ loaders share. An AttackColumn may miss unit squared norm by up to
 CONSTRAINT_TOL; it alone absorbs that slack, and every reader takes the
 column at unit norm, through as_array() for the entries or moduli_squared()
 for the unit-sum squared moduli. Every spec holds a basis, every spec but
-NoAttack its column, and isometry() gives any spec as one array.
+NoAttack its column, and isometry() writes any spec as the circulant of one
+first column, (1, 0, 0) for NoAttack.
 """
 
 from __future__ import annotations
@@ -174,26 +175,22 @@ def symmetric_column(d: float) -> AttackColumn:
     return AttackColumn(math.sqrt(1.0 - d), math.sqrt(d / 2.0), math.sqrt(d / 2.0))
 
 
-# Entry [j, k] of a 3x3 circulant is its first column's entry (j - k) % 3.
-_CIRCULANT_INDEX = (np.arange(3)[:, None] - np.arange(3)[None, :]) % 3
-_CIRCULANT_INDEX.setflags(write=False)
 # Row g of m.take(_BROKEN_DIAGONALS) is broken diagonal g of m, the entries
 # (j, (j + g) % 3), whose squared moduli must agree for the attack to
 # preserve the complete mixedness of the travelling qutrit.
 _BROKEN_DIAGONALS = 3 * np.arange(3) + (np.arange(3)[None, :] + np.arange(3)[:, None]) % 3
 _BROKEN_DIAGONALS.setflags(write=False)
-# Entry 3m + n of the circulant of a first column c is c[_CIRCULANT_FLAT[3m + n]].
-_CIRCULANT_FLAT = _CIRCULANT_INDEX.ravel()
+# Entry [m, n] of the circulant of a first column c is c[_CIRCULANT_FLAT[3m + n]] = c[(m - n) % 3].
+_CIRCULANT_FLAT = ((np.arange(3)[:, None] - np.arange(3)[None, :]) % 3).ravel()
 _CIRCULANT_FLAT.setflags(write=False)
 # Flat positions in a (3, ANCILLA_DIM, 3) isometry V[m, slot, n]: entry 3m + n
-# of _SLOT_ZERO is that of [m, 0, n], 27m + n, and _SLOT_ZERO_DIAGONAL holds
-# those of [m, 0, m]; entry 3m + n of _BRANCH_SLOTS is that of [m, 3n + m, n],
-# 27m + 3(3n + m) + n = 30m + 10n.
+# of _SLOT_ZERO is that of [m, 0, n], 27m + n, and entry 3m + n of
+# _BRANCH_SLOTS is that of [m, 3n + m, n], 27m + 3(3n + m) + n = 30m + 10n.
 _SLOT_ZERO = (3 * ANCILLA_DIM * np.arange(3)[:, None] + np.arange(3)[None, :]).ravel()
 _SLOT_ZERO.setflags(write=False)
-_SLOT_ZERO_DIAGONAL = _SLOT_ZERO[::4]
 _BRANCH_SLOTS = (30 * np.arange(3)[:, None] + 10 * np.arange(3)[None, :]).ravel()
 _BRANCH_SLOTS.setflags(write=False)
+_IDENTITY_COLUMN = frozen_array([1.0, 0.0, 0.0], (3,), "identity column")
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,11 +223,6 @@ class AttackOperator:
         return AttackColumn(*(complex(c) for c in self.m[:, 0]))
 
 
-def circulant(first_column) -> np.ndarray:
-    """3x3 circulant matrix whose entry [j, k] is first_column[(j - k) % 3]."""
-    return np.asarray(first_column, dtype=np.complex128)[_CIRCULANT_INDEX]
-
-
 def complete_circulant(col: AttackColumn, representation: str = "z") -> AttackOperator:
     """Extend an attack column to a circulant unitary with the same moduli.
 
@@ -246,9 +238,10 @@ def complete_circulant(col: AttackColumn, representation: str = "z") -> AttackOp
     pattern hold exactly. Raises NumericalError, naming the violated
     triangle inequality, when the links miss closing by more than 1e-10;
     the result is unitary by construction, and _check_circulant checks it.
+    Its matrix is the circulant of _completion_column(col) through _CIRCULANT_FLAT.
     """
     check_basis(representation)
-    return AttackOperator(circulant(_completion_column(col)), representation)
+    return AttackOperator(_completion_column(col)[_CIRCULANT_FLAT].reshape(3, 3), representation)
 
 
 def _completion_column(col: AttackColumn) -> np.ndarray:
@@ -442,23 +435,25 @@ def isometry(attack: AttackSpec, ancilla: str) -> np.ndarray:
     """The attack as a (3, ANCILLA_DIM, 3) isometry V[m_out, slot, n_in] in its own basis, attack.basis.
 
     V sends basis vector n of the travelling qutrit, the probe in slot 0, to
-    the sum over m and slot of V[m, slot, n] |m>|slot>. In slot 0, NoAttack
-    is the identity and a column attack in ancilla mode "none" the circulant
-    of _completion_column(column), complete_circulant's matrix. In mode
-    "branch", with e the circulant of column.as_array(), V[m, 3n + m, n] =
-    e[m, n] and every other entry is 0: slot 3n + m records the branch that
-    rewrote n into m. The columns of e are the unit column permuted, so V is
-    an isometry. The nonzero entries are written into one flat zero vector
-    through flat positions built at import, and V is its view.
+    the sum over m and slot of V[m, slot, n] |m>|slot>. One write puts the
+    circulant e of a first column c, e[m, n] = c[(m - n) % 3], into a zero
+    vector at flat positions built at import, and V is its view. In slot 0,
+    NoAttack's c = (1, 0, 0), in either ancilla mode, makes e the identity,
+    and a column attack's _completion_column(column) in mode "none" makes e
+    complete_circulant's matrix. In mode "branch", c = column.as_array()
+    and V[m, 3n + m, n] = e[m, n], every other entry 0: slot 3n + m records
+    the branch that rewrote n into m; the columns of e are the unit column
+    permuted, so V is an isometry.
     """
     check_ancilla(ancilla)
-    v = np.zeros(3 * ANCILLA_DIM * 3, dtype=np.complex128)
     if isinstance(attack, NoAttack):
-        v[_SLOT_ZERO_DIAGONAL] = 1.0
+        slots, column = _SLOT_ZERO, _IDENTITY_COLUMN
     elif ancilla == "none":
-        v[_SLOT_ZERO] = _completion_column(attack.column)[_CIRCULANT_FLAT]
+        slots, column = _SLOT_ZERO, _completion_column(attack.column)
     else:
-        v[_BRANCH_SLOTS] = attack.column.as_array()[_CIRCULANT_FLAT]
+        slots, column = _BRANCH_SLOTS, attack.column.as_array()
+    v = np.zeros(3 * ANCILLA_DIM * 3, dtype=np.complex128)
+    v[slots] = column[_CIRCULANT_FLAT]
     return v.reshape(3, ANCILLA_DIM, 3)
 
 

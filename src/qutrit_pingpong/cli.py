@@ -53,6 +53,26 @@ def _resolve_freq(args) -> FrequencyTable:
     return FREQUENCY_PRESETS[args.preset or "uniform"]
 
 
+def _open_outputs(inputs: dict, outputs: dict) -> None:
+    """Truncate each output path before any work, as a shell redirection would, so that a bad path fails first.
+
+    inputs and outputs map an option to its path or None. An output that
+    names an input file, by any spelling or link, raises ValueError before
+    anything is truncated. Then, with every output present, two outputs that
+    name one file raise ValueError, since the second would replace the first.
+    """
+    inputs = {option: path for option, path in inputs.items() if path}
+    outputs = {option: path for option, path in outputs.items() if path}
+    for out_option, out_path in outputs.items():
+        for in_option, in_path in inputs.items():
+            if os.path.exists(out_path) and os.path.samefile(out_path, in_path):
+                raise ValueError(f"{out_option} and {in_option} name the same file")
+    for path in outputs.values():
+        open(path, "wb").close()
+    if len(outputs) == 2 and os.path.samefile(*outputs.values()):
+        raise ValueError(f"{' and '.join(outputs)} name the same file")
+
+
 def _write_output(text: str, path, what: str) -> None:
     """Write text to path and print "wrote WHAT to PATH", or write it to stdout when path is None."""
     if path:
@@ -111,8 +131,7 @@ def _cmd_curve(args) -> int:
     # the count through a float, and near 2**63 it fails with an IndexError.
     if args.points > 2**53:
         raise ValueError(f"curve needs at most 2**53 points, got {args.points}")
-    if args.out:  # fail on a bad path before the curve is computed, as simulate does
-        open(args.out, "wb").close()
+    _open_outputs({"--freq": args.freq}, {"--out": args.out})
     curve = info_curve(freq, np.linspace(0.0, 2.0 / 3.0, args.points))
     _write_output(curve_csv(curve), args.out, f"{len(curve)} points")
     endpoints = f"endpoints: I(0) = {curve[0, 1]:.4f}, I(2/3) = {curve[-1, 1]:.4f}"
@@ -142,14 +161,7 @@ def _cmd_simulate(args) -> int:
     config = load_protocol_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    # Open each output before the run, as a shell redirection would, so that
-    # a bad path fails before any cycle is drawn. Both exist then, so samefile
-    # also catches two spellings of one path and a link to the other.
-    for path in (args.transcript, args.out):
-        if path:
-            open(path, "wb").close()
-    if args.transcript and args.out and os.path.samefile(args.transcript, args.out):
-        raise ValueError("--out and --transcript name the same file")
+    _open_outputs({"--config": args.config}, {"--out": args.out, "--transcript": args.transcript})
     report = run(config)
     if args.transcript:
         write_transcript(report.outcomes, args.transcript)

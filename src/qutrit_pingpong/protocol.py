@@ -246,6 +246,7 @@ _BASIS_CODES = (np.arange(_N_CODES) // 9 == np.arange(len(CONTROL_BASES))[:, Non
 _CORRECT_CODES = np.isin(np.arange(_N_CODES), _MESSAGE_CODE + 10 * np.arange(9))
 _TALLIES = np.vstack([_BASIS_CODES, _BASIS_CODES * _FORBIDDEN_COUNTS, _CORRECT_CODES])
 _TALLIES.setflags(write=False)
+del _BASIS_CODES, _CORRECT_CODES
 
 
 TRANSCRIPT_HEADER = "cycle,mode,basis,alice,bob,detected,sent,decoded"

@@ -177,6 +177,7 @@ CONTROL_MAPS.setflags(write=False)
 # Amplitude of each control pair in bell_state(0, 0); HONEST_PAIRS[s, 3a + b]
 # marks the pairs an honest channel gives, every other pair flags tampering.
 _HONEST_AMPS = CONTROL_MAPS @ BELL_STATES[0].reshape(9)
+_HONEST_AMPS.setflags(write=False)
 HONEST_PAIRS = np.abs(_HONEST_AMPS) > 1e-9
 HONEST_PAIRS.setflags(write=False)
 

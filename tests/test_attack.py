@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qutrit_pingpong.attack import (
+    ANCILLA_DIM,
     CONSTRAINT_TOL,
     REFERENCE_ATTACKS,
     AttackColumn,
@@ -17,7 +18,6 @@ from qutrit_pingpong.attack import (
     attack_from_dict,
     attack_to_dict,
     blended_detection,
-    circulant,
     column_z_from_x,
     complete_circulant,
     detection_from_column,
@@ -181,6 +181,11 @@ def _symmetric_shape(d: float) -> AttackColumn:
     return AttackColumn(math.sqrt(1.0 - d), math.sqrt(d / 2.0), math.sqrt(d / 2.0))
 
 
+def _circulant(first_column) -> np.ndarray:
+    """The 3x3 circulant whose entry [j, k] is first_column[(j - k) % 3]."""
+    return np.array([[first_column[(j - k) % 3] for k in range(3)] for j in range(3)], dtype=complex)
+
+
 def _unitarity_residual(m: np.ndarray) -> float:
     return float(np.abs(m.conj().T @ m - np.eye(3)).max())
 
@@ -213,7 +218,7 @@ def test_completion_rejects_infeasible_column():
 )
 def test_completion_accepts_edge_columns(col, residual):
     op = complete_circulant(col)
-    assert np.abs(np.abs(op.m) - circulant(np.abs(col.as_array()))).max() < 1e-15
+    assert np.abs(np.abs(op.m) - _circulant(np.abs(col.as_array()))).max() < 1e-15
     assert _unitarity_residual(op.m) <= residual
 
 
@@ -280,6 +285,15 @@ def test_none_isometry_writes_the_completion_into_slot_zero(basis):
             assert moduli[0] == moduli[1] == moduli[2]
 
 
+def test_no_attack_isometry_is_the_identity_in_slot_zero_in_either_mode():
+    # Both modes write the identity column's circulant into slot 0, so a no-attack run ignores the ancilla mode.
+    expected = np.zeros((3, ANCILLA_DIM, 3), dtype=complex)
+    expected[:, 0, :] = np.eye(3)
+    for mode in ("none", "branch"):
+        v = isometry(NoAttack(), mode)
+        assert v.tobytes() == expected.tobytes() and v.dtype == np.complex128
+
+
 def test_circulant_residual_is_the_unitarity_residual_of_its_matrix():
     # _unitarity_residual is check_unitary's max|C^dagger C - I|.
     rng = np.random.default_rng(53)
@@ -287,7 +301,7 @@ def test_circulant_residual_is_the_unitarity_residual_of_its_matrix():
     columns += [rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(200)]
     for c in columns:
         c = c / np.linalg.norm(c) * rng.uniform(1.0 - 1e-10, 1.0 + 1e-10)
-        matrix_residual = _unitarity_residual(circulant(c))
+        matrix_residual = _unitarity_residual(_circulant(c))
         try:
             residual = _check_circulant(c.tolist())
         except ValueError:

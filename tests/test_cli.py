@@ -322,6 +322,49 @@ def test_simulate_refuses_one_file_for_the_report_and_the_transcript(tmp_path, c
     assert captured.err == "error: --out and --transcript name the same file\n"
 
 
+# Per case: the argv up to the output option that names the input file, the two options the refusal names, and the
+# input's bytes. other.csv, when given, is the command's other output.
+_INPUT_AS_OUTPUT = {
+    "simulate-out": (
+        ["simulate", "--config", "input.json", "--transcript", "other.csv", "--out"],
+        "--out and --config",
+        (GOLDEN / "honest" / "config.json").read_bytes(),
+    ),
+    "simulate-transcript": (
+        ["simulate", "--config", "input.json", "--out", "other.csv", "--transcript"],
+        "--transcript and --config",
+        (GOLDEN / "honest" / "config.json").read_bytes(),
+    ),
+    "curve-out": (["curve", "--freq", "input.json", "--out"], "--out and --freq", b'{"preset": "tiered"}'),
+}
+
+
+@pytest.mark.parametrize("alias", ["same", "dot-slash", "symlink"])
+@pytest.mark.parametrize("case", _INPUT_AS_OUTPUT)
+def test_an_output_that_names_an_input_is_refused_before_anything_is_truncated(
+    tmp_path, capsys, monkeypatch, case, alias
+):
+    # Written after the input was read, the output would silently replace it.
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "run", must_not_run)
+    monkeypatch.setattr(cli, "info_curve", must_not_run)
+    monkeypatch.chdir(tmp_path)
+    argv, options, data = _INPUT_AS_OUTPUT[case]
+    (tmp_path / "input.json").write_bytes(data)
+    (tmp_path / "other.csv").write_bytes(b"kept")
+    output = {"same": "input.json", "dot-slash": "./input.json", "symlink": "link.json"}[alias]
+    if alias == "symlink":
+        (tmp_path / "link.json").symlink_to(tmp_path / "input.json")
+    assert main([*argv, output]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {options} name the same file\n"
+    assert (tmp_path / "input.json").read_bytes() == data
+    assert (tmp_path / "other.csv").read_bytes() == b"kept"
+
+
 _HUGE = 10**400  # a JSON integer literal too large for a float
 
 

@@ -1,7 +1,9 @@
 """The package's public surface."""
 
+import importlib
 import inspect
 import math
+import pkgutil
 import subprocess
 import sys
 from dataclasses import asdict
@@ -10,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import qutrit_pingpong
 from qutrit_pingpong.attack import (
     AttackOperator,
     ColumnAttack,
@@ -69,6 +72,37 @@ def test_numpy_random_loads_at_the_first_run_not_at_import(package_env):
     assert proc.returncode == 0, proc.stderr
     by_numpy, after_import, after_run = proc.stdout.split()
     assert (after_import, after_run) == (by_numpy, "True")
+
+
+def _import_time_arrays() -> dict[str, np.ndarray]:
+    """Every ndarray a package module binds at import, by name: a global, or a value or item, at any depth, of a
+    global dict or tuple."""
+    found = {}
+
+    def walk(name, value):
+        if isinstance(value, np.ndarray):
+            found[name] = value
+        elif isinstance(value, dict):
+            for key, item in value.items():
+                walk(f"{name}[{key!r}]", item)
+        elif isinstance(value, tuple):
+            for k, item in enumerate(value):
+                walk(f"{name}[{k}]", item)
+
+    for info in pkgutil.iter_modules(qutrit_pingpong.__path__):
+        module = importlib.import_module(f"qutrit_pingpong.{info.name}")
+        for name, value in vars(module).items():
+            if not name.startswith("__"):
+                walk(f"{info.name}.{name}", value)
+    return found
+
+
+def test_every_import_time_array_is_read_only():
+    # A table every call shares must not be writable, or one caller could change it under the next.
+    arrays = _import_time_arrays()
+    assert "protocol._ATTACK_OPERANDS['z'][1]" in arrays  # the walk reaches a tuple inside a dict
+    writable = [name for name, array in arrays.items() if array.flags.writeable]
+    assert not writable, f"writable import-time arrays: {writable}"
 
 
 _TAKES_A_LABEL = {
