@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from qutrit_pingpong import protocol
+from qutrit_pingpong import attack as attack_module, protocol
 from qutrit_pingpong.attack import (
     AttackColumn,
     ColumnAttack,
@@ -146,6 +146,25 @@ def test_a_column_attack_takes_only_an_attack_column(column):
         with pytest.raises(ValueError) as excinfo:
             build()
         assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "array",
+    [
+        protocol._OUTCOME_MAP,
+        protocol._FORBIDDEN,
+        protocol._ROW_TAILS,
+        *(operand for pair in protocol._ATTACK_OPERANDS.values() for operand in pair),
+        protocol._FORBIDDEN_COUNTS,
+        protocol._HONEST_CODES,
+        protocol._TALLIES,
+        *(getattr(attack_module, name) for name in ("_CIRCULANT_FLAT", "_SLOT_ZERO", "_BRANCH_SLOTS")),
+    ],
+)
+def test_import_time_tables_are_read_only(array):
+    assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        array[0] = array[0]
 
 
 def _assert_normalized(amps: np.ndarray) -> None:
