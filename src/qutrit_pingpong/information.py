@@ -13,19 +13,32 @@ class's frequencies, and a zero frequency zeroes a row and column of the
 block. So a table keeps one block per distinct non-empty class, on its k
 nonzero frequencies only, and a count of the classes it stands for, with
 the classes sorted when the table is built into one group per solver. One
-private batched routine solves the groups for N columns at once: a class
-whose three frequencies are all exactly q is circulant, with eigenvalues
-3q t_l for the squared moduli t and no block built (so the uniform
-source's curve is 1 + H3(d)); the other 3x3 blocks take one eigvalsh call,
-as the closed-form cubic splits an exact double root by ~1e-9; 2x2 and
-1x1 blocks have closed forms. The leak curve (one read-only (N, 2)
-array), the Holevo bound and the factorized spectrum all go through it.
-On the symmetric attack family (t1 = t2) the blocks are real symmetric,
-so eigvalsh takes LAPACK's real symmetric eigensolver; general columns
-keep the Hermitian one. The paper's closed-form cubics
-(cubic_coefficients) are the full blocks' characteristic polynomials, and
-the dense 9x9 operator (assemble_rho) is kept so that each route can
-check the other.
+private batched routine solves the groups for N columns at once, and no
+preset needs an eigensolver:
+- a class whose three frequencies are all exactly q is circulant, with
+  eigenvalues 3q t_l for the squared moduli t and no block built (so the
+  uniform source's curve is 1 + H3(d));
+- a class whose three frequencies lie pairwise at least 1e-2 apart,
+  relative to the larger of each pair, takes the paper's class cubic
+  (cubic_coefficients, on arrays) and its roots from qutrit.solve_cubic,
+  with no block built. Over flat and near-flat moduli, pure shifts, moduli
+  with a zero, the symmetric grid and Dirichlet draws, such roots met
+  eigvalsh within 3.7e-12 at the 1e-2 edge, against 3.2e-10 at a 1e-3 gap,
+  and the solver keeps a pure shift's double zero exact. tiered's one
+  class is solved here;
+- a class with a repeated or nearly repeated frequency keeps one eigvalsh
+  call on its 3x3 blocks, because any solver working from the coefficients
+  splits the double or near-double roots such a block can have: 4.0e-9 from
+  eigvalsh at d = 2/3 for (0.1, 0.1, 0.2), 1.3e-7 for (0.3, 0.3, 0.3 + 1 ulp)
+  at d = 0.6666 and up to 4.3e-8 for (q, q, r) at flat moduli, each over the
+  dense cross-check's 1e-10;
+- 2x2 and 1x1 blocks have closed forms.
+
+The leak curve (one read-only (N, 2) array), the Holevo bound and the
+factorized spectrum all go through it. On the symmetric attack family
+(t1 = t2) the blocks are real symmetric, so eigvalsh takes LAPACK's real
+symmetric eigensolver; general columns keep the Hermitian one. The dense
+9x9 operator (assemble_rho) is kept so that each route can check the other.
 
 A frequency table's JSON form, {"preset": name} or {"p": 3x3 rows} in a --freq file and a run
 config alike, is read by frequency_table_from_dict and written by frequency_table_to_dict.
@@ -33,18 +46,36 @@ config alike, is read by frequency_table_from_dict and written by frequency_tabl
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .attack import AttackColumn, is_finite_real, read_json
-from .qutrit import ALGEBRAIC_TOL, CODING_UNITARIES, NumericalError, frozen_array
+from .qutrit import ALGEBRAIC_TOL, CODING_UNITARIES, NumericalError, frozen_array, solve_cubic
 
 TRIT_TO_BIT = math.log2(3.0)
 
 _FREQ_SUM_TOL = 1e-12
 _EIGENVALUE_FLOOR = -1e-10
+
+# The solvers of a table's class groups, in the order the groups are kept: the
+# Gram blocks of k = 1, 2 and 3 nonzero frequencies, the closed-form cubic and
+# the circulant of three equal frequencies.
+_SOLVERS = (1, 2, 3, "cubic", "equal")
+# The least pairwise gap min |q_i - q_j| / max(q_i, q_j) of three nonzero
+# frequencies that the cubic solves; a closer pair goes to eigvalsh.
+_CUBIC_SEPARATION = 1e-2
+
+
+def _solver(q: list):
+    """The solver of a class with nonzero frequencies q, one of _SOLVERS."""
+    if len(q) == 3 and q[0] == q[1] == q[2]:
+        return "equal"
+    if len(q) == 3 and min(abs(x - y) / max(x, y) for x, y in itertools.combinations(q, 2)) >= _CUBIC_SEPARATION:
+        return "cubic"
+    return len(q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,13 +87,19 @@ class FrequencyTable:
     """
 
     p: np.ndarray
-    # _class_groups holds one array per solver that some distinct non-empty
-    # class needs, in this order. Classes with k = 1, 2 or 3 nonzero
-    # frequencies q, not all three equal, have a (U_k, k, k) group of Gram
-    # weights: [u, i, m] = sqrt(q_i q_m) over q, in table order, of the first
-    # shift class standing for class u. Classes whose three frequencies are
-    # all exactly q have a (U_e, 3) group: row u is 3q three times, the scale
-    # of each squared modulus in the circulant block's eigenvalues 3q t_l.
+    # _class_groups holds one (solver, array) pair per solver that some
+    # distinct non-empty class needs, in the order of _SOLVERS; q are a
+    # class's nonzero frequencies, in table order, of the first shift class
+    # standing for class u. Classes with k = 1 or 2 nonzero frequencies, and
+    # classes of three with a pair less than 1e-2 apart relative to the larger
+    # (solver 3, for eigvalsh, as the cubic would split their near-double
+    # roots by up to 1.3e-7), have a (U_k, k, k) group of Gram weights:
+    # [u, i, m] = sqrt(q_i q_m). Classes of three pairwise separated
+    # frequencies have a ("cubic", (U_c, 3)) group: row u is q, which the
+    # class cubic reads, within 3.7e-12 of eigvalsh at the 1e-2 edge. Classes
+    # whose three frequencies are all exactly q have an ("equal", (U_e, 3))
+    # group: row u is 3q three times, the scale of each squared modulus in
+    # the circulant block's eigenvalues 3q t_l.
     # _class_counts[u], over the groups in turn, is how many of the three
     # classes hold the same frequencies in some order. A class whose
     # frequencies are all zero has no entry.
@@ -81,13 +118,16 @@ class FrequencyTable:
         keys = [tuple(sorted(group)) for group in columns]
         distinct = [j for j, key in enumerate(keys) if any(key) and key not in keys[:j]]
         nonzero = {j: [x for x in columns[j] if x > 0.0] for j in distinct}  # -0.0 counts as zero
-        # A class's solver: its count k of nonzero frequencies, or 4 when its three are exactly equal.
-        solver = {j: 4 if keys[j][0] == keys[j][2] else len(nonzero[j]) for j in distinct}
-        distinct.sort(key=solver.get)
-        classes = {k: np.array([nonzero[j] for j in distinct if solver[j] == k]) for k in sorted({*solver.values()})}
-        groups = tuple(3.0 * q if k == 4 else np.sqrt(q[:, :, None] * q[:, None, :]) for k, q in classes.items())
+        solver = {j: _solver(nonzero[j]) for j in distinct}
+        distinct.sort(key=lambda j: _SOLVERS.index(solver[j]))
+        used = dict.fromkeys(solver[j] for j in distinct)  # in the order of _SOLVERS
+        classes = {s: np.array([nonzero[j] for j in distinct if solver[j] == s]) for s in used}
+        groups = tuple(
+            (s, 3.0 * q if s == "equal" else q if s == "cubic" else np.sqrt(q[:, :, None] * q[:, None, :]))
+            for s, q in classes.items()
+        )
         counts = np.array([keys.count(keys[j]) for j in distinct])
-        for value in (*groups, counts):
+        for value in (*(group for _, group in groups), counts):
             value.setflags(write=False)
         object.__setattr__(self, "_class_groups", groups)
         object.__setattr__(self, "_class_counts", counts)
@@ -205,21 +245,21 @@ def assemble_rho(col: AttackColumn, freq: FrequencyTable) -> DensityMatrix9:
     return DensityMatrix9((probes.T * freq.p.reshape(9)) @ probes.conj())
 
 
-def cubic_coefficients(
-    moduli: tuple[float, float, float], group: tuple[float, float, float]
-) -> tuple[float, float, float]:
+def cubic_coefficients(moduli, group) -> tuple:
     """Monic cubic lambda^3 + c2 lambda^2 + c1 lambda + c0 for one shift class.
 
     moduli is the attack column's squared-moduli triple, group the class's
     three bigram frequencies. This is the paper's closed form of the class's
     characteristic polynomial: c2, c1 and c0 are minus the trace, the sum of
-    principal 2x2 minors and minus the determinant of its Gram block.
+    principal 2x2 minors and minus the determinant of its Gram block. Each
+    entry of either triple may be an array, and the coefficients broadcast:
+    _class_spectra passes (N, 1) moduli and (1, U) frequencies.
     """
     a, b, c = moduli
     p0, p1, p2 = group
     c2 = -(p0 + p1 + p2)
-    c1 = 3.0 * (a * b + a * c + b * c) * (p0 * p1 + p0 * p2 + p1 * p2)
-    c0 = -27.0 * a * b * c * p0 * p1 * p2
+    c1 = 3.0 * (a * (b + c) + b * c) * (p0 * (p1 + p2) + p1 * p2)
+    c0 = -27.0 * a * b * c * (p0 * p1 * p2)
     return (c2, c1, c0)
 
 
@@ -262,30 +302,37 @@ def _class_spectra(moduli: np.ndarray, freq: FrequencyTable) -> np.ndarray:
     whose three frequencies are all q has q times the circulant of g(delta)
     = sum_l t_l omega^(l delta), which the Fourier basis diagonalizes: its
     eigenvalues are 3q t_l, in the order of t, for real and complex blocks
-    alike, and its block is never built. The other 3x3 blocks go, ascending,
-    to one eigvalsh call, which keeps a double root double. A 2x2 block
+    alike, and its block is never built. A class of three frequencies
+    pairwise at least 1e-2 apart takes the roots of its cubic, top root
+    first, for all N rows and U classes in one solve_cubic call, and its
+    block is never built either; at the edge its roots met eigvalsh within
+    3.7e-12. A class with a repeated or nearly repeated frequency can have
+    double or near-double roots, which a solver working from the
+    coefficients splits by up to 1.3e-7, so its 3x3 blocks go, ascending, to
+    one eigvalsh call, which keeps a double root double. A 2x2 block
     [[a, b], [b*, e]] has (a + e)/2 -+ hypot((a - e)/2, |b|), ascending, as
     accurate as eigvalsh, and a 1x1 block is its own eigenvalue. No caller
     reads the order within a class.
     """
     lams = np.zeros((len(moduli), len(freq._class_counts), 3))
     u = 0
-    for weights in freq._class_groups:
-        k = weights.shape[-1]
-        out = lams[:, u : u + len(weights), :k]
-        if weights.ndim == 2:
-            out[...] = moduli[:, None, :] * weights
-        elif k == 3:
-            out[...] = np.linalg.eigvalsh(_gram_blocks(moduli, weights))
-        elif k == 2:
-            blocks = _gram_blocks(moduli, weights)
+    for solver, group in freq._class_groups:
+        out = lams[:, u : u + len(group), : group.shape[-1]]
+        if solver == "equal":
+            out[...] = moduli[:, None, :] * group
+        elif solver == "cubic":
+            out[...] = solve_cubic(*cubic_coefficients(moduli.T[:, :, None], group.T[:, None, :]))
+        elif solver == 3:
+            out[...] = np.linalg.eigvalsh(_gram_blocks(moduli, group))
+        elif solver == 2:
+            blocks = _gram_blocks(moduli, group)
             a, e = blocks[..., 0, 0].real, blocks[..., 1, 1].real
             radius = np.hypot((a - e) * 0.5, np.abs(blocks[..., 0, 1]))
             out[..., 0] = (a + e) * 0.5 - radius
             out[..., 1] = (a + e) * 0.5 + radius
         else:
-            out[...] = _gram_blocks(moduli, weights).real[..., 0]
-        u += len(weights)
+            out[...] = _gram_blocks(moduli, group).real[..., 0]
+        u += len(group)
     return lams
 
 

@@ -37,7 +37,7 @@ from qutrit_pingpong.information import (
     load_frequency_table,
     source_entropy,
 )
-from qutrit_pingpong.qutrit import NumericalError, solve_cubic
+from qutrit_pingpong.qutrit import CODING_UNITARIES, NumericalError, solve_cubic
 
 _ENTROPY_EXPECTATIONS = {
     "uniform": 2.0,
@@ -188,7 +188,7 @@ def test_degenerate_shift_classes_pin_zero_eigenvalues():
     # an empty class contributes three exact zeros
     empty = cubic_coefficients(moduli, (0.0, 0.0, 0.0))
     assert empty == (0.0, 0.0, 0.0)
-    assert solve_cubic(*empty) == (0.0, 0.0, 0.0)
+    assert solve_cubic(*empty).tolist() == [0.0, 0.0, 0.0]
 
     spread = factorized_eigenvalues(symmetric_column(0.5), FREQUENCY_PRESETS["two-bigram"])
     assert abs(spread[0] - 2.0 / 3.0) < 1e-12
@@ -396,10 +396,10 @@ def test_class_blocks_carry_the_paper_cubic():
         p = rng.random((3, 3))
         freq = FrequencyTable(p / p.sum())
         moduli = col.moduli_squared()
-        (blocks,) = _class_blocks(np.array([moduli]), freq)  # every class has three nonzero frequencies
-        for j in range(3):
-            g = blocks[0, j]
-            c2, c1, c0 = cubic_coefficients(moduli, freq.p[:, j])
+        for j in range(3):  # every class has three nonzero frequencies
+            q = freq.p[:, j]
+            g = _gram_blocks(np.array([moduli]), np.sqrt(np.outer(q, q))[None])[0, 0]
+            c2, c1, c0 = cubic_coefficients(moduli, q)
             minors = sum(np.linalg.det(g[np.ix_(pair, pair)]) for pair in ((0, 1), (0, 2), (1, 2)))
             assert abs(np.trace(g) + c2) < 1e-12
             assert abs(minors - c1) < 1e-12
@@ -407,13 +407,21 @@ def test_class_blocks_carry_the_paper_cubic():
 
 
 def _class_blocks(moduli, freq):
-    """Gram blocks of freq's classes, one (N, U_k, k, k) array per weight group of freq._class_groups."""
-    return [_gram_blocks(moduli, weights) for weights in freq._class_groups if weights.ndim == 3]
+    """Gram blocks of freq's classes, one (N, U, k, k) array per group of freq._class_groups but the equal one.
+
+    A cubic group holds its classes' frequencies q, and its blocks are built
+    here from the weights sqrt(q_i q_m); _class_spectra builds none.
+    """
+    return [
+        _gram_blocks(moduli, np.sqrt(group[:, :, None] * group[:, None, :]) if solver == "cubic" else group)
+        for solver, group in freq._class_groups
+        if solver != "equal"
+    ]
 
 
-def _group_kind(weights):
-    """The solver of one group of _class_groups: "equal" for the (U, 3) group of 3q rows, else its block size k."""
-    return "equal" if weights.ndim == 2 else weights.shape[-1]
+def _layout(freq):
+    """(solver, number of distinct classes) of each group of freq._class_groups, in order."""
+    return [(solver, len(group)) for solver, group in freq._class_groups]
 
 
 def _block_dtypes(moduli, freq):
@@ -440,8 +448,8 @@ def test_real_symmetric_curve_matches_the_hermitian_route(monkeypatch, name):
     real = np.array(info_curve(freq, grid))
     monkeypatch.setattr(information, "_GRAM_COSINES", information._GRAM_PHASES)
     rows = np.array([[0.5, 0.25, 0.25]])
-    # uniform builds no block, so tiered's blocks show that the patch took
-    assert _block_dtypes(rows, freq) | _block_dtypes(rows, FREQUENCY_PRESETS["tiered"]) == {np.complex128}
+    # uniform and tiered build no block, so peaked's blocks show that the patch took
+    assert _block_dtypes(rows, freq) | _block_dtypes(rows, FREQUENCY_PRESETS["peaked"]) == {np.complex128}
     hermitian = np.array(info_curve(freq, grid))
     assert np.array_equal(real[:, 0], hermitian[:, 0])
     assert np.abs(real[:, 1] - hermitian[:, 1]).max() < 1e-14
@@ -502,16 +510,17 @@ def _all_class_curve(freq, moduli):
 
 
 def test_presets_keep_one_block_per_distinct_nonempty_class():
-    layout = {name: [(_group_kind(w), len(w)) for w in freq._class_groups] for name, freq in FREQUENCY_PRESETS.items()}
+    layout = {name: _layout(freq) for name, freq in FREQUENCY_PRESETS.items()}
     want = {
         "uniform": [("equal", 1)],
-        "tiered": [(3, 1)],
+        "tiered": [("cubic", 1)],
         "sparse": [(1, 1), (2, 2)],
         "peaked": [(2, 1)],
         "two-bigram": [(1, 2)],
     }
     assert layout == want
-    assert FREQUENCY_PRESETS["uniform"]._class_groups[0].tolist() == [[3.0 / 9.0] * 3]
+    assert FREQUENCY_PRESETS["uniform"]._class_groups[0][1].tolist() == [[3.0 / 9.0] * 3]
+    assert FREQUENCY_PRESETS["tiered"]._class_groups[0][1].tolist() == [[1 / 6, 1 / 9, 1 / 18]]  # its frequencies
 
 
 @pytest.mark.parametrize("name", sorted(FREQUENCY_PRESETS))
@@ -546,8 +555,8 @@ def _zero_pattern_tables():
 
 def test_zero_pattern_tables_cover_every_group_pattern_and_signed_zero():
     tables = _zero_pattern_tables()
-    patterns = {tuple(_group_kind(w) for w in freq._class_groups) for freq in tables}
-    assert patterns == {(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)}
+    patterns = {tuple(solver for solver, _ in freq._class_groups) for freq in tables}
+    assert patterns == {(1,), (2,), ("cubic",), (1, 2), (1, "cubic"), (2, "cubic"), (1, 2, "cubic")}
     assert any(math.copysign(1.0, x) < 0 for freq in tables for x in freq.p.ravel())
     assert any((freq._class_counts > 1).any() for freq in tables)
 
@@ -609,16 +618,16 @@ def _equal_class_tables():
 
 def test_equal_class_tables_cover_their_layouts():
     tables = _equal_class_tables()
-    kinds = [[_group_kind(w) for w in freq._class_groups] for freq in tables]
+    kinds = [[solver for solver, _ in freq._class_groups] for freq in tables]
     assert all(kind[-1] == "equal" and kind.count("equal") == 1 for kind in kinds)
-    assert any(3 in kind for kind in kinds)  # an equal class beside a general 3x3 class
+    assert any("cubic" in kind for kind in kinds)  # an equal class beside a class of three distinct frequencies
     for freq in tables:
-        equal = freq._class_groups[-1]
+        equal = freq._class_groups[-1][1]
         columns = [freq.p[:, j] for j in range(3) if (freq.p[:, j] == freq.p[0, j]).all()]
         assert {tuple(row) for row in equal.tolist()} == {(3.0 * p[0],) * 3 for p in columns}
     # the equal group comes last, so its counts are the last ones
-    assert any((freq._class_counts[-len(freq._class_groups[-1]) :] == 2).any() for freq in tables)
-    assert any(len(freq._class_groups[-1]) == 2 for freq in tables)  # two equal classes with different q
+    assert any((freq._class_counts[-len(freq._class_groups[-1][1]) :] == 2).any() for freq in tables)
+    assert any(len(freq._class_groups[-1][1]) == 2 for freq in tables)  # two equal classes with different q
     assert any(len(freq._class_groups) > 1 for freq in tables)
     assert any(math.copysign(1.0, x) < 0 for freq in tables for x in freq.p.ravel())
 
@@ -661,6 +670,156 @@ def test_uniform_source_leaks_one_trit_plus_the_column_entropy():
     assert np.abs(np.array([v for _, v in info_curve(uniform, grid)]) - want).max() <= 1e-15
 
 
+def _exact_class_entropy(moduli, q):
+    """-sum lambda ln(lambda) over the roots of the class cubic for squared moduli t and frequencies q, in nats.
+
+    The cubic is worked in 60-digit decimals from the floats as given, and
+    each root is bisected between the cubic's critical points.
+    """
+    with decimal.localcontext() as context:
+        context.prec = 60
+        t, p = ([decimal.Decimal(float(x)) for x in v] for v in (moduli, q))
+        c2 = -(p[0] + p[1] + p[2])
+        c1 = 3 * (t[0] * t[1] + t[0] * t[2] + t[1] * t[2]) * (p[0] * p[1] + p[0] * p[2] + p[1] * p[2])
+        c0 = -27 * t[0] * t[1] * t[2] * p[0] * p[1] * p[2]
+        cubic = lambda x: ((x + c2) * x + c1) * x + c0
+        half = (c2 * c2 - 3 * c1).sqrt()
+        edges = [decimal.Decimal(-1), (-c2 - half) / 3, (-c2 + half) / 3, 1 - c2]
+        entropy = decimal.Decimal(0)
+        for lo, hi in zip(edges, edges[1:]):
+            below = cubic(lo) > 0
+            if below == (cubic(hi) > 0):  # a double root, at the critical point
+                root = lo if abs(cubic(lo)) < abs(cubic(hi)) else hi
+            else:
+                for _ in range(220):  # 2^-220 < 1e-66
+                    mid = (lo + hi) / 2
+                    lo, hi = (mid, hi) if (cubic(mid) > 0) == below else (lo, mid)
+                root = (lo + hi) / 2
+            entropy -= root * root.ln() if root > 0 else 0
+        return entropy
+
+
+def test_tiered_curve_meets_the_60_digit_class_cubic():
+    # tiered's three classes hold the frequencies 1/6, 1/9 and 1/18 in some
+    # order, so its bound is three times its one class's root entropy. The
+    # closed form is 4.4e-16 off at these points (6.7e-16 over all 801);
+    # eigvalsh on the Gram blocks was 2.2e-15 off, at d = 0.
+    tiered = FREQUENCY_PRESETS["tiered"]
+    assert _layout(tiered) == [("cubic", 1)] and tiered._class_counts.tolist() == [3]
+    grid = np.linspace(0.0, 2.0 / 3.0, 801)[::20]
+    q = tiered.p[:, 0]
+    want = [float(3 * _exact_class_entropy(t, q) / decimal.Decimal(3).ln()) for t in _symmetric_moduli(grid)]
+    assert len(want) == 41
+    assert np.abs(info_curve(tiered, grid)[:, 1] - want).max() <= 2e-15
+
+
+def _dense_spectra(moduli, freq):
+    """Ascending eigenvalues of the 9x9 operator that assemble_rho builds, for real columns of squared moduli moduli."""
+    probes = (CODING_UNITARIES * np.sqrt(moduli)[:, None, None, :]).transpose(0, 1, 3, 2).reshape(-1, 9, 9)
+    return np.linalg.eigvalsh(np.einsum("nki,k,nkj->nij", probes, freq.p.reshape(9), probes.conj()))
+
+
+def _factorized_spectra(moduli, freq):
+    """Ascending nine eigenvalues of each row of moduli from _class_spectra, each class counted, zeros padding."""
+    lams = np.repeat(information._class_spectra(moduli, freq), freq._class_counts, axis=1).reshape(len(moduli), -1)
+    return np.sort(np.column_stack((lams, np.zeros((len(moduli), 9 - lams.shape[1])))), axis=1)
+
+
+def _separation(q):
+    """The least pairwise gap |q_i - q_j| / max(q_i, q_j) of three frequencies."""
+    return min(abs(x - y) / max(x, y) for x, y in itertools.combinations(q, 2))
+
+
+def _at_gap(q0, gap):
+    """The largest float q1 < q0 with (q0 - q1) / q0 >= gap: a pair at the edge of that gap."""
+    q1 = q0 * (1.0 - gap)
+    while (q0 - q1) / q0 < gap:
+        q1 = np.nextafter(q1, 0.0)
+    while (q0 - np.nextafter(q1, q0)) / q0 >= gap:
+        q1 = np.nextafter(q1, q0)
+    return float(q1)
+
+
+def _lone_class_table(q):
+    """A table whose class 0 holds the frequencies q exactly; the rest of the weight is one bigram of class 1."""
+    p = np.zeros((3, 3))
+    p[:, 0] = q
+    p[0, 1] = 1.0 - sum(q)
+    freq = FrequencyTable(p)
+    assert freq.p[:, 0].tolist() == list(q)
+    return freq
+
+
+def _edge_moduli(rng):
+    """Squared moduli at and near flat, the pure shifts, rows with one zero, the 801-point symmetric grid and draws."""
+    flat = np.full(3, 1.0 / 3.0)
+    rows = [flat]
+    for eps in (1e-12, 1e-9, 1e-6):
+        v = rng.normal(size=(4, 3))
+        v -= v.mean(axis=1, keepdims=True)
+        rows += list(flat + eps * v / np.abs(v).max(axis=1, keepdims=True))
+    rows += list(np.eye(3))  # a double zero
+    for zero in range(3):
+        rows += list(np.insert(rng.dirichlet(np.ones(2), size=3), zero, 0.0, axis=1))
+    rows += list(_symmetric_moduli(np.linspace(0.0, 2.0 / 3.0, 801)))
+    draws = rng.dirichlet(np.ones(3), size=100)
+    rows += list(draws) + list(draws[:, [0, 2, 1]])  # both orders of t1 and t2
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.1])
+def test_cubic_classes_match_dense_eigvalsh_at_the_separation_edge(scale):
+    # The worst case is three frequencies each a gap apart, at flat moduli,
+    # where the block is diag(q): 3.7e-12 at the 1e-2 edge, against 3.2e-10
+    # at 1e-3 and 4.9e-8 at 1e-4 in a sweep like this one.
+    gap = information._CUBIC_SEPARATION * scale
+    moduli = _edge_moduli(np.random.default_rng(3838))
+    assert np.abs(moduli.sum(axis=1) - 1.0).max() < 1e-15
+    rng = np.random.default_rng(3839)
+    for _ in range(4):
+        x = 0.25 + 0.05 * rng.random()
+        pair = _at_gap(x, gap)
+        assert (x - np.nextafter(pair, x)) / x < gap <= (x - pair) / x
+        for q in ((x, pair, _at_gap(pair, gap)), (x, pair, 0.3 * x), (x, pair, 0.01 * x), (0.01 * x, x, pair)):
+            freq = _lone_class_table(q)
+            assert _layout(freq) == [(1, 1), ("cubic", 1)] and gap <= _separation(q)
+            lams = information._class_spectra(moduli, freq)
+            assert lams.min() >= -1e-10
+            assert np.abs(_factorized_spectra(moduli, freq) - _dense_spectra(moduli, freq)).max() < 1e-10, q
+    col = _random_column(rng)  # the batched dense reference is assemble_rho's
+    want = np.linalg.eigvalsh(assemble_rho(col, freq).m)
+    assert np.abs(_dense_spectra(np.array([col.moduli_squared()]), freq)[0] - want).max() < 1e-15
+
+
+def test_classes_under_the_separation_edge_reach_eigvalsh(monkeypatch):
+    # A class one ulp under the 1e-2 edge, a repeat (q, q, r) and a near
+    # repeat (q, q, q + 1 ulp) all keep eigvalsh, and match the dense spectrum.
+    x = 0.3
+    pair = _at_gap(x, information._CUBIC_SEPARATION)
+    classes = ((x, np.nextafter(pair, x), 0.1), (x, x, 0.1), (x, x, np.nextafter(x, 1.0)))
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(blocks):
+        seen.append(blocks.shape)
+        return eigvalsh(blocks)
+
+    monkeypatch.setattr(information.np.linalg, "eigvalsh", spy)
+    moduli = _edge_moduli(np.random.default_rng(3840))
+    for q in classes:
+        freq = _lone_class_table(tuple(float(v) for v in q))
+        assert _separation(q) < information._CUBIC_SEPARATION
+        assert _layout(freq) == [(1, 1), (3, 1)]
+        seen.clear()
+        got = _factorized_spectra(moduli, freq)
+        assert seen == [(len(moduli), 1, 3, 3)]
+        assert np.abs(got - _dense_spectra(moduli, freq)).max() < 1e-10
+
+
+# A table whose one non-empty class, (0.4, 0.4, 0.2), repeats a frequency: its block goes to eigvalsh.
+_REPEATED = FrequencyTable(np.column_stack(([0.4, 0.4, 0.2], [0.0] * 3, [0.0] * 3)))
+
+
 def test_equal_frequency_classes_never_reach_eigvalsh(monkeypatch):
     seen = []
 
@@ -674,14 +833,33 @@ def test_equal_frequency_classes_never_reach_eigvalsh(monkeypatch):
     holevo_information(_random_column(np.random.default_rng(5)), uniform)
     factorized_eigenvalues(symmetric_column(0.3), uniform)
     with pytest.raises(RuntimeError, match="eigvalsh called"):
-        info_curve(FREQUENCY_PRESETS["tiered"], [0.1, 0.2])
+        info_curve(_REPEATED, [0.1, 0.2])
     assert seen == [(2, 1, 3, 3)]
-    mixed = FrequencyTable(np.column_stack(([0.1] * 3, [0.2, 0.3, 0.1], [0.05, 0.03, 0.02])))
-    assert [(_group_kind(w), len(w)) for w in mixed._class_groups] == [(3, 2), ("equal", 1)]
-    assert mixed._class_groups[1].tolist() == [[3.0 * 0.1] * 3]
+    mixed = FrequencyTable(np.column_stack(([0.1] * 3, [0.25, 0.25, 0.1], [0.05, 0.03, 0.02])))
+    assert _layout(mixed) == [(3, 1), ("cubic", 1), ("equal", 1)]
+    assert mixed._class_groups[2][1].tolist() == [[3.0 * 0.1] * 3]
     with pytest.raises(RuntimeError, match="eigvalsh called"):
         info_curve(mixed, [0.1, 0.2, 0.3])
-    assert seen[-1] == (3, 2, 3, 3)  # only the two classes whose frequencies differ
+    assert seen[-1] == (3, 1, 3, 3)  # only the class with a repeated frequency
+
+
+def test_no_preset_reaches_an_eigensolver(monkeypatch):
+    # tiered's one class is separated, so its curve, Holevo bounds and
+    # spectrum take the cubic; no preset has a class that repeats a frequency.
+    def refuse(*args, **kwargs):
+        raise RuntimeError("eigensolver called")
+
+    for name in ("eigvalsh", "eigh", "eigvals", "eig"):
+        monkeypatch.setattr(information.np.linalg, name, refuse)
+    rng = np.random.default_rng(38)
+    columns = [_random_column(rng) for _ in range(8)] + [symmetric_column(d) for d in (0.0, 0.3, 2.0 / 3.0)]
+    for freq in FREQUENCY_PRESETS.values():
+        assert info_curve(freq, np.linspace(0.0, 2.0 / 3.0, 801)).shape == (801, 2)
+        for col in columns:
+            holevo_information(col, freq)
+            factorized_eigenvalues(col, freq)
+    with pytest.raises(RuntimeError, match="eigensolver called"):
+        info_curve(_REPEATED, [0.1])
 
 
 def test_only_exactly_equal_frequencies_skip_eigvalsh(monkeypatch):
@@ -691,7 +869,7 @@ def test_only_exactly_equal_frequencies_skip_eigvalsh(monkeypatch):
     p = np.column_stack(([q, q, 0.2], [q, q, np.nextafter(q, 1.0)], [q, q, q]))
     freq = FrequencyTable(p)
     assert np.array_equal(freq.p, p)
-    assert [(_group_kind(w), len(w)) for w in freq._class_groups] == [(3, 2), ("equal", 1)]
+    assert _layout(freq) == [(3, 2), ("equal", 1)]
     seen = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -724,24 +902,28 @@ def test_class_spectra_build_blocks_only_for_the_classes_they_solve_from_one(mon
 
     monkeypatch.setattr(information, "_gram_blocks", record)
     grid = np.linspace(0.0, 2.0 / 3.0, 801)
-    uniform = FREQUENCY_PRESETS["uniform"]
-    info_curve(uniform, grid)
-    holevo_information(_random_column(np.random.default_rng(6)), uniform)
-    factorized_eigenvalues(symmetric_column(0.3), uniform)
-    assert built == []  # every class has three equal frequencies: 3q t, read off the moduli
-    info_curve(FREQUENCY_PRESETS["tiered"], grid)
+    for name in ("uniform", "tiered"):
+        freq = FREQUENCY_PRESETS[name]
+        info_curve(freq, grid)
+        holevo_information(_random_column(np.random.default_rng(6)), freq)
+        factorized_eigenvalues(symmetric_column(0.3), freq)
+    # uniform's classes have three equal frequencies, 3q t read off the moduli;
+    # tiered's class has three separated ones, its cubic read off the moduli and q
+    assert built == []
+    info_curve(_REPEATED, grid)
     assert [shape for _, shape in built] == [(801, 1, 3, 3)]
-    mixed = FrequencyTable(np.column_stack(([0.1] * 3, [0.2, 0.3, 0.1], [0.05, 0.03, 0.02])))
+    mixed = FrequencyTable(np.column_stack(([0.1] * 3, [0.25, 0.25, 0.1], [0.05, 0.03, 0.02])))
     built.clear()
     info_curve(mixed, [0.1, 0.2, 0.3])
     ((weights, shape),) = built
-    assert shape == (3, 2, 3, 3) and weights is mixed._class_groups[0]  # the two unequal classes
-    # Every weight group is built whole, once; the equal group is never built.
+    assert shape == (3, 1, 3, 3) and weights is mixed._class_groups[0][1]  # the class with a repeated frequency
+    # Every weight group is built whole, once; the cubic and equal groups are never built.
     tables = [FREQUENCY_PRESETS[name] for name in ("sparse", "peaked", "two-bigram")] + _equal_class_tables()
+    tables += _zero_pattern_tables() + [_REPEATED, mixed]
     for freq in tables:
         built.clear()
         info_curve(freq, grid)
-        want = [w for w in freq._class_groups if w.ndim == 3]
+        want = [group for solver, group in freq._class_groups if solver in (1, 2, 3)]
         assert len(built) == len(want) and all(w is v for (w, _), v in zip(built, want))
         assert all(shape == (801, *w.shape) for w, shape in built)
 
@@ -789,7 +971,7 @@ def _pair_spectra(monkeypatch, blocks):
     """_class_spectra's (N, U, 3) rows for an (N, U, 2, 2) stack of Hermitian blocks, one group of U classes."""
     monkeypatch.setattr(information, "_gram_blocks", lambda moduli, weights: blocks)
     counts = np.ones(blocks.shape[1], dtype=int)
-    classes = types.SimpleNamespace(_class_groups=(np.ones(blocks.shape[1:]),), _class_counts=counts)
+    classes = types.SimpleNamespace(_class_groups=((2, np.ones(blocks.shape[1:])),), _class_counts=counts)
     return information._class_spectra(np.zeros((len(blocks), 3)), classes)
 
 

@@ -210,12 +210,14 @@ def test_hermitian_validation_rejects_asymmetric():
     ).filter(lambda r: min(abs(r[0] - r[1]), abs(r[0] - r[2]), abs(r[1] - r[2])) > 1e-3)
 )
 def test_cubic_recovers_separated_roots(roots):
+    # The largest root comes first; the order of the other two follows their magnitudes.
     r = sorted(roots, reverse=True)
     c2 = -(r[0] + r[1] + r[2])
     c1 = r[0] * r[1] + r[0] * r[2] + r[1] * r[2]
     c0 = -r[0] * r[1] * r[2]
     got = solve_cubic(c2, c1, c0)
-    assert max(abs(g - e) for g, e in zip(got, r)) < 1e-9
+    assert got.shape == (3,) and abs(got[0] - r[0]) < 1e-9
+    assert max(abs(g - e) for g, e in zip(sorted(got, reverse=True), r)) < 1e-9
 
 
 def test_cubic_triple_root_branch_exact_coefficients():
@@ -223,7 +225,7 @@ def test_cubic_triple_root_branch_exact_coefficients():
     # cubic collapses to zero and the shift is returned untouched
     r = 0.25
     got = solve_cubic(-3 * r, 3 * r * r, -(r**3))
-    assert got == (r, r, r)
+    assert got.tolist() == [r, r, r]
 
 
 def test_cubic_triple_root_with_rounded_coefficients():
@@ -246,3 +248,34 @@ def test_cubic_roots_descend():
     assert got[0] >= got[1] >= got[2]
     assert abs(got[0] - 0.5) < 1e-10 and abs(got[2] - 0.1) < 1e-10
 
+
+def test_cubic_solves_broadcast_coefficients_row_by_row():
+    # (N, 1), (1, U) and scalar coefficients give (N, U, 3) roots, each row
+    # those of its own cubic, for a spectrum descending.
+    rng = np.random.default_rng(38)
+    roots = np.sort(rng.random((4, 2, 3)), axis=-1)[..., ::-1]
+    roots[:, 0] = roots[:1, 0]  # column 0 shares its trace across the rows
+    c2 = -roots.sum(axis=-1)
+    c1 = roots[..., 0] * roots[..., 1] + roots[..., 0] * roots[..., 2] + roots[..., 1] * roots[..., 2]
+    c0 = -roots.prod(axis=-1)
+    got = solve_cubic(c2[:1, :1], c1[:, :1], c0[:, :1])
+    assert got.shape == (4, 1, 3)
+    assert np.abs(got - roots[:, :1]).max() < 1e-12
+    got = solve_cubic(c2, c1, c0)
+    assert got.shape == (4, 2, 3) and np.abs(got - roots).max() < 1e-12
+    assert (np.diff(got, axis=-1) <= 0.0).all()
+    assert solve_cubic(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 2))).shape == (0, 2, 3)
+    for p0 in (1.0 / 3.0, 0.25, 1e-3):  # x^3 - p0 x^2: the double zero stays exact
+        assert solve_cubic(np.array([-p0]), 0.0, np.array([0.0, -0.0])).tolist() == [[p0, 0.0, 0.0]] * 2
+
+
+def test_cubic_batch_errors_name_the_coefficient_or_the_discriminant():
+    good = np.array([-0.9, -0.9])
+    for name, bad in (("c2", [-0.9, np.nan]), ("c1", [0.23, np.inf]), ("c0", [-np.inf, -0.015])):
+        coefficients = {"c2": good, "c1": np.array([0.23, 0.23]), "c0": np.array([-0.015, -0.015])}
+        coefficients[name] = np.array(bad)
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            solve_cubic(**coefficients)
+    # one row of roots 0, +i, -i among real ones
+    with pytest.raises(NumericalError, match=r"discriminant -4\.000e\+00"):
+        solve_cubic(np.array([-0.9, 0.0]), np.array([0.23, 1.0]), np.array([-0.015, 0.0]))
